@@ -139,9 +139,6 @@ def cmd_train(args) -> int:
             train_fraction=None if args.train_counts else args.train_fraction,
             train_counts=_split_train_counts(args.train_counts),
         )
-    base, _ = _parse_models(args.model)
-    if len(base) != 1 and args.model != "ensemble":
-        return _fail("train takes exactly one model kind")
     encoding = models.EncodingOptions(
         truncation=args.length, normalize=not args.raw_counts
     )
@@ -273,13 +270,8 @@ def cmd_explain(args) -> int:
     if unknown:
         return _fail(f"unknown explain targets: {sorted(unknown)}")
 
-    vocab = clf.vocab if not isinstance(clf, models.VotingEnsembleClassifier) else next(
-        iter(clf.members.values())
-    ).vocab
+    vocab, encoding = clf.vocab, clf.encoding
     names = list(vocab.names) + ["<other>"]
-    encoding = clf.encoding if not isinstance(clf, models.VotingEnsembleClassifier) else next(
-        iter(clf.members.values())
-    ).encoding
     from .traces import encode_histogram, truncate
 
     hists = np.vstack(
@@ -292,7 +284,7 @@ def cmd_explain(args) -> int:
     pred, _ = clf.predict(dataset.samples)
 
     if "lime" in what:
-        if isinstance(clf, models.LsmClassifier):
+        if clf.kind == models.LSM:
             scorer = explain.LsmHistogramScorer(clf)
         elif hasattr(clf, "score_histograms"):
             scorer = clf
@@ -352,7 +344,7 @@ def _rules_tree(clf, hists: np.ndarray, pred: np.ndarray, seed: int):
     shallow surrogate tree fit to the model's own predictions."""
     from . import forest
 
-    if isinstance(clf, models.HistogramClassifier) and clf.kind == models.TREE:
+    if clf.kind == models.TREE:
         return clf.model
     params = forest.TreeParams(max_depth=5, min_samples_leaf=5, seed=seed)
     return forest.train_decision_tree(hists, pred, params)
@@ -362,9 +354,7 @@ def _frequency_features(clf, vocab, top_k: int) -> list[str]:
     from . import forest as forest_mod
 
     names = list(vocab.names) + ["<other>"]
-    if isinstance(clf, models.HistogramClassifier) and clf.kind in (
-        models.HIST_RF, models.TREE,
-    ):
+    if clf.kind in (models.HIST_RF, models.TREE):
         importance = forest_mod.gini_importance(clf.model)
         order = np.argsort(-importance, kind="stable")[: max(top_k, 20)]
         return [names[i] for i in order if names[i] != "<other>"]

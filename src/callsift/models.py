@@ -7,7 +7,9 @@ Every classifier here:
   contain new call names; those fall into the OOV slot),
 * truncates traces to the configured length before encoding,
 * predicts (labels_int, scores) with the shared tie rule (score >= 0.5
-  means malware).
+  means malware),
+* exposes its registry ``kind``, its ``vocab`` and its ``encoding``, which
+  is all an archive needs besides the model itself.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forest, reservoir
+from .evaluation import majority_vote
 from .traces import (
     SyscallTrace,
     SyscallVocabulary,
@@ -100,6 +103,8 @@ class HistogramClassifier:
 class LsmClassifier:
     """Multi-hot encoding into a fixed liquid, then a trained readout."""
 
+    kind = LSM
+
     def __init__(
         self,
         seed: int = 0,
@@ -167,10 +172,21 @@ class LsmClassifier:
 class VotingEnsembleClassifier:
     """Majority vote over member classifiers; even ties go to malware."""
 
+    kind = ENSEMBLE
+
     def __init__(self, members: dict[str, object]):
         if not members:
             raise ValueError("ensemble needs at least one member")
         self.members = members
+
+    @property
+    def vocab(self) -> SyscallVocabulary | None:
+        """The first member's vocabulary (every member trains on the same traces)."""
+        return next(iter(self.members.values())).vocab
+
+    @property
+    def encoding(self) -> EncodingOptions:
+        return next(iter(self.members.values())).encoding
 
     def fit(self, traces, labels) -> "VotingEnsembleClassifier":
         for member in self.members.values():
@@ -178,9 +194,8 @@ class VotingEnsembleClassifier:
         return self
 
     def predict(self, traces) -> tuple[np.ndarray, np.ndarray]:
-        votes = np.vstack([m.predict(traces)[0] for m in self.members.values()])
-        score = votes.mean(axis=0)
-        return (score >= 0.5).astype(np.int64), score
+        votes = [m.predict(traces)[0] for m in self.members.values()]
+        return majority_vote(votes), np.vstack(votes).mean(axis=0)
 
 
 def make_classifier(

@@ -1,19 +1,29 @@
 """Versioned JSON model archives.
 
-An archive is self-describing: format version, model kind, the full model
-payload (explicit weight/node arrays), the vocabulary snapshot, the
-encoding options, and training provenance.  A SHA-256 checksum over the
-canonical payload JSON guards against corruption, and loading an archive
-reproduces the saved model's predictions bit-exactly (floats survive the
-JSON round-trip unchanged: the serializer emits shortest round-tripping
-representations).
+An archive is self-describing: format version, model kind (the CLI
+registry name: ``tree``, ``hist-rf``, ``linear``, ``lsm`` or ``ensemble``),
+the model payload, the vocabulary snapshot, the encoding options, and
+training provenance.  The payload of a single model is its model dataclass
+(``DecisionTree``, ``RandomForest``, ``LinearModel`` or ``LsmModel``) as a
+dict of its fields, nested dataclasses likewise and numpy arrays as nested
+lists; an ensemble's payload maps each member name to that member's own
+``{"kind", "payload"}``.  Loading rebuilds every value from the dataclass
+field annotations.
+
+A SHA-256 checksum over the canonical payload JSON guards against
+corruption, and loading an archive reproduces the saved model's
+predictions bit-exactly (floats survive the JSON round-trip unchanged: the
+serializer emits shortest round-tripping representations).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
-from dataclasses import dataclass
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -23,15 +33,13 @@ from .traces import SyscallVocabulary
 
 FORMAT_VERSION = 1
 
-# archive kind strings are spelled out; the CLI registry uses short names
-_KIND_TO_ARCHIVE = {
-    models.TREE: "decision_tree",
-    models.HIST_RF: "random_forest",
-    models.LINEAR: "linear",
-    models.LSM: "lsm",
-    models.ENSEMBLE: "voting_ensemble",
+# the model dataclass each single-model kind stores as its payload
+_MODEL_TYPES = {
+    models.TREE: forest.DecisionTree,
+    models.HIST_RF: forest.RandomForest,
+    models.LINEAR: forest.LinearModel,
+    models.LSM: reservoir.LsmModel,
 }
-_ARCHIVE_TO_KIND = {v: k for k, v in _KIND_TO_ARCHIVE.items()}
 
 
 class ArchiveError(ValueError):
@@ -46,271 +54,96 @@ def config_hash(doc) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
-def _floats(a: np.ndarray) -> list:
-    return [float(x) for x in np.asarray(a).reshape(-1)]
+# --- payload codec -----------------------------------------------------------------
 
 
-def _ints(a: np.ndarray) -> list:
-    return [int(x) for x in np.asarray(a).reshape(-1)]
+def encode(value):
+    """JSON-ready form of a model value: a dataclass becomes a dict of its
+    fields, an array nested lists, a tuple a list, a numpy scalar a number."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, (list, tuple)):
+        return [encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: encode(v) for k, v in value.items()}
+    return value
 
 
-# --- per-kind payload serializers ------------------------------------------------
+@functools.cache
+def _field_types(cls) -> dict:
+    # resolving the string annotations is the costly part of decoding
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def _tree_payload(tree: forest.DecisionTree) -> dict:
-    return {
-        "feature": _ints(tree.feature),
-        "threshold": _floats(tree.threshold),
-        "left": _ints(tree.left),
-        "right": _ints(tree.right),
-        "class_counts": [_floats(row) for row in tree.class_counts],
-        "n_features": tree.n_features,
-        "params": {
-            "max_depth": tree.params.max_depth,
-            "min_samples_leaf": tree.params.min_samples_leaf,
-            "feature_subsample": tree.params.feature_subsample,
-            "seed": tree.params.seed,
-        },
-    }
+def _union_member(union, value):
+    """The member of ``X | Y`` to decode ``value`` as: for a dict, the
+    dataclass whose field names equal its keys; for a scalar (``int | None``)
+    ``object``, which ``decode`` keeps as is."""
+    if not isinstance(value, dict):
+        return object
+    for cls in typing.get_args(union):
+        if dataclasses.is_dataclass(cls) and value.keys() == _field_types(cls).keys():
+            return cls
+    raise ArchiveError(f"payload fields {sorted(value)} match no member of {union}")
 
 
-def _tree_from_payload(doc: dict) -> forest.DecisionTree:
-    p = doc["params"]
-    return forest.DecisionTree(
-        feature=np.array(doc["feature"], dtype=np.int64),
-        threshold=np.array(doc["threshold"], dtype=np.float64),
-        left=np.array(doc["left"], dtype=np.int64),
-        right=np.array(doc["right"], dtype=np.int64),
-        class_counts=np.array(doc["class_counts"], dtype=np.float64),
-        n_features=doc["n_features"],
-        params=forest.TreeParams(
-            max_depth=p["max_depth"],
-            min_samples_leaf=p["min_samples_leaf"],
-            feature_subsample=p["feature_subsample"],
-            seed=p["seed"],
-        ),
-    )
+def decode(tp, value):
+    """Rebuild a value of annotated type ``tp`` from its ``encode`` form."""
+    if dataclasses.is_dataclass(tp):
+        fields = _field_types(tp)
+        if not isinstance(value, dict) or value.keys() != fields.keys():
+            got = sorted(value) if isinstance(value, dict) else type(value).__name__
+            raise ArchiveError(
+                f"{tp.__name__} payload has fields {got}, expected {sorted(fields)}"
+            )
+        return tp(**{name: decode(t, value[name]) for name, t in fields.items()})
+    if tp is np.ndarray:
+        return np.array(value)
+    if isinstance(tp, types.UnionType):
+        return decode(_union_member(tp, value), value)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is list:
+        return [decode(args[0], v) for v in value]
+    if origin is tuple:
+        return tuple(decode(t, v) for t, v in zip(args, value))
+    return value
 
 
-def _forest_payload(model: forest.RandomForest) -> dict:
-    return {
-        "trees": [_tree_payload(t) for t in model.trees],
-        "n_features": model.n_features,
-        "params": {
-            "n_trees": model.params.n_trees,
-            "bootstrap": model.params.bootstrap,
-            "feature_subsample": model.params.feature_subsample,
-            "max_depth": model.params.max_depth,
-            "min_samples_leaf": model.params.min_samples_leaf,
-            "seed": model.params.seed,
-        },
-    }
-
-
-def _forest_from_payload(doc: dict) -> forest.RandomForest:
-    p = doc["params"]
-    return forest.RandomForest(
-        trees=[_tree_from_payload(t) for t in doc["trees"]],
-        n_features=doc["n_features"],
-        params=forest.ForestParams(
-            n_trees=p["n_trees"],
-            bootstrap=p["bootstrap"],
-            feature_subsample=p["feature_subsample"],
-            max_depth=p["max_depth"],
-            min_samples_leaf=p["min_samples_leaf"],
-            seed=p["seed"],
-        ),
-    )
-
-
-def _linear_payload(model: forest.LinearModel) -> dict:
-    return {
-        "weights": _floats(model.weights),
-        "bias": float(model.bias),
-        "params": {
-            "learning_rate": model.params.learning_rate,
-            "epochs": model.params.epochs,
-            "l2": model.params.l2,
-            "seed": model.params.seed,
-        },
-    }
-
-
-def _linear_from_payload(doc: dict) -> forest.LinearModel:
-    p = doc["params"]
-    return forest.LinearModel(
-        weights=np.array(doc["weights"], dtype=np.float64),
-        bias=doc["bias"],
-        params=forest.LinearParams(
-            learning_rate=p["learning_rate"], epochs=p["epochs"], l2=p["l2"],
-            seed=p["seed"],
-        ),
-    )
-
-
-def _readout_payload(readout: reservoir.ReadoutModel) -> dict:
-    doc = {
-        "kind": readout.kind,
-        "hyperparams": readout.hyperparams,
-        "feature_mean": _floats(readout.feature_mean),
-        "feature_std": _floats(readout.feature_std),
-        "search_log": [[point, loss] for point, loss in readout.search_log],
-    }
-    if readout.kind == reservoir.LINEAR:
-        doc["model"] = _linear_payload(readout.model)
-    else:
-        svm = readout.model
-        doc["model"] = {
-            "support_vectors": [_floats(row) for row in svm.support_vectors],
-            "dual_coef": _floats(svm.dual_coef),
-            "bias": float(svm.bias),
-            "sigma": float(svm.sigma),
-            "box": float(svm.box),
-        }
-    return doc
-
-
-def _readout_from_payload(doc: dict) -> reservoir.ReadoutModel:
-    if doc["kind"] == reservoir.LINEAR:
-        inner = _linear_from_payload(doc["model"])
-    else:
-        m = doc["model"]
-        sv = np.array(m["support_vectors"], dtype=np.float64)
-        if sv.size == 0:
-            sv = sv.reshape(0, len(doc["feature_mean"]))
-        inner = reservoir.RbfSvm(
-            support_vectors=sv,
-            dual_coef=np.array(m["dual_coef"], dtype=np.float64),
-            bias=m["bias"],
-            sigma=m["sigma"],
-            box=m["box"],
-        )
-    return reservoir.ReadoutModel(
-        kind=doc["kind"],
-        model=inner,
-        hyperparams=doc["hyperparams"],
-        feature_mean=np.array(doc["feature_mean"], dtype=np.float64),
-        feature_std=np.array(doc["feature_std"], dtype=np.float64),
-        search_log=[(point, loss) for point, loss in doc["search_log"]],
-    )
-
-
-def _lsm_payload(clf: models.LsmClassifier) -> dict:
-    lsm = clf.lsm
-    topo = lsm.topology
-    return {
-        "topology": {
-            "neuron_count": topo.neuron_count,
-            "input_weights": [_floats(row) for row in topo.input_weights],
-            "recurrent_weights": [_floats(row) for row in topo.recurrent_weights],
-            "seed": topo.seed,
-        },
-        "lif": {
-            "membrane_time_constant": lsm.lif.membrane_time_constant,
-            "threshold": lsm.lif.threshold,
-            "reset_potential": lsm.lif.reset_potential,
-            "refractory_period": lsm.lif.refractory_period,
-            "simulation_step": lsm.lif.simulation_step,
-        },
-        "windows": lsm.windows,
-        "readout": _readout_payload(lsm.readout),
-    }
-
-
-def _lsm_into_classifier(doc: dict, clf: models.LsmClassifier) -> models.LsmClassifier:
-    topo_doc = doc["topology"]
-    topology = reservoir.LiquidTopology(
-        neuron_count=topo_doc["neuron_count"],
-        input_weights=np.array(topo_doc["input_weights"], dtype=np.float64),
-        recurrent_weights=np.array(topo_doc["recurrent_weights"], dtype=np.float64),
-        seed=topo_doc["seed"],
-    )
-    lif_doc = doc["lif"]
-    lif = reservoir.LifParams(
-        membrane_time_constant=lif_doc["membrane_time_constant"],
-        threshold=lif_doc["threshold"],
-        reset_potential=lif_doc["reset_potential"],
-        refractory_period=lif_doc["refractory_period"],
-        simulation_step=lif_doc["simulation_step"],
-    )
-    clf.lif = lif
-    clf.windows = doc["windows"]
-    clf.lsm = reservoir.LsmModel(
-        topology=topology, lif=lif, windows=doc["windows"],
-        readout=_readout_from_payload(doc["readout"]),
-    )
-    return clf
-
-
-def _classifier_payload(clf) -> tuple[str, dict]:
-    if isinstance(clf, models.HistogramClassifier):
-        inner = clf.model
-        if clf.kind == models.TREE:
-            return models.TREE, _tree_payload(inner)
-        if clf.kind == models.HIST_RF:
-            return models.HIST_RF, _forest_payload(inner)
-        return models.LINEAR, _linear_payload(inner)
-    if isinstance(clf, models.LsmClassifier):
-        return models.LSM, _lsm_payload(clf)
-    if isinstance(clf, models.VotingEnsembleClassifier):
-        members = {}
-        for name, member in clf.members.items():
-            kind, payload = _classifier_payload(member)
-            members[name] = {"kind": _KIND_TO_ARCHIVE[kind], "payload": payload}
-        return models.ENSEMBLE, {"members": members}
-    raise ArchiveError(f"cannot serialize model of type {type(clf).__name__}")
+def _classifier_payload(clf) -> dict:
+    if clf.kind == models.ENSEMBLE:
+        return {"members": {
+            name: {"kind": member.kind, "payload": _classifier_payload(member)}
+            for name, member in clf.members.items()
+        }}
+    return encode(clf.lsm if clf.kind == models.LSM else clf.model)
 
 
 def _classifier_from_payload(kind: str, payload: dict, vocab: SyscallVocabulary,
                              encoding: models.EncodingOptions):
-    if kind in (models.TREE, models.HIST_RF, models.LINEAR):
-        clf = models.HistogramClassifier(kind, encoding=encoding)
-        clf.vocab = vocab
-        if kind == models.TREE:
-            clf.model = _tree_from_payload(payload)
-        elif kind == models.HIST_RF:
-            clf.model = _forest_from_payload(payload)
-        else:
-            clf.model = _linear_from_payload(payload)
-        return clf
-    if kind == models.LSM:
-        clf = models.LsmClassifier(encoding=encoding)
-        clf.vocab = vocab
-        return _lsm_into_classifier(payload, clf)
     if kind == models.ENSEMBLE:
-        members = {
-            name: _classifier_from_payload(
-                _ARCHIVE_TO_KIND[entry["kind"]], entry["payload"], vocab, encoding
-            )
+        return models.VotingEnsembleClassifier({
+            name: _classifier_from_payload(entry["kind"], entry["payload"], vocab, encoding)
             for name, entry in payload["members"].items()
-        }
-        return models.VotingEnsembleClassifier(members)
-    raise ArchiveError(f"unknown model kind {kind!r} in archive")
+        })
+    if kind not in _MODEL_TYPES:
+        raise ArchiveError(f"unknown model kind {kind!r} in archive")
+    model = decode(_MODEL_TYPES[kind], payload)
+    if kind == models.LSM:
+        clf = models.LsmClassifier(encoding=encoding, lif=model.lif, windows=model.windows)
+        clf.lsm = model
+    else:
+        clf = models.HistogramClassifier(kind, encoding=encoding)
+        clf.model = model
+    clf.vocab = vocab
+    return clf
 
 
 # --- archive I/O -----------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class ModelArchive:
-    kind: str
-    payload: dict
-    vocabulary: list[str]
-    encoding: dict
-    provenance: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": self.kind,
-            "payload": self.payload,
-            "payload_sha256": hashlib.sha256(
-                canonical_json(self.payload).encode("utf-8")
-            ).hexdigest(),
-            "vocabulary": self.vocabulary,
-            "encoding": self.encoding,
-            "provenance": self.provenance,
-        }
 
 
 def save_model(
@@ -319,33 +152,27 @@ def save_model(
     seed: int | None = None,
     config_digest: str | None = None,
     created_at: str | None = None,
-) -> ModelArchive:
-    """Write a trained classifier to a versioned archive file."""
-    vocab = getattr(clf, "vocab", None)
-    if isinstance(clf, models.VotingEnsembleClassifier):
-        vocab = next(iter(clf.members.values())).vocab
-    if vocab is None:
+) -> dict:
+    """Write a trained classifier to a versioned archive file and return the
+    archive document."""
+    if clf.vocab is None:
         raise ArchiveError("model must be trained before saving")
-    encoding = getattr(clf, "encoding", None)
-    if isinstance(clf, models.VotingEnsembleClassifier):
-        encoding = next(iter(clf.members.values())).encoding
-    kind, payload = _classifier_payload(clf)
-    archive = ModelArchive(
-        kind=_KIND_TO_ARCHIVE[kind],
-        payload=payload,
-        vocabulary=list(vocab.names),
-        encoding={"truncation": encoding.truncation, "normalize": encoding.normalize},
-        provenance={
+    payload = _classifier_payload(clf)
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "kind": clf.kind,
+        "payload": payload,
+        "payload_sha256": config_hash(payload),
+        "vocabulary": list(clf.vocab.names),
+        "encoding": encode(clf.encoding),
+        "provenance": {
             "seed": seed,
             "config_hash": config_digest,
             "created_at": created_at,
         },
-    )
-    Path(path).write_text(
-        json.dumps(archive.to_json_dict(), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    return archive
+    }
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    return doc
 
 
 def load_model(path: str | Path):
@@ -359,16 +186,8 @@ def load_model(path: str | Path):
         raise ArchiveError(
             f"unsupported archive format_version {version!r} (expected {FORMAT_VERSION})"
         )
-    expected = doc.get("payload_sha256")
-    actual = hashlib.sha256(canonical_json(doc["payload"]).encode("utf-8")).hexdigest()
-    if expected != actual:
+    if doc.get("payload_sha256") != config_hash(doc["payload"]):
         raise ArchiveError("archive payload checksum mismatch (corrupted file)")
     vocab = SyscallVocabulary(tuple(doc["vocabulary"]))
-    enc = doc["encoding"]
-    encoding = models.EncodingOptions(
-        truncation=enc["truncation"], normalize=enc["normalize"]
-    )
-    kind = _ARCHIVE_TO_KIND.get(doc["kind"])
-    if kind is None:
-        raise ArchiveError(f"unknown model kind {doc['kind']!r} in archive")
-    return _classifier_from_payload(kind, doc["payload"], vocab, encoding)
+    encoding = decode(models.EncodingOptions, doc["encoding"])
+    return _classifier_from_payload(doc["kind"], doc["payload"], vocab, encoding)

@@ -225,6 +225,8 @@ class RbfSvm:
 
 
 def _rbf_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
+    # an empty support set reloads from JSON as shape (0,), not (0, d)
+    b = b.reshape(-1, a.shape[1])
     aa = (a**2).sum(axis=1)[:, None]
     bb = (b**2).sum(axis=1)[None, :]
     d2 = np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)

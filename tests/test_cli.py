@@ -172,6 +172,30 @@ def test_explain_artifacts(workspace):
     assert "malware" in summary
 
 
+def test_ensemble_train_explain_and_archive_eval(workspace, tmp_path):
+    corpus = str(workspace / "corpus.jsonl")
+    model_path = tmp_path / "ensemble.json"
+    assert cli.main([
+        "train", "--corpus", corpus, "--model", "ensemble", "--length", "60",
+        "--folds", "3", "--seed", "3", "--out", str(model_path), "--reproducible",
+    ]) == 0
+    doc = json.loads(model_path.read_text())
+    assert doc["kind"] == "ensemble"
+    assert {m["kind"] for m in doc["payload"]["members"].values()} == {
+        "tree", "hist-rf", "linear", "lsm",
+    }
+    out_dir = tmp_path / "explain"
+    assert cli.main([
+        "explain", "--corpus", corpus, "--model-archive", str(model_path),
+        "--out-dir", str(out_dir), "--what", "rules,frequency",
+    ]) == 0
+    assert "class=" in (out_dir / "rules.txt").read_text()
+    assert cli.main([
+        "eval", "--corpus", corpus, "--split", "sorted", "--length", "60",
+        "--model-archive", str(model_path), "--out", str(tmp_path / "archived.json"),
+    ]) == 0
+
+
 def test_report_rendering(workspace, capsys):
     rc = cli.main(["report", "--report", str(workspace / "report.json")])
     assert rc == 0
