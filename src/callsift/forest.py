@@ -12,6 +12,28 @@ a detector).
 Determinism: given identical inputs, params, and seed, training produces a
 bit-identical model.  Split ties are broken toward the lowest feature index,
 then the lowest threshold.
+
+Split search is whole-array.  ``train_decision_tree`` dense-rank-codes every
+column once per tree (``np.unique``; NaN takes the rank above every value).
+A node gathers ``rank << 1 | label`` of its rows for its candidate features,
+feature-major, and orders them with one integer sort along the rows.  Gini
+is evaluated only at valid boundaries (a strictly higher, non-NaN rank next
+in sorted order, with ``min_samples_leaf`` rows on both sides), where the
+left side is exactly the rows up to that rank, whatever the order of tied
+rows; the first ``argmax`` of the feature-major grid is the lowest-feature,
+lowest-threshold best split.  The threshold is the midpoint of the two real
+values around the boundary, or the lower value when the midpoint does not
+fall below the upper one (``-inf``/``inf`` neighbours, overflow, adjacent
+floats).  Nodes are grown from an explicit stack in pre-order, so node ids
+and the order of feature-subsample draws are those of a recursive grower and
+depth is not bounded by Python's recursion limit.
+
+Scoring is level-synchronous: ``DecisionTree.apply`` moves every row that is
+still at an internal node one level down per step
+(``x[feature] <= threshold`` goes left, NaN goes right) and returns leaf ids;
+``predict_scores`` looks up each leaf's malware fraction.  Trees, scores and
+Gini importances are bitwise those of a per-feature, per-row reference
+implementation (kept in the tests as an oracle).
 """
 
 from __future__ import annotations
@@ -85,26 +107,28 @@ class DecisionTree:
     def n_nodes(self) -> int:
         return self.feature.shape[0]
 
-    def leaf_for(self, x: np.ndarray) -> int:
-        node = 0
-        while self.feature[node] != LEAF:
-            if x[self.feature[node]] <= self.threshold[node]:
-                node = int(self.left[node])
-            else:
-                node = int(self.right[node])
-        return node
-
-    def score_one(self, x: np.ndarray) -> float:
-        """Malware fraction of the reached leaf (0.5 on an empty tie)."""
-        counts = self.class_counts[self.leaf_for(np.asarray(x, dtype=np.float64))]
-        total = counts.sum()
-        return float(counts[1] / total) if total else 0.5
-
-    def predict_scores(self, X: np.ndarray) -> np.ndarray:
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Leaf id reached by each row, all rows descending one level per step."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected (n, {self.n_features}) input, got {X.shape}")
-        return np.array([self.score_one(row) for row in X])
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        rows = np.flatnonzero(self.feature[node] != LEAF)
+        while rows.size:
+            at = node[rows]
+            go_left = X[rows, self.feature[at]] <= self.threshold[at]
+            at = np.where(go_left, self.left[at], self.right[at])
+            node[rows] = at
+            rows = rows[self.feature[at] != LEAF]
+        return node
+
+    def predict_scores(self, X: np.ndarray) -> np.ndarray:
+        """Malware fraction of the reached leaf (0.5 on an empty tie)."""
+        leaf = self.apply(X)
+        total = self.class_counts.sum(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            score = np.where(total > 0, self.class_counts[:, 1] / total, 0.5)
+        return score[leaf]
 
 
 def _gini_from_counts(n1: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -115,50 +139,44 @@ def _gini_from_counts(n1: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    feature_ids: np.ndarray,
-    min_samples_leaf: int,
-) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, gini_decrease) over candidate features.
+    keys: np.ndarray, nan_rank: np.ndarray, n1: float, min_samples_leaf: int
+) -> tuple[int, int, int] | None:
+    """Best split of one node as (candidate row, lower rank, upper rank).
 
-    Candidates are midpoints between consecutive distinct sorted values.
-    Returns None when no split yields two children of >= min_samples_leaf.
-    Ties in decrease resolve to the lowest feature index, then the lowest
-    threshold (features are scanned in ascending order and thresholds
-    ascending within a feature, with strict > to replace the incumbent).
+    ``keys[i]`` holds ``rank << 1 | label`` of the node's rows for candidate
+    feature i, one row per candidate in ascending feature order;
+    ``nan_rank[i]`` is that feature's rank of NaN and ``n1`` the node's
+    malware count.  One sort per row orders the node by rank.  A boundary
+    between sorted positions j and j + 1 is valid when the rank rises there,
+    the upper rank is not NaN's, and both sides keep >= min_samples_leaf
+    rows; the left side is
+    then exactly the rows of rank <= the lower rank, so its malware count
+    does not depend on the order of tied rows.  Returns None when no
+    boundary is valid.  The first maximum of the feature-major decrease grid
+    is the lowest feature, then the lowest threshold.
     """
-    n = y.shape[0]
-    total1 = float(y.sum())
-    parent_gini = float(_gini_from_counts(np.array(total1), np.array(float(n))))
-    best: tuple[int, float, float] | None = None
-    for f in np.sort(feature_ids):
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        v = col[order]
-        cum1 = np.cumsum(y[order])
-        i = np.arange(1, n)  # left side takes sorted rows [0, i)
-        valid = v[1:] > v[:-1]
-        if min_samples_leaf > 1:
-            valid &= (i >= min_samples_leaf) & (n - i >= min_samples_leaf)
-        if not valid.any():
-            continue
-        n_left = i.astype(np.float64)
-        n_right = float(n) - n_left
-        n1_left = cum1[:-1].astype(np.float64)
-        n1_right = total1 - n1_left
-        child = (
-            n_left * _gini_from_counts(n1_left, n_left)
-            + n_right * _gini_from_counts(n1_right, n_right)
-        ) / float(n)
-        decrease = np.where(valid, parent_gini - child, -np.inf)
-        j = int(np.argmax(decrease))  # first max -> lowest threshold
-        if decrease[j] == -np.inf:
-            continue
-        if best is None or decrease[j] > best[2]:
-            threshold = float((v[j] + v[j + 1]) / 2.0)
-            best = (int(f), threshold, float(decrease[j]))
-    return best
+    m = keys.shape[1]
+    s = np.sort(keys, axis=1)
+    r = s >> 1
+    valid = (r[:, 1:] > r[:, :-1]) & (r[:, 1:] < nan_rank[:, None])
+    valid[:, : min_samples_leaf - 1] = False  # left side takes sorted rows [0, j]
+    valid[:, m - min_samples_leaf :] = False
+    flat = np.flatnonzero(valid)
+    if flat.size == 0:
+        return None
+    fi, ji = np.divmod(flat, m - 1)
+    n1_left = np.cumsum(s & 1, axis=1)[fi, ji].astype(np.float64)
+    parent_gini = float(_gini_from_counts(np.array(n1), np.array(float(m))))
+    n_left = (ji + 1).astype(np.float64)
+    n_right = float(m) - n_left
+    n1_right = n1 - n1_left
+    child = (
+        n_left * _gini_from_counts(n1_left, n_left)
+        + n_right * _gini_from_counts(n1_right, n_right)
+    ) / float(m)
+    best = int(np.argmax(parent_gini - child))
+    i, j = int(fi[best]), int(ji[best])
+    return i, int(r[i, j]), int(r[i, j + 1])
 
 
 def train_decision_tree(
@@ -183,53 +201,71 @@ def train_decision_tree(
         raise ValueError("cannot train on an empty dataset")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 (goodware) or 1 (malware)")
-    d = X.shape[1]
+    n, d = X.shape
     k = params.feature_subsample
     if k is not None and k > d:
         k = d
     rng = np.random.default_rng(np.random.SeedSequence(params.seed))
+
+    # dense rank codes, feature-major and shifted to leave the low bit for
+    # the label; values[f] are column f's sorted distinct non-NaN values and
+    # NaN codes to len(values[f])
+    codes = np.empty((d, n), dtype=np.uint32)
+    values = []
+    for f in range(d):
+        distinct, rank = np.unique(X[:, f], return_inverse=True)
+        codes[f] = rank << 1
+        values.append(distinct[~np.isnan(distinct)])
+    nan_rank = np.array([v.size for v in values], dtype=np.uint32)
+    labels_u32 = y.astype(np.uint32)
 
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     counts: list[tuple[float, float]] = []
-
-    def new_node(idx: np.ndarray) -> int:
+    # (rows, depth, node whose right child this is); popped in pre-order,
+    # so a left child's id is always its parent's plus one
+    stack: list[tuple[np.ndarray, int, int]] = [(np.arange(n), 0, LEAF)]
+    while stack:
+        idx, depth, right_of = stack.pop()
         node = len(feature)
+        if right_of != LEAF:
+            right[right_of] = node
         feature.append(LEAF)
         threshold.append(math.nan)
         left.append(LEAF)
         right.append(LEAF)
         n1 = float(y[idx].sum())
         counts.append((float(idx.size) - n1, n1))
-        return node
-
-    def grow(idx: np.ndarray, depth: int) -> int:
-        node = new_node(idx)
-        ysub = y[idx]
-        if (ysub == ysub[0]).all() or (
+        if n1 == 0 or n1 == idx.size or (
             params.max_depth is not None and depth >= params.max_depth
         ):
-            return node
+            continue
         if idx.size < 2 * params.min_samples_leaf:
-            return node
+            continue
         if k is None:
             candidates = np.arange(d)
         else:
-            candidates = rng.choice(d, size=k, replace=False)
-        split = _best_split(X[idx], ysub, candidates, params.min_samples_leaf)
+            candidates = np.sort(rng.choice(d, size=k, replace=False))
+        keys = codes[candidates[:, None], idx] | labels_u32[idx]
+        split = _best_split(keys, nan_rank[candidates], n1, params.min_samples_leaf)
         if split is None:
-            return node
-        f, thr, _ = split
-        go_left = X[idx, f] <= thr
+            continue
+        i, lo, hi = split
+        f = int(candidates[i])
+        below, above = values[f][lo], values[f][hi]
+        with np.errstate(invalid="ignore", over="ignore"):
+            thr = float((below + above) / 2.0)
+        if not thr < above:  # the midpoint must separate the two values
+            thr = float(below)
         feature[node] = f
         threshold[node] = thr
-        left[node] = grow(idx[go_left], depth + 1)
-        right[node] = grow(idx[~go_left], depth + 1)
-        return node
+        left[node] = node + 1
+        go_left = X[idx, f] <= thr
+        stack.append((idx[~go_left], depth + 1, node))
+        stack.append((idx[go_left], depth + 1, LEAF))
 
-    grow(np.arange(X.shape[0]), 0)
     return DecisionTree(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=np.float64),
@@ -374,17 +410,13 @@ def tree_importance(tree: DecisionTree) -> np.ndarray:
     root_total = totals[0]
     if root_total == 0:
         return imp
-    node_gini = _gini_from_counts(tree.class_counts[:, 1], totals)
-    for node in range(tree.n_nodes):
-        f = tree.feature[node]
-        if f == LEAF:
-            continue
-        l, r = int(tree.left[node]), int(tree.right[node])
-        imp[f] += (
-            totals[node] * node_gini[node]
-            - totals[l] * node_gini[l]
-            - totals[r] * node_gini[r]
-        ) / root_total
+    weighted = totals * _gini_from_counts(tree.class_counts[:, 1], totals)
+    node = np.flatnonzero(tree.feature != LEAF)
+    l, r = tree.left[node], tree.right[node]
+    # np.add.at accumulates in node order, as a per-node loop would
+    np.add.at(
+        imp, tree.feature[node], (weighted[node] - weighted[l] - weighted[r]) / root_total
+    )
     return imp
 
 

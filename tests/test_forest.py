@@ -91,7 +91,7 @@ def test_replay_consistency_on_training_samples():
                 conditions.append(row[f] > thr)
                 node = int(tree.right[node])
         assert all(conditions)
-        assert tree.leaf_for(row) == node
+        assert tree.apply(row[None, :])[0] == node
 
 
 def test_children_impurity_never_exceeds_parent():

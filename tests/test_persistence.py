@@ -192,7 +192,7 @@ def test_golden_payloads():
     assert canonical_json(encode(_golden_linear())) == GOLDEN_LINEAR
     tree = decode(DecisionTree, json.loads(GOLDEN_TREE))
     assert tree.feature.dtype == np.int64 and tree.class_counts.shape == (3, 2)
-    assert tree.score_one(np.array([0.0, 0.5])) == 1.0
+    assert tree.predict_scores(np.array([[0.0, 0.5]]))[0] == 1.0
 
 
 def test_rbf_svm_without_support_vectors_round_trips():
