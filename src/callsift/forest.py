@@ -352,6 +352,20 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _logistic_grad(
+    weights: np.ndarray,
+    bias: float,
+    X: np.ndarray,
+    y: np.ndarray,
+    l2: float,
+) -> tuple[np.ndarray, float]:
+    """Gradients of the mean logistic loss with L2 penalty on the weights."""
+    residual = _sigmoid(X @ weights + bias) - y
+    grad_w = X.T @ residual / X.shape[0] + 2.0 * l2 * weights
+    grad_b = float(residual.mean())
+    return grad_w, grad_b
+
+
 def logistic_loss_and_grad(
     weights: np.ndarray,
     bias: float,
@@ -360,15 +374,10 @@ def logistic_loss_and_grad(
     l2: float,
 ) -> tuple[float, np.ndarray, float]:
     """Mean logistic loss with L2 penalty on the weights, plus gradients."""
-    n = X.shape[0]
     z = X @ weights + bias
     # log(1 + exp(z)) - y*z, computed stably
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + l2 * float(weights @ weights)
-    p = _sigmoid(z)
-    residual = p - y
-    grad_w = X.T @ residual / n + 2.0 * l2 * weights
-    grad_b = float(residual.mean())
-    return loss, grad_w, grad_b
+    return (loss, *_logistic_grad(weights, bias, X, y, l2))
 
 
 def train_linear(
@@ -384,7 +393,7 @@ def train_linear(
     w = rng.normal(0.0, 0.01, size=X.shape[1])
     b = 0.0
     for _ in range(params.epochs):
-        _, gw, gb = logistic_loss_and_grad(w, b, X, y, params.l2)
+        gw, gb = _logistic_grad(w, b, X, y, params.l2)
         w = w - params.learning_rate * gw
         b = b - params.learning_rate * gb
     if not (np.isfinite(w).all() and math.isfinite(b)):

@@ -14,6 +14,22 @@ Dynamics per step (dt = simulation_step):
     v <- v * exp(-dt / tau) + input_current + recurrent_current
     spike where v >= threshold, then v <- reset and the neuron stays
     silent (clamped at reset, ignoring input) for refractory_period steps.
+
+The simulation is clock-driven, one trace per call, and its results are
+bit-identical to a dense per-step loop (``tests/test_reservoir_oracle.py``
+keeps that loop as the reference):
+
+* Input is sparse.  Only occupied rows are injected, each through its own
+  vector-matrix product (one stacked ``np.matmul``; a single gemm over all
+  rows rounds differently), and rows that share a simulation step are
+  summed in row order.  Nothing of size horizon x neurons is built, so
+  memory grows with the event count, not with the last timestamp; time is
+  still linear in the last timestamp.
+* Each step updates the state in place in the order
+  ``((v * decay) + input) + W_rec @ prev_spikes``, leaving out the input
+  term on steps without input.
+* Refractoriness is a per-neuron "silent until step" array: one compare
+  finds the silent neurons and one masked copy clamps them to reset.
 """
 
 from __future__ import annotations
@@ -146,7 +162,8 @@ def simulate_liquid(
 
     The horizon and window boundaries derive from the last *occupied*
     (nonzero) input row, so appending all-zero rows can never change the
-    output.  An input with no occupied rows yields all-zero features.
+    output.  An input with no occupied rows at or after step 0 yields
+    all-zero features.
     ``record`` additionally returns the post-step membrane potential at
     every step (for diagnostics and tests).
     """
@@ -158,35 +175,62 @@ def simulate_liquid(
     if windows < 1:
         raise ValueError("windows must be >= 1")
     n = topology.neuron_count
-    occupied = np.flatnonzero(input_matrix.counts.sum(axis=1) > 0)
+    counts = input_matrix.counts
+    sim_steps = (input_matrix.time_steps // lif.simulation_step).astype(np.int64)
+    # rows before step 0 are never simulated
+    occupied = np.flatnonzero((counts.sum(axis=1) > 0) & (sim_steps >= 0))
     if occupied.size == 0:
         return np.zeros((windows, n)), (np.zeros((0, n)) if record else None)
-    last_step = int(input_matrix.time_steps[occupied[-1]])
-    horizon = int(last_step // lif.simulation_step) + 1
+    horizon = int(sim_steps[occupied[-1]]) + 1
 
-    # dense per-step injected current
-    current = np.zeros((horizon, n))
-    sim_steps = (input_matrix.time_steps // lif.simulation_step).astype(np.int64)
-    for row, t in enumerate(sim_steps):
-        if 0 <= t < horizon:
-            current[t] += input_matrix.counts[row] @ topology.input_weights
+    # A stacked product per row rounds as ``counts[row] @ input_weights``
+    # does; one gemm over all rows would not.
+    row_steps = sim_steps[occupied]
+    injected = np.matmul(
+        counts[occupied, None, :].astype(np.float64), topology.input_weights
+    )[:, 0, :]
+    new_step = np.diff(row_steps, prepend=-1) > 0
+    first = np.flatnonzero(new_step)
+    # Rows share a step only when simulation_step > 1.  Sum them in row
+    # order: ``np.add.at`` applies one row at a time, whereas
+    # ``np.add.reduceat`` adds the first row to a pairwise sum of the rest.
+    if first.size < row_steps.size:
+        summed = np.zeros((first.size, n))
+        np.add.at(summed, np.cumsum(new_step) - 1, injected)
+        injected = summed
+    injected_at = dict(zip(row_steps[first].tolist(), injected))
 
     decay = math.exp(-lif.simulation_step / lif.membrane_time_constant)
-    v = np.full(n, lif.reset_potential)
-    refractory = np.zeros(n, dtype=np.int64)
+    reset = lif.reset_potential
+    threshold = lif.threshold
+    refractory = lif.refractory_period
+    v = np.full(n, reset)
+    # a neuron that spikes at step t stays clamped through t + refractory
+    silent_until = np.full(n, -1, dtype=np.int64)
+    silent = np.zeros(n, dtype=bool)
+    spikes = np.zeros(n, dtype=bool)
     prev_spikes = np.zeros(n)
+    recurrent = np.zeros(n)
     spike_counts = np.zeros((windows, n))
     potentials = np.zeros((horizon, n)) if record else None
-    w_rec_t = topology.recurrent_weights  # [post, pre]
+    w_rec = topology.recurrent_weights  # [post, pre]
     for t in range(horizon):
-        active = refractory == 0
-        v = np.where(active, v * decay + current[t] + w_rec_t @ prev_spikes, lif.reset_potential)
-        spikes = active & (v >= lif.threshold)
-        v[spikes] = lif.reset_potential
-        refractory[~active] -= 1
-        refractory[spikes] = lif.refractory_period
-        prev_spikes = spikes.astype(np.float64)
-        spike_counts[t * windows // horizon] += prev_spikes
+        # ((v * decay) + input) + w_rec @ prev_spikes, in that order
+        np.multiply(v, decay, out=v)
+        current = injected_at.get(t)
+        if current is not None:
+            np.add(v, current, out=v)
+        np.matmul(w_rec, prev_spikes, out=recurrent)
+        np.add(v, recurrent, out=v)
+        np.greater_equal(silent_until, t, out=silent)
+        np.copyto(v, reset, where=silent)
+        # silent neurons sit at reset, below threshold, so they cannot spike
+        np.greater_equal(v, threshold, out=spikes)
+        np.copyto(v, reset, where=spikes)
+        np.copyto(silent_until, t + refractory, where=spikes)
+        np.copyto(prev_spikes, spikes)
+        window = spike_counts[t * windows // horizon]
+        np.add(window, prev_spikes, out=window)
         if record:
             potentials[t] = v
     return spike_counts, potentials

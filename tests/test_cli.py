@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +214,18 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["eval", "--split", "sideways"])
     assert exc.value.code == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    import callsift
+
+    src = str(Path(callsift.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "callsift", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: callsift")
 
 
 def test_data_errors_exit_one(tmp_path, capsys):

@@ -7,6 +7,7 @@ from callsift.forest import (
     ForestParams,
     LinearParams,
     TreeParams,
+    _sigmoid,
     gini_importance,
     logistic_loss_and_grad,
     predict,
@@ -344,6 +345,26 @@ def test_linear_seed_determinism():
     a = train_linear(X, y, LinearParams(seed=8))
     b = train_linear(X, y, LinearParams(seed=8))
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+
+
+def test_linear_training_matches_loss_computing_loop():
+    # the gradient expressions of logistic_loss_and_grad, spelled out: an
+    # epoch that skips the loss must still give the same weights bit for bit
+    rng = np.random.default_rng(41)
+    X = rng.normal(size=(60, 5))
+    y = (X[:, 0] + 0.5 * rng.normal(size=60) > 0).astype(float)
+    params = LinearParams(learning_rate=0.3, epochs=150, l2=0.01, seed=4)
+    w = np.random.default_rng(np.random.SeedSequence(params.seed)).normal(0.0, 0.01, size=5)
+    b = 0.0
+    for _ in range(params.epochs):
+        z = X @ w + b
+        residual = _sigmoid(z) - y
+        gw = X.T @ residual / X.shape[0] + 2.0 * params.l2 * w
+        gb = float(residual.mean())
+        w = w - params.learning_rate * gw
+        b = b - params.learning_rate * gb
+    model = train_linear(X, y, params)
+    assert np.array_equal(model.weights, w) and model.bias == b
 
 
 def test_linear_below_forest_on_bimodal_corpus():

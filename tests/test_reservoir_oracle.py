@@ -1,0 +1,186 @@
+"""The liquid simulation against the dense, one-call-per-row reference.
+
+``reference_simulate_liquid`` is the straightforward clock-driven loop the
+current ``simulate_liquid`` replaced, kept verbatim as an oracle only: a
+dense ``(horizon, neurons)`` injected-current matrix filled one row product
+at a time, and per step a ``np.where`` update, boolean-index resets and a
+refractory countdown.  The current code must reproduce its spike counts and
+membrane potentials exactly.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from callsift import datagen
+from callsift import reservoir as rv
+from callsift.traces import MultiHotMatrix, build_vocabulary, encode_multihot, truncate
+
+# --- reference implementation -------------------------------------------------
+
+
+def reference_simulate_liquid(topology, lif, input_matrix, windows=4, record=False):
+    n = topology.neuron_count
+    occupied = np.flatnonzero(input_matrix.counts.sum(axis=1) > 0)
+    if occupied.size == 0:
+        return np.zeros((windows, n)), (np.zeros((0, n)) if record else None)
+    last_step = int(input_matrix.time_steps[occupied[-1]])
+    horizon = int(last_step // lif.simulation_step) + 1
+
+    # dense per-step injected current
+    current = np.zeros((horizon, n))
+    sim_steps = (input_matrix.time_steps // lif.simulation_step).astype(np.int64)
+    for row, t in enumerate(sim_steps):
+        if 0 <= t < horizon:
+            current[t] += input_matrix.counts[row] @ topology.input_weights
+
+    decay = math.exp(-lif.simulation_step / lif.membrane_time_constant)
+    v = np.full(n, lif.reset_potential)
+    refractory = np.zeros(n, dtype=np.int64)
+    prev_spikes = np.zeros(n)
+    spike_counts = np.zeros((windows, n))
+    potentials = np.zeros((horizon, n)) if record else None
+    w_rec_t = topology.recurrent_weights  # [post, pre]
+    for t in range(horizon):
+        active = refractory == 0
+        v = np.where(active, v * decay + current[t] + w_rec_t @ prev_spikes, lif.reset_potential)
+        spikes = active & (v >= lif.threshold)
+        v[spikes] = lif.reset_potential
+        refractory[~active] -= 1
+        refractory[spikes] = lif.refractory_period
+        prev_spikes = spikes.astype(np.float64)
+        spike_counts[t * windows // horizon] += prev_spikes
+        if record:
+            potentials[t] = v
+    return spike_counts, potentials
+
+
+def assert_matches_reference(topology, lif, m, windows):
+    want, want_pots = reference_simulate_liquid(topology, lif, m, windows, record=True)
+    got, got_pots = rv.simulate_liquid(topology, lif, m, windows=windows, record=True)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_pots, want_pots)
+    assert np.array_equal(rv.simulate_liquid(topology, lif, m, windows=windows)[0], want)
+
+
+# --- randomized cases -----------------------------------------------------------
+
+
+@st.composite
+def liquids(draw):
+    n = draw(st.integers(1, 24))
+    recurrent = n >= 2 and draw(st.booleans())
+    config = rv.LiquidConfig(
+        input_channels=draw(st.integers(1, 5)),
+        neuron_count=n,
+        input_fanout_fraction=draw(st.floats(0.05, 1.0)),
+        input_weight_low=0.1,
+        input_weight_high=draw(st.floats(0.2, 1.6)),
+        recurrent=recurrent,
+        recurrent_sparsity=draw(st.floats(0.0, 1.0)) if recurrent else 0.1,
+        excitatory_fraction=draw(st.floats(0.0, 1.0)),
+        spectral_radius=draw(st.floats(0.1, 1.5)),
+    )
+    threshold = draw(st.floats(0.3, 1.5))
+    lif = rv.LifParams(
+        membrane_time_constant=draw(st.floats(1.0, 60.0)),
+        threshold=threshold,
+        reset_potential=draw(st.sampled_from([0.0, -0.5, -0.2, 0.25 * threshold])),
+        refractory_period=draw(st.integers(0, 3)),
+        simulation_step=draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])),
+    )
+    return rv.build_liquid(config, seed=draw(st.integers(0, 2**16))), lif
+
+
+@st.composite
+def inputs(draw, width):
+    rows = draw(st.integers(0, 30))
+    gaps = draw(st.lists(st.integers(1, 6), min_size=rows, max_size=rows))
+    steps = np.cumsum(np.array(gaps, dtype=np.int64)) - 1 + draw(st.integers(0, 4))
+    counts = np.array(
+        draw(st.lists(st.lists(st.integers(0, 3), min_size=width, max_size=width),
+                      min_size=rows, max_size=rows)),
+        dtype=np.int64,
+    ).reshape(rows, width)
+    if rows and draw(st.booleans()):
+        counts[draw(st.integers(0, rows - 1)):] = 0  # all-zero tail rows
+    return MultiHotMatrix(counts=counts, time_steps=steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_simulation_matches_reference(data):
+    topology, lif = data.draw(liquids())
+    m = data.draw(inputs(topology.input_channels))
+    windows = data.draw(st.integers(1, 40))  # often more windows than steps
+    assert_matches_reference(topology, lif, m, windows)
+
+
+def test_negative_rows_are_ignored_like_the_reference():
+    topology = rv.build_liquid(rv.LiquidConfig(input_channels=3, neuron_count=12), seed=5)
+    counts = np.array([[3, 1, 0], [2, 2, 2], [0, 3, 1], [1, 0, 3]], dtype=np.int64)
+    m = MultiHotMatrix(counts=counts, time_steps=np.array([-4, -1, 0, 5], dtype=np.int64))
+    for dt in (0.5, 1.0, 3.0):
+        assert_matches_reference(topology, rv.LifParams(simulation_step=dt), m, windows=3)
+    # nothing at or after step 0: the reference fails on a negative horizon
+    early = MultiHotMatrix(counts=counts[:2], time_steps=np.array([-4, -1], dtype=np.int64))
+    features, potentials = rv.simulate_liquid(topology, rv.LifParams(), early, record=True)
+    assert not features.any() and potentials.shape == (0, 12)
+
+
+def test_rows_sharing_a_step_sum_in_row_order():
+    # up to eight rows land on each simulated step; a pairwise or reordered
+    # sum of their currents differs in the last bits, which the potentials
+    # of a liquid that never reaches threshold carry forward
+    topology = rv.build_liquid(
+        rv.LiquidConfig(input_channels=4, neuron_count=30, input_fanout_fraction=1.0), seed=3
+    )
+    counts = np.random.default_rng(6).integers(0, 4, size=(64, 4))
+    m = MultiHotMatrix(counts=counts, time_steps=np.arange(64, dtype=np.int64))
+    for dt in (3.0, 8.0):
+        lif = rv.LifParams(simulation_step=dt, threshold=1e6)
+        assert_matches_reference(topology, lif, m, windows=2)
+
+
+def test_empty_and_all_zero_inputs():
+    topology = rv.build_liquid(rv.LiquidConfig(input_channels=4, neuron_count=9), seed=1)
+    lif = rv.LifParams()
+    empty = MultiHotMatrix(np.zeros((0, 4), dtype=np.int64), np.zeros(0, dtype=np.int64))
+    zeros = MultiHotMatrix(np.zeros((3, 4), dtype=np.int64), np.array([0, 2, 7]))
+    for m in (empty, zeros):
+        assert_matches_reference(topology, lif, m, windows=5)
+
+
+def test_length_1000_corpus_matches_reference():
+    config = datagen.make_config(seed=21, goodware_count=4, malware_count=4,
+                                 profiles=datagen.accumulating_profiles())
+    corpus = datagen.generate_corpus(config)
+    vocab = build_vocabulary(corpus)
+    topology = rv.build_liquid(rv.LiquidConfig(input_channels=vocab.width), seed=0)
+    lif = rv.LifParams()
+    for trace in corpus:
+        m = encode_multihot(truncate(trace, 1000), vocab)
+        assert m.counts.shape[0] > 100
+        assert_matches_reference(topology, lif, m, windows=4)
+
+
+# --- memory ---------------------------------------------------------------------
+
+
+def test_late_event_memory_is_bounded_by_events():
+    # the reference allocates a dense (horizon, neurons) current matrix:
+    # 50,001 x 135 float64, about 54 MB, for two events
+    topology = rv.build_liquid(rv.LiquidConfig(input_channels=3), seed=2)
+    m = MultiHotMatrix(np.array([[1, 0, 0], [0, 2, 1]], dtype=np.int64),
+                       np.array([0, 50_000], dtype=np.int64))
+    tracemalloc.start()
+    try:
+        counts, _ = rv.simulate_liquid(topology, rv.LifParams(), m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert counts.shape == (4, 135)
