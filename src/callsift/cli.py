@@ -296,10 +296,7 @@ def cmd_explain(args) -> int:
             seed=args.seed,
             top_k=args.top_k,
         )
-        explanations = [
-            explain.lime_explain(scorer, hists[i], config, sample_id=dataset.ids[i])
-            for i in range(len(dataset))
-        ]
+        explanations = explain.lime_explain_batch(scorer, hists, config, dataset.ids)
         doc = [
             {
                 "sample_id": e.sample_id,

@@ -13,8 +13,12 @@ Determinism: given identical inputs, params, and seed, training produces a
 bit-identical model.  Split ties are broken toward the lowest feature index,
 then the lowest threshold.
 
-Split search is whole-array.  ``train_decision_tree`` dense-rank-codes every
-column once per tree (``np.unique``; NaN takes the rank above every value).
+Split search is whole-array.  Every column is dense-rank-coded
+(``np.unique``; NaN takes the rank above every value) once per forest:
+``train_random_forest`` codes the full training matrix and hands each tree
+the codes of its bootstrap rows, so a sample's ranks may have gaps, which
+leaves the order, the boundaries and the thresholds (midpoints of adjacent
+present values) unchanged; a lone ``train_decision_tree`` codes its input.
 A node gathers ``rank << 1 | label`` of its rows for its candidate features,
 feature-major, and orders them with one integer sort along the rows.  Gini
 is evaluated only at valid boundaries (a strictly higher, non-NaN rank next
@@ -179,6 +183,34 @@ def _best_split(
     return i, int(r[i, j]), int(r[i, j + 1])
 
 
+@dataclass(frozen=True, eq=False)
+class _RankedSamples:
+    """A sample matrix with its column rank codes, computed once and shared
+    by row subsets (``take``).  ``np.asarray`` of it is the matrix itself,
+    so anything that accepts a matrix accepts it."""
+
+    values: np.ndarray  # (n, d) float64
+    codes: np.ndarray  # (d, n) uint32, rank << 1 (low bit left for the label)
+    distinct: tuple[np.ndarray, ...]  # per column, sorted distinct non-NaN values
+
+    @classmethod
+    def of(cls, X: np.ndarray) -> "_RankedSamples":
+        n, d = X.shape
+        codes = np.empty((d, n), dtype=np.uint32)
+        distinct = []
+        for f in range(d):
+            values, rank = np.unique(X[:, f], return_inverse=True)
+            codes[f] = rank << 1
+            distinct.append(values[~np.isnan(values)])
+        return cls(X, codes, tuple(distinct))
+
+    def take(self, idx: np.ndarray) -> "_RankedSamples":
+        return _RankedSamples(self.values[idx], self.codes[:, idx], self.distinct)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.values, dtype=dtype, copy=copy)
+
+
 def train_decision_tree(
     samples: np.ndarray, labels: np.ndarray, params: TreeParams | None = None
 ) -> DecisionTree:
@@ -188,7 +220,8 @@ def train_decision_tree(
     leaves min_samples_leaf on both sides.  Impure nodes split even at zero
     Gini decrease when a valid candidate exists (XOR-style structure needs
     the zero-gain first cut); every split strictly shrinks both children,
-    so growth terminates.
+    so growth terminates.  ``samples`` may carry precomputed rank codes
+    (``_RankedSamples``, as the forest passes them).
     """
     params = params or TreeParams()
     X = np.asarray(samples, dtype=np.float64)
@@ -207,15 +240,11 @@ def train_decision_tree(
         k = d
     rng = np.random.default_rng(np.random.SeedSequence(params.seed))
 
-    # dense rank codes, feature-major and shifted to leave the low bit for
-    # the label; values[f] are column f's sorted distinct non-NaN values and
-    # NaN codes to len(values[f])
-    codes = np.empty((d, n), dtype=np.uint32)
-    values = []
-    for f in range(d):
-        distinct, rank = np.unique(X[:, f], return_inverse=True)
-        codes[f] = rank << 1
-        values.append(distinct[~np.isnan(distinct)])
+    # codes[f] are column f's ranks among values[f] (its sorted distinct
+    # non-NaN values, possibly of a superset of these rows); NaN codes to
+    # len(values[f]), above every value
+    ranked = samples if isinstance(samples, _RankedSamples) else _RankedSamples.of(X)
+    codes, values = ranked.codes, ranked.distinct
     nan_rank = np.array([v.size for v in values], dtype=np.uint32)
     labels_u32 = y.astype(np.uint32)
 
@@ -306,6 +335,7 @@ def train_random_forest(
     k = params.feature_subsample
     if k is None:
         k = max(1, math.ceil(math.sqrt(d)))
+    ranked = _RankedSamples.of(X)
     trees = []
     for t in range(params.n_trees):
         # independent, reproducible stream per tree
@@ -313,9 +343,9 @@ def train_random_forest(
         tree_rng = np.random.default_rng(tree_seed_seq)
         if params.bootstrap:
             idx = tree_rng.integers(0, X.shape[0], size=X.shape[0])
-            Xb, yb = X[idx], y[idx]
+            Xb, yb = ranked.take(idx), y[idx]
         else:
-            Xb, yb = X, y
+            Xb, yb = ranked, y
         tree_params = TreeParams(
             max_depth=params.max_depth,
             min_samples_leaf=params.min_samples_leaf,

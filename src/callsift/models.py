@@ -90,6 +90,13 @@ class HistogramClassifier:
             self.model = forest.train_linear(X, y, params)
         return self
 
+    @property
+    def rowwise_scores(self) -> bool:
+        """Whether a row's score is independent of the other rows scored with
+        it: tree leaves and forest votes are; the linear model's BLAS product
+        may round a row differently depending on its position in the call."""
+        return self.kind != LINEAR
+
     def score_histograms(self, X: np.ndarray) -> np.ndarray:
         """Score pre-encoded histogram vectors (the explanation surface)."""
         assert self.model is not None, "fit before predict"

@@ -63,6 +63,11 @@ class SyscallVocabulary:
     def index_of(self, name: str) -> int:
         return self._index.get(name, self.oov_index)
 
+    def indices_of(self, names: Iterable[str]) -> np.ndarray:
+        """``index_of`` of each name, in order, as an int64 array."""
+        get, oov = self._index.get, self.oov_index
+        return np.array([get(name, oov) for name in names], dtype=np.int64)
+
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
@@ -255,7 +260,7 @@ def encode_multihot(trace: SyscallTrace, vocab: SyscallVocabulary) -> MultiHotMa
             time_steps=np.zeros(0, dtype=np.int64),
         )
     steps = np.array([step for step, _ in trace.events], dtype=np.int64)
-    cols = np.array([vocab.index_of(call) for _, call in trace.events], dtype=np.int64)
+    cols = vocab.indices_of(call for _, call in trace.events)
     uniq_steps, row_idx = np.unique(steps, return_inverse=True)
     counts = np.zeros((uniq_steps.size, vocab.width), dtype=np.int64)
     np.add.at(counts, (row_idx, cols), 1)
@@ -270,9 +275,8 @@ def encode_histogram(
     An empty trace stays all-zero in both modes.  Normalization defaults on:
     frequency features are comparable across traces of different lengths.
     """
-    values = np.zeros(vocab.width, dtype=np.float64)
-    for _, call in trace.events:
-        values[vocab.index_of(call)] += 1.0
+    idx = vocab.indices_of(call for _, call in trace.events)
+    values = np.bincount(idx, minlength=vocab.width).astype(np.float64)
     if normalize:
         total = values.sum()
         if total > 0:

@@ -240,6 +240,25 @@ def test_data_errors_exit_one(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--perturbations", "0", "perturbations"), ("--top-k", "-2", "top_k")],
+)
+def test_explain_rejects_out_of_range_lime_settings(workspace, tmp_path, capsys,
+                                                    flag, value, message):
+    corpus = str(workspace / "corpus.jsonl")
+    archive = str(tmp_path / "tree.json")
+    assert cli.main(["train", "--corpus", corpus, "--model", "tree",
+                     "--out", archive]) == 0
+    capsys.readouterr()
+    rc = cli.main(["explain", "--corpus", corpus, "--model-archive", archive,
+                   "--out-dir", str(tmp_path / "explain"), "--what", "lime",
+                   flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_unknown_model_kind_message(workspace, capsys):
     rc = cli.main([
         "eval", "--corpus", str(workspace / "corpus.jsonl"), "--split", "sorted",

@@ -18,7 +18,7 @@ from callsift.explain import (
     summarize_explanations,
 )
 from callsift.forest import predict_labels, train_decision_tree
-from callsift.traces import SyscallVocabulary
+from callsift.traces import SyscallVocabulary, encode_histogram
 from conftest import make_trace
 
 
@@ -320,3 +320,132 @@ def test_lsm_histogram_scorer_flags_approximation(small_corpus, small_labels):
                    perturbations=50, seed=0),
     )
     assert any("approximation" in note for note in e.notes)
+
+
+# --- batch explanations ------------------------------------------------------------
+
+
+def assert_same_explanations(batch, single):
+    assert len(batch) == len(single)
+    for a, b in zip(batch, single):
+        assert a.sample_id == b.sample_id
+        assert np.array_equal(a.weights, b.weights)
+        assert a.fidelity == b.fidelity
+        assert a.top == b.top
+        assert a.notes == b.notes
+
+
+class CountingScorer:
+    """Delegates to a scoring surface and records the rows of each call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rowwise_scores = getattr(inner, "rowwise_scores", False)
+        self.explanation_notes = getattr(inner, "explanation_notes", ())
+        self.calls = []
+
+    def score_histograms(self, X):
+        self.calls.append(X.shape[0])
+        return explain._score_fn(self.inner)(X)
+
+
+def one_by_one(model, X, cfg, ids):
+    return [lime_explain(model, X[i], cfg, ids[i]) for i in range(X.shape[0])]
+
+
+@pytest.fixture(scope="module")
+def histogram_models(small_corpus, small_labels):
+    from callsift.forest import ForestParams
+    from callsift.models import HistogramClassifier
+
+    fitted = {
+        kind: HistogramClassifier(kind, seed=3, params=params).fit(small_corpus, small_labels)
+        for kind, params in (
+            ("hist-rf", ForestParams(n_trees=15, seed=3)), ("tree", None), ("linear", None),
+        )
+    }
+    X = fitted["tree"]._encode(small_corpus)
+    return fitted, X, [t.id for t in small_corpus]
+
+
+@pytest.mark.parametrize("kind", ["hist-rf", "tree", "linear"])
+def test_batch_equals_one_by_one(histogram_models, kind):
+    fitted, X, ids = histogram_models
+    cfg = LimeConfig(feature_means=X.mean(axis=0), perturbations=30, seed=4, top_k=5)
+    model = CountingScorer(fitted[kind])
+    batch = explain.lime_explain_batch(model, X, cfg, ids)
+    assert_same_explanations(batch, one_by_one(fitted[kind], X, cfg, ids))
+    # the forest and the tree score every row in one call; the linear
+    # model's BLAS product is called once per row, as lime_explain calls it
+    assert model.calls == ([X.shape[0] * 30] if kind != "linear" else [30] * X.shape[0])
+
+
+def test_batch_splits_at_the_row_bound(histogram_models, monkeypatch):
+    fitted, X, ids = histogram_models
+    cfg = LimeConfig(feature_means=X.mean(axis=0), perturbations=30, seed=1)
+    monkeypatch.setattr(explain, "SCORE_ROW_BOUND", 7 * 30 + 29)
+    model = CountingScorer(fitted["hist-rf"])
+    batch = explain.lime_explain_batch(model, X, cfg, ids)
+    assert X.shape[0] % 7 != 0
+    assert model.calls == [7 * 30] * (X.shape[0] // 7) + [X.shape[0] % 7 * 30]
+    assert_same_explanations(batch, one_by_one(fitted["hist-rf"], X, cfg, ids))
+    # a bound below one sample's perturbations still scores whole samples
+    monkeypatch.setattr(explain, "SCORE_ROW_BOUND", 10)
+    model = CountingScorer(fitted["hist-rf"])
+    assert_same_explanations(explain.lime_explain_batch(model, X[:3], cfg, ids[:3]), batch[:3])
+    assert model.calls == [30, 30, 30]
+
+
+def test_batch_constant_model_is_degenerate_everywhere(rng):
+    class Constant:
+        rowwise_scores = True
+
+        def score_histograms(self, X):
+            return np.full(X.shape[0], 0.42)
+
+    X = rng.uniform(0, 1, size=(9, D))
+    ids = [f"s{i}" for i in range(9)]
+    batch = explain.lime_explain_batch(Constant(), X, config(perturbations=25), ids)
+    assert_same_explanations(batch, one_by_one(Constant(), X, config(perturbations=25), ids))
+    assert all(e.fidelity is None and any("degenerate" in n for n in e.notes) for e in batch)
+
+
+def test_batch_lsm_scorer_equals_one_by_one(small_corpus, small_labels):
+    from callsift.models import EncodingOptions, LsmClassifier
+
+    clf = LsmClassifier(seed=1, encoding=EncodingOptions(truncation=60), folds=5)
+    clf.fit(small_corpus, small_labels)
+    scorer = explain.LsmHistogramScorer(clf, nominal_length=60)
+    rows = small_corpus[:5] + small_corpus[-4:]
+    X = np.vstack([encode_histogram(t, clf.vocab).values for t in rows])
+    cfg = LimeConfig(feature_means=X.mean(axis=0), perturbations=11, seed=2)
+    ids = [t.id for t in rows]
+    batch = explain.lime_explain_batch(scorer, X, cfg, ids)
+    assert_same_explanations(batch, one_by_one(scorer, X, cfg, ids))
+    assert all(any("approximation" in n for n in e.notes) for e in batch)
+
+
+def test_batch_input_validation():
+    with pytest.raises(ValueError, match="dimensionality"):
+        explain.lime_explain_batch(lambda X: X.sum(axis=1), np.zeros((2, 3)), config(),
+                                   ["a", "b"])
+    with pytest.raises(ValueError, match="length mismatch"):
+        explain.lime_explain_batch(lambda X: X.sum(axis=1), np.zeros((2, D)), config(), ["a"])
+    with pytest.raises(ValueError, match="expected 10 scores"):
+        lime_explain(lambda X: X.sum(axis=1), np.zeros(D), config(perturbations=10),
+                     scores=np.zeros(9))
+
+
+@pytest.mark.parametrize("kw", [{"perturbations": 0}, {"perturbations": -3}, {"top_k": -2}])
+def test_lime_config_rejects_out_of_range_settings(kw):
+    with pytest.raises(ValueError):
+        config(**kw)
+
+
+def test_lime_config_mask_is_shared_and_read_only():
+    cfg = config(perturbations=6, seed=8)
+    assert cfg.mask is cfg.mask
+    assert cfg.mask.shape == (6, D)
+    assert not cfg.mask.flags.writeable
+    assert np.array_equal(cfg.mask, config(perturbations=6, seed=8).mask)
+    assert config(top_k=0).top_k == 0

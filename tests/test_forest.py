@@ -1,8 +1,12 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from callsift import forest
 from callsift.forest import (
     ForestParams,
     LinearParams,
@@ -16,6 +20,7 @@ from callsift.forest import (
     train_linear,
     train_random_forest,
 )
+from test_forest_oracle import assert_same_tree, datasets
 
 
 def leaves(tree):
@@ -204,6 +209,37 @@ def test_forest_separable_corpus_high_caa(small_corpus, small_labels):
     clf.fit(train.samples, train.labels)
     metrics, _ = compute_metrics(clf.predict(test.samples)[0], test.labels)
     assert metrics.caa >= 0.95
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    datasets(),
+    st.builds(
+        ForestParams,
+        n_trees=st.integers(1, 4),
+        bootstrap=st.booleans(),
+        feature_subsample=st.none() | st.integers(1, 5),
+        max_depth=st.none() | st.integers(0, 6),
+        min_samples_leaf=st.integers(1, 3),
+        seed=st.integers(0, 2**31 - 1),
+    ),
+)
+def test_forest_rank_codes_match_per_tree_coding(data, params):
+    # the forest codes its training matrix once; coding each tree's
+    # (bootstrap) sample on its own must grow the same trees.  Thresholds
+    # compare as numbers: where a column holds both -0.0 and 0.0, a zero
+    # threshold may carry the other sign
+    X, y, Xt = data
+    shared = train_random_forest(X, y, params)
+    own = forest.train_decision_tree
+    with mock.patch.object(
+        forest, "train_decision_tree", lambda s, lab, p: own(np.asarray(s), lab, p)
+    ):
+        per_tree = train_random_forest(X, y, params)
+    for a, b in zip(shared.trees, per_tree.trees, strict=True):
+        assert_same_tree(a, b)
+    for rows in (X, Xt):
+        assert np.array_equal(shared.predict_scores(rows), per_tree.predict_scores(rows))
 
 
 def test_forest_prediction_invariant_under_tree_permutation():

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from callsift.traces import (
     SyscallTrace,
@@ -154,6 +156,33 @@ def test_encode_histogram_empty_stays_zero():
     vocab = SyscallVocabulary(("A",))
     h = encode_histogram(make_trace([]), vocab, normalize=True)
     assert not h.values.any()
+
+
+def loop_histogram(trace, vocab, normalize):
+    """The per-event accumulation encode_histogram replaced, kept as an oracle."""
+    values = np.zeros(vocab.width, dtype=np.float64)
+    for _, call in trace.events:
+        values[vocab.index_of(call)] += 1.0
+    if normalize:
+        total = values.sum()
+        if total > 0:
+            values = values / total
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(["A", "B", "C", "D", "Oov1", "Oov2"]), max_size=300),
+    st.booleans(),
+)
+def test_encode_histogram_matches_loop_oracle(calls, normalize):
+    vocab = SyscallVocabulary(("A", "B", "C", "D"))
+    trace = make_trace(list(enumerate(calls)))
+    hist = encode_histogram(trace, vocab, normalize=normalize)
+    expected = loop_histogram(trace, vocab, normalize)
+    assert hist.values.dtype == np.float64
+    assert np.array_equal(hist.values, expected)
+    assert hist.normalized == normalize
 
 
 def _random_trace(rng, names, max_events=60):
