@@ -281,7 +281,11 @@ def cmd_explain(args) -> int:
             for t in dataset.samples
         ]
     )
-    pred, _ = clf.predict(dataset.samples)
+    if isinstance(clf, models.HistogramClassifier):
+        # its predict would encode these same histograms again
+        pred = (clf.score_histograms(hists) >= 0.5).astype(np.int64)
+    else:
+        pred, _ = clf.predict(dataset.samples)
 
     if "lime" in what:
         if clf.kind == models.LSM:

@@ -19,18 +19,26 @@ Split search is whole-array.  Every column is dense-rank-coded
 the codes of its bootstrap rows, so a sample's ranks may have gaps, which
 leaves the order, the boundaries and the thresholds (midpoints of adjacent
 present values) unchanged; a lone ``train_decision_tree`` codes its input.
-A node gathers ``rank << 1 | label`` of its rows for its candidate features,
-feature-major, and orders them with one integer sort along the rows.  Gini
-is evaluated only at valid boundaries (a strictly higher, non-NaN rank next
-in sorted order, with ``min_samples_leaf`` rows on both sides), where the
-left side is exactly the rows up to that rank, whatever the order of tied
-rows; the first ``argmax`` of the feature-major grid is the lowest-feature,
-lowest-threshold best split.  The threshold is the midpoint of the two real
-values around the boundary, or the lower value when the midpoint does not
-fall below the upper one (``-inf``/``inf`` neighbours, overflow, adjacent
-floats).  Nodes are grown from an explicit stack in pre-order, so node ids
-and the order of feature-subsample draws are those of a recursive grower and
-depth is not bounded by Python's recursion limit.
+Each tree ORs its labels into the low bit of its codes once, so a node
+gathers the label-keyed codes ``rank << 1 | label`` of its rows for its
+candidate features, feature-major, in one fancy index and orders them with
+one in-place integer sort along the rows.  Gini is evaluated only at valid
+boundaries (a strictly higher, non-NaN rank next in sorted order, with
+``min_samples_leaf`` rows on both sides), where the left side is exactly
+the rows up to that rank, whatever the order of tied rows.  Both sides of
+such a boundary hold rows, so left and right impurities are one stacked
+``(2, boundaries)`` expression with no zero guard, rounded element for
+element as ``_gini_from_counts`` rounds them; the first ``argmax`` of the
+feature-major grid is the lowest-feature, lowest-threshold best split.  The
+rows of rank <= the lower rank (exactly the rows with ``x <= threshold``) go
+left, and the left side's malware count at that boundary is carried to the
+left child and the rest to the right one, so no node re-counts its labels.
+The threshold is the midpoint of the two real values around the boundary, in
+Python floats, or the lower value when the midpoint does not fall below the
+upper one (``-inf``/``inf`` neighbours, overflow, adjacent floats).  Nodes
+are grown from an explicit stack in pre-order, so node ids and the order of
+feature-subsample draws are those of a recursive grower and depth is not
+bounded by Python's recursion limit.
 
 Scoring is level-synchronous: ``DecisionTree.apply`` moves every row that is
 still at an internal node one level down per step
@@ -143,44 +151,53 @@ def _gini_from_counts(n1: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _best_split(
-    keys: np.ndarray, nan_rank: np.ndarray, n1: float, min_samples_leaf: int
-) -> tuple[int, int, int] | None:
-    """Best split of one node as (candidate row, lower rank, upper rank).
+    keys: np.ndarray, nan_key: np.ndarray, n1: float, min_samples_leaf: int
+) -> tuple[int, int, int, float] | None:
+    """Best split of one node as (candidate row, lower rank, upper rank,
+    malware count of the left side).
 
     ``keys[i]`` holds ``rank << 1 | label`` of the node's rows for candidate
-    feature i, one row per candidate in ascending feature order;
-    ``nan_rank[i]`` is that feature's rank of NaN and ``n1`` the node's
-    malware count.  One sort per row orders the node by rank.  A boundary
-    between sorted positions j and j + 1 is valid when the rank rises there,
-    the upper rank is not NaN's, and both sides keep >= min_samples_leaf
-    rows; the left side is
-    then exactly the rows of rank <= the lower rank, so its malware count
-    does not depend on the order of tied rows.  Returns None when no
-    boundary is valid.  The first maximum of the feature-major decrease grid
-    is the lowest feature, then the lowest threshold.
+    feature i, one row per candidate in ascending feature order; it is
+    sorted in place, which orders the node by rank.  ``nan_key[i]`` is
+    ``rank << 1`` of that feature's NaN and ``n1`` the node's malware count.
+    A boundary between sorted positions j and j + 1 is valid when the rank
+    rises there (the upper key exceeds the lower one with its label bit
+    set), the upper rank is not NaN's, and both sides keep
+    >= min_samples_leaf rows; the left side is then exactly the rows of
+    rank <= the lower rank, so its malware count does not depend on the
+    order of tied rows.  Returns None when no boundary is valid.  The first
+    maximum of the feature-major decrease grid is the lowest feature, then
+    the lowest threshold.
+
+    Both sides of a valid boundary are non-empty, so the Gini of left and
+    right is one stacked expression without a zero guard; it rounds every
+    element as ``_gini_from_counts`` does (``p**2`` is ``p * p``).
     """
     m = keys.shape[1]
-    s = np.sort(keys, axis=1)
-    r = s >> 1
-    valid = (r[:, 1:] > r[:, :-1]) & (r[:, 1:] < nan_rank[:, None])
-    valid[:, : min_samples_leaf - 1] = False  # left side takes sorted rows [0, j]
-    valid[:, m - min_samples_leaf :] = False
-    flat = np.flatnonzero(valid)
-    if flat.size == 0:
+    keys.sort(axis=1)
+    lower, upper = keys[:, :-1], keys[:, 1:]
+    valid = (upper > (lower | 1)) & (upper < nan_key)
+    if min_samples_leaf > 1:  # left side takes sorted rows [0, j]
+        valid[:, : min_samples_leaf - 1] = False
+        valid[:, m - min_samples_leaf :] = False
+    flat = valid.ravel().nonzero()[0]
+    if not flat.size:
         return None
-    fi, ji = np.divmod(flat, m - 1)
-    n1_left = np.cumsum(s & 1, axis=1)[fi, ji].astype(np.float64)
-    parent_gini = float(_gini_from_counts(np.array(n1), np.array(float(m))))
-    n_left = (ji + 1).astype(np.float64)
-    n_right = float(m) - n_left
-    n1_right = n1 - n1_left
-    child = (
-        n_left * _gini_from_counts(n1_left, n_left)
-        + n_right * _gini_from_counts(n1_right, n_right)
-    ) / float(m)
-    best = int(np.argmax(parent_gini - child))
-    i, j = int(fi[best]), int(ji[best])
-    return i, int(r[i, j]), int(r[i, j + 1])
+    ones = lower & 1
+    ones.cumsum(axis=1, out=ones)
+    n_left = flat % (m - 1) + 1.0
+    n1_left = ones.take(flat)
+    # [sizes, malware counts] x [left, right] x valid boundaries
+    n = np.array(((n_left, m - n_left), (n1_left, n1 - n1_left)))
+    p = n[1] / n[0]
+    q = 1.0 - p
+    g = n[0] * ((1.0 - p * p) - q * q)
+    p0 = n1 / m
+    q0 = 1.0 - p0
+    parent = (1.0 - p0 * p0) - q0 * q0
+    best = int((parent - (g[0] + g[1]) / m).argmax())
+    i, j = divmod(int(flat[best]), m - 1)
+    return i, int(keys[i, j]) >> 1, int(keys[i, j + 1]) >> 1, float(n1_left[best])
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,22 +259,26 @@ def train_decision_tree(
 
     # codes[f] are column f's ranks among values[f] (its sorted distinct
     # non-NaN values, possibly of a superset of these rows); NaN codes to
-    # len(values[f]), above every value
+    # len(values[f]), above every value.  keyed carries the label in the
+    # low bit, once per tree.
     ranked = samples if isinstance(samples, _RankedSamples) else _RankedSamples.of(X)
-    codes, values = ranked.codes, ranked.distinct
-    nan_rank = np.array([v.size for v in values], dtype=np.uint32)
-    labels_u32 = y.astype(np.uint32)
+    values = ranked.distinct
+    keyed = ranked.codes | y.astype(np.uint32)
+    nan_key = np.array([[v.size << 1] for v in values], dtype=np.uint32)
+    all_features = np.arange(d)
 
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     counts: list[tuple[float, float]] = []
-    # (rows, depth, node whose right child this is); popped in pre-order,
-    # so a left child's id is always its parent's plus one
-    stack: list[tuple[np.ndarray, int, int]] = [(np.arange(n), 0, LEAF)]
+    # (rows, malware count, depth, node whose right child this is); popped
+    # in pre-order, so a left child's id is always its parent's plus one
+    stack: list[tuple[np.ndarray, float, int, int]] = [
+        (np.arange(n), float(y.sum()), 0, LEAF)
+    ]
     while stack:
-        idx, depth, right_of = stack.pop()
+        idx, n1, depth, right_of = stack.pop()
         node = len(feature)
         if right_of != LEAF:
             right[right_of] = node
@@ -265,35 +286,42 @@ def train_decision_tree(
         threshold.append(math.nan)
         left.append(LEAF)
         right.append(LEAF)
-        n1 = float(y[idx].sum())
-        counts.append((float(idx.size) - n1, n1))
-        if n1 == 0 or n1 == idx.size or (
+        m = idx.size
+        counts.append((m - n1, n1))
+        if n1 == 0 or n1 == m or (
             params.max_depth is not None and depth >= params.max_depth
         ):
             continue
-        if idx.size < 2 * params.min_samples_leaf:
+        if m < 2 * params.min_samples_leaf:
             continue
         if k is None:
-            candidates = np.arange(d)
+            candidates = all_features
         else:
-            candidates = np.sort(rng.choice(d, size=k, replace=False))
-        keys = codes[candidates[:, None], idx] | labels_u32[idx]
-        split = _best_split(keys, nan_rank[candidates], n1, params.min_samples_leaf)
+            candidates = rng.choice(d, size=k, replace=False)
+            candidates.sort()
+        split = _best_split(
+            keyed[candidates[:, None], idx],
+            nan_key[candidates],
+            n1,
+            params.min_samples_leaf,
+        )
         if split is None:
             continue
-        i, lo, hi = split
+        i, lo, hi, n1_left = split
         f = int(candidates[i])
-        below, above = values[f][lo], values[f][hi]
-        with np.errstate(invalid="ignore", over="ignore"):
-            thr = float((below + above) / 2.0)
+        below, above = values[f].item(lo), values[f].item(hi)
+        # Python floats round as float64; an overflowing sum gives inf and
+        # -inf + inf gives nan, which the fallback below catches
+        thr = (below + above) / 2.0
         if not thr < above:  # the midpoint must separate the two values
-            thr = float(below)
+            thr = below
         feature[node] = f
         threshold[node] = thr
         left[node] = node + 1
-        go_left = X[idx, f] <= thr
-        stack.append((idx[~go_left], depth + 1, node))
-        stack.append((idx[go_left], depth + 1, LEAF))
+        # the rows of rank <= lo, which are exactly those with x <= thr
+        go_left = keyed[f][idx] <= (lo << 1 | 1)
+        stack.append((idx[~go_left], n1 - n1_left, depth + 1, node))
+        stack.append((idx[go_left], n1_left, depth + 1, LEAF))
 
     return DecisionTree(
         feature=np.array(feature, dtype=np.int64),

@@ -56,21 +56,39 @@ def test_gen_seed_override_changes_output(workspace, tmp_path):
     assert out.read_bytes() != (workspace / "corpus.jsonl").read_bytes()
 
 
-def test_eval_sorted_report_and_csv(workspace):
+@pytest.fixture(scope="module")
+def sorted_report(workspace):
+    """Sorted-split report of the four histogram models, with its CSV beside it."""
     report_path = workspace / "report.json"
-    csv_path = workspace / "report.csv"
     rc = cli.main([
         "eval", "--corpus", str(workspace / "corpus.jsonl"), "--split", "sorted",
         "--models", "tree,hist-rf,linear,ensemble", "--length", "100",
-        "--seed", "3", "--out", str(report_path), "--csv", str(csv_path),
+        "--seed", "3", "--out", str(report_path), "--csv", str(workspace / "report.csv"),
     ])
     assert rc == 0
-    doc = json.loads(report_path.read_text())
+    return report_path
+
+
+@pytest.fixture(scope="module")
+def rf_archive(workspace):
+    """A hist-rf archive trained on the workspace corpus."""
+    model_path = workspace / "rf.json"
+    rc = cli.main([
+        "train", "--corpus", str(workspace / "corpus.jsonl"), "--model", "hist-rf",
+        "--length", "100", "--seed", "3", "--out", str(model_path),
+        "--reproducible",
+    ])
+    assert rc == 0
+    return model_path
+
+
+def test_eval_sorted_report_and_csv(workspace, sorted_report):
+    doc = json.loads(sorted_report.read_text())
     assert set(doc["models"]) == {"tree", "hist-rf", "linear", "ensemble"}
     for entry in doc["models"].values():
         for key in ("acc", "caa", "mpr", "mre"):
             assert 0.0 <= entry["metrics"][key] <= 1.0
-    header = csv_path.read_text().splitlines()[0]
+    header = (workspace / "report.csv").read_text().splitlines()[0]
     assert header == "model,split,length,acc,caa,mpr,mre,tp,fp,tn,fn,seed"
 
 
@@ -108,17 +126,10 @@ def test_eval_report_byte_identical_across_runs(workspace, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_train_then_archive_eval(workspace):
-    model_path = workspace / "rf.json"
-    rc = cli.main([
-        "train", "--corpus", str(workspace / "corpus.jsonl"), "--model", "hist-rf",
-        "--length", "100", "--seed", "3", "--out", str(model_path),
-        "--reproducible",
-    ])
-    assert rc == 0
+def test_train_then_archive_eval(workspace, rf_archive):
     rc = cli.main([
         "eval", "--corpus", str(workspace / "corpus.jsonl"), "--split", "sorted",
-        "--model-archive", str(model_path), "--length", "100",
+        "--model-archive", str(rf_archive), "--length", "100",
         "--out", str(workspace / "archived.json"),
     ])
     assert rc == 0
@@ -127,7 +138,7 @@ def test_train_then_archive_eval(workspace):
     # archives cannot be cross-validated without retraining
     rc = cli.main([
         "eval", "--corpus", str(workspace / "corpus.jsonl"), "--split", "cv",
-        "--model-archive", str(model_path),
+        "--model-archive", str(rf_archive),
         "--out", str(workspace / "nope.json"),
     ])
     assert rc == 1
@@ -145,9 +156,9 @@ def test_sweep_csv(workspace):
     assert lines[1].split(",")[2] == "20" and lines[2].split(",")[2] == "60"
 
 
-def test_stats_from_report(workspace, capsys):
+def test_stats_from_report(workspace, sorted_report, capsys):
     rc = cli.main([
-        "stats", "--report", str(workspace / "report.json"), "--alpha", "0.05",
+        "stats", "--report", str(sorted_report), "--alpha", "0.05",
         "--out", str(workspace / "sig.json"),
     ])
     assert rc == 0
@@ -158,11 +169,11 @@ def test_stats_from_report(workspace, capsys):
     assert doc["alpha"] == 0.05
 
 
-def test_explain_artifacts(workspace):
+def test_explain_artifacts(workspace, rf_archive):
     out_dir = workspace / "explain"
     rc = cli.main([
         "explain", "--corpus", str(workspace / "corpus.jsonl"),
-        "--model-archive", str(workspace / "rf.json"), "--out-dir", str(out_dir),
+        "--model-archive", str(rf_archive), "--out-dir", str(out_dir),
         "--perturbations", "120", "--seed", "0",
     ])
     assert rc == 0
@@ -200,8 +211,8 @@ def test_ensemble_train_explain_and_archive_eval(workspace, tmp_path):
     ]) == 0
 
 
-def test_report_rendering(workspace, capsys):
-    rc = cli.main(["report", "--report", str(workspace / "report.json")])
+def test_report_rendering(sorted_report, capsys):
+    rc = cli.main(["report", "--report", str(sorted_report)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "caa" in out and "hist-rf" in out

@@ -278,3 +278,47 @@ def test_threshold_falls_back_when_midpoint_does_not_separate(below, above):
     assert tree.n_nodes == 3
     assert tree.threshold[0] == below
     assert np.array_equal(predict_labels(tree, X), y)
+
+
+# --- realistic size --------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def encoded_corpus():
+    """Normalized call histograms of 320 barely separated, drifted traces:
+    real-valued frequency columns with many distinct values, so nodes hold
+    hundreds of rows and many valid boundaries."""
+    from callsift import datagen
+    from callsift.traces import build_vocabulary, encode_histogram
+
+    config = datagen.make_config(
+        seed=7, goodware_count=160, malware_count=160,
+        profiles=datagen.default_profiles(separation=1.05, length_min=60, length_max=200),
+        drift=datagen.DriftSchedule(0.3),
+    )
+    traces = datagen.generate_corpus(config)
+    vocab = build_vocabulary(traces)
+    X = np.vstack([encode_histogram(t, vocab).values for t in traces])
+    y = np.array([int(t.label == "malware") for t in traces])
+    return X, y
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 4])
+def test_tree_matches_reference_on_encoded_corpus(encoded_corpus, min_samples_leaf):
+    X, y = encoded_corpus
+    params = TreeParams(min_samples_leaf=min_samples_leaf, seed=11)
+    tree = train_decision_tree(X, y, params)
+    assert tree.n_nodes > 40
+    assert_same_tree(tree, reference_tree(X, y, params))
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 3])
+def test_forest_matches_reference_on_encoded_corpus(encoded_corpus, min_samples_leaf):
+    X, y = encoded_corpus
+    params = ForestParams(n_trees=3, min_samples_leaf=min_samples_leaf, seed=5)
+    fo = train_random_forest(X, y, params)
+    with mock.patch.object(forest, "train_decision_tree", reference_tree):
+        ref = train_random_forest(X, y, params)
+    for a, b in zip(fo.trees, ref.trees, strict=True):
+        assert_same_tree(a, b)
+    assert np.array_equal(fo.predict_scores(X), ref.predict_scores(X))
