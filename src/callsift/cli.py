@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, datagen, evaluation, explain, models, persistence
+from . import __version__, datagen, evaluation, explain, forest, models, persistence
 from . import significance as sig
 from .traces import GOODWARE, MALWARE, read_corpus, write_corpus
 
@@ -270,17 +270,9 @@ def cmd_explain(args) -> int:
     if unknown:
         return _fail(f"unknown explain targets: {sorted(unknown)}")
 
-    vocab, encoding = clf.vocab, clf.encoding
+    vocab = clf.vocab
     names = list(vocab.names) + ["<other>"]
-    from .traces import encode_histogram, truncate
-
-    hists = np.vstack(
-        [
-            encode_histogram(truncate(t, encoding.truncation), vocab,
-                             normalize=encoding.normalize).values
-            for t in dataset.samples
-        ]
-    )
+    hists = models.encode_histograms(dataset.samples, vocab, clf.encoding)
     if isinstance(clf, models.HistogramClassifier):
         # its predict would encode these same histograms again
         pred = (clf.score_histograms(hists) >= 0.5).astype(np.int64)
@@ -343,8 +335,6 @@ def cmd_explain(args) -> int:
 def _rules_tree(clf, hists: np.ndarray, pred: np.ndarray, seed: int):
     """Rules come from the model itself when it is a tree, otherwise from a
     shallow surrogate tree fit to the model's own predictions."""
-    from . import forest
-
     if clf.kind == models.TREE:
         return clf.model
     params = forest.TreeParams(max_depth=5, min_samples_leaf=5, seed=seed)
@@ -352,11 +342,9 @@ def _rules_tree(clf, hists: np.ndarray, pred: np.ndarray, seed: int):
 
 
 def _frequency_features(clf, vocab, top_k: int) -> list[str]:
-    from . import forest as forest_mod
-
     names = list(vocab.names) + ["<other>"]
     if clf.kind in (models.HIST_RF, models.TREE):
-        importance = forest_mod.gini_importance(clf.model)
+        importance = forest.gini_importance(clf.model)
         order = np.argsort(-importance, kind="stable")[: max(top_k, 20)]
         return [names[i] for i in order if names[i] != "<other>"]
     return list(vocab.names)[: max(top_k, 20)]

@@ -28,9 +28,11 @@ from functools import cached_property
 import numpy as np
 
 from .forest import LEAF, DecisionTree
+from .reservoir import liquid_states
 from .traces import (
     GOODWARE,
     MALWARE,
+    MultiHotMatrix,
     SyscallTrace,
     SyscallVocabulary,
     encode_histogram,
@@ -389,7 +391,7 @@ def class_frequency_marks(
     by_class: dict[str, list[np.ndarray]] = {GOODWARE: [], MALWARE: []}
     for t in traces:
         if t.label in by_class:
-            by_class[t.label].append(encode_histogram(t, vocab, normalize=True).values)
+            by_class[t.label].append(encode_histogram(t, vocab, normalize=True))
     for label, rows in by_class.items():
         if not rows:
             raise ValueError(f"class {label!r} absent from dataset")
@@ -449,8 +451,6 @@ class LsmHistogramScorer:
         return self.score_histograms(X)
 
     def score_histograms(self, X: np.ndarray) -> np.ndarray:
-        from .traces import MultiHotMatrix  # local import to avoid cycle noise
-
         X = np.asarray(X, dtype=np.float64)
         scores = np.empty(X.shape[0])
         lsm = self.classifier.lsm
@@ -461,14 +461,10 @@ class LsmHistogramScorer:
                 counts = hist * self.nominal_length
             counts = np.rint(counts).astype(np.int64)
             calls = np.repeat(np.arange(counts.size), np.maximum(counts, 0))
-            if calls.size == 0:
-                matrix = MultiHotMatrix(
-                    np.zeros((0, counts.size), dtype=np.int64),
-                    np.zeros(0, dtype=np.int64),
-                )
-            else:
-                rows = np.zeros((calls.size, counts.size), dtype=np.int64)
-                rows[np.arange(calls.size), calls] = 1
-                matrix = MultiHotMatrix(rows, np.arange(calls.size, dtype=np.int64))
-            _, scores[i] = lsm.predict_one(matrix)
+            rows = np.zeros((calls.size, counts.size), dtype=np.int64)
+            rows[np.arange(calls.size), calls] = 1
+            matrix = MultiHotMatrix(rows, np.arange(calls.size, dtype=np.int64))
+            state = liquid_states(lsm.topology, lsm.lif, [matrix], lsm.windows)
+            # one readout call per row: a many-row product rounds differently
+            scores[i] = lsm.readout.predict_scores(state)[0]
         return scores

@@ -459,13 +459,6 @@ def train_linear(
     return LinearModel(weights=w, bias=b, params=params)
 
 
-def predict(model, sample: np.ndarray) -> tuple[int, float]:
-    """Shared single-sample prediction: (label_int, score), tie -> malware."""
-    x = np.asarray(sample, dtype=np.float64)
-    score = float(model.predict_scores(x.reshape(1, -1))[0])
-    return (1 if score >= 0.5 else 0), score
-
-
 def predict_labels(model, X: np.ndarray) -> np.ndarray:
     return (model.predict_scores(X) >= 0.5).astype(np.int64)
 

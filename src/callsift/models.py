@@ -5,7 +5,9 @@ Every classifier here:
 
 * builds its vocabulary from the training traces only (later traces may
   contain new call names; those fall into the OOV slot),
-* truncates traces to the configured length before encoding,
+* truncates traces to the configured length before encoding, into one
+  histogram matrix (``encode_histograms``) or one liquid-state matrix
+  (``reservoir.liquid_states``) per call,
 * predicts (labels_int, scores) with the shared tie rule (score >= 0.5
   means malware),
 * exposes its registry ``kind``, its ``vocab`` and its ``encoding``, which
@@ -49,6 +51,17 @@ class EncodingOptions:
             raise ValueError("truncation must be >= 1")
 
 
+def encode_histograms(traces, vocab: SyscallVocabulary,
+                      encoding: EncodingOptions) -> np.ndarray:
+    """The (len(traces), vocab.width) histogram matrix of the traces, each
+    truncated and encoded as ``encoding`` says."""
+    return np.vstack([
+        encode_histogram(truncate(t, encoding.truncation), vocab,
+                         normalize=encoding.normalize)
+        for t in traces
+    ])
+
+
 class HistogramClassifier:
     """Histogram encoding in front of a tree, forest, or linear learner."""
 
@@ -65,15 +78,7 @@ class HistogramClassifier:
 
     def _encode(self, traces) -> np.ndarray:
         assert self.vocab is not None, "fit before predict"
-        rows = [
-            encode_histogram(
-                truncate(t, self.encoding.truncation),
-                self.vocab,
-                normalize=self.encoding.normalize,
-            ).values
-            for t in traces
-        ]
-        return np.vstack(rows)
+        return encode_histograms(traces, self.vocab, self.encoding)
 
     def fit(self, traces: list[SyscallTrace], labels: np.ndarray) -> "HistogramClassifier":
         self.vocab = build_vocabulary(traces)
@@ -134,15 +139,13 @@ class LsmClassifier:
         self.vocab: SyscallVocabulary | None = None
         self.lsm: reservoir.LsmModel | None = None
 
-    def _states(self, traces) -> np.ndarray:
-        assert self.vocab is not None and self.lsm is not None
-        rows = [
-            self.lsm.state_of(
-                encode_multihot(truncate(t, self.encoding.truncation), self.vocab)
-            ).features
+    def _states(self, topology: reservoir.LiquidTopology, traces) -> np.ndarray:
+        assert self.vocab is not None
+        inputs = (
+            encode_multihot(truncate(t, self.encoding.truncation), self.vocab)
             for t in traces
-        ]
-        return np.vstack(rows)
+        )
+        return reservoir.liquid_states(topology, self.lif, inputs, self.windows)
 
     def fit(self, traces: list[SyscallTrace], labels: np.ndarray) -> "LsmClassifier":
         self.vocab = build_vocabulary(traces)
@@ -152,11 +155,7 @@ class LsmClassifier:
         if config.input_channels != self.vocab.width:
             raise ValueError("liquid_config.input_channels must match vocabulary width")
         topology = reservoir.build_liquid(config, seed=self.seed)
-        # placeholder readout so _states can run before training completes
-        self.lsm = reservoir.LsmModel(
-            topology=topology, lif=self.lif, windows=self.windows, readout=None
-        )
-        states = self._states(traces)
+        states = self._states(topology, traces)
         y = np.asarray(labels, dtype=np.int64)
         folds = min(self.folds, int(np.bincount(y, minlength=2).min()))
         if folds < 2:
@@ -171,8 +170,8 @@ class LsmClassifier:
         return self
 
     def predict(self, traces) -> tuple[np.ndarray, np.ndarray]:
-        assert self.lsm is not None and self.lsm.readout is not None, "fit first"
-        scores = self.lsm.readout.predict_scores(self._states(traces))
+        assert self.lsm is not None, "fit first"
+        scores = self.lsm.readout.predict_scores(self._states(self.lsm.topology, traces))
         return (scores >= 0.5).astype(np.int64), scores
 
 

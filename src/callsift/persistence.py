@@ -181,6 +181,8 @@ def load_model(path: str | Path):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ArchiveError(f"archive is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ArchiveError(f"archive must be a JSON object, not {type(doc).__name__}")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ArchiveError(

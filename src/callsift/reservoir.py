@@ -6,8 +6,10 @@ The liquid is fixed after construction (only the readout trains) and acts
 as a temporal kernel: per-time-step call counts inject current into a
 random subset of neurons, membrane potentials decay exponentially between
 steps, and spikes propagate one step later through sparse signed recurrent
-weights.  The feature vector for a trace is the per-neuron spike count in
-W consecutive windows spanning the occupied part of the input.
+weights.  The state of a trace is the per-neuron spike count in W
+consecutive windows spanning the occupied part of the input;
+``liquid_states`` flattens the states of many traces into the rows of the
+matrix the readout trains on and scores.
 
 Dynamics per step (dt = simulation_step):
 
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -143,14 +146,6 @@ def build_liquid(config: LiquidConfig, seed: int = 0) -> LiquidTopology:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class LiquidStateVector:
-    """Per-neuron spike counts in W consecutive windows, concatenated."""
-
-    features: np.ndarray  # (neuron_count * windows,)
-    windows: int
-
-
 def simulate_liquid(
     topology: LiquidTopology,
     lif: LifParams,
@@ -236,14 +231,21 @@ def simulate_liquid(
     return spike_counts, potentials
 
 
-def run_liquid(
+def liquid_states(
     topology: LiquidTopology,
     lif: LifParams,
-    input_matrix: MultiHotMatrix,
+    inputs: Iterable[MultiHotMatrix],
     windows: int = 4,
-) -> LiquidStateVector:
-    counts, _ = simulate_liquid(topology, lif, input_matrix, windows=windows)
-    return LiquidStateVector(features=counts.reshape(-1), windows=windows)
+) -> np.ndarray:
+    """The liquid state of each input: its windowed spike counts flattened
+    window-major into one row of an (n_inputs, neurons * windows) matrix.
+
+    Inputs are consumed one at a time, so a generator of multi-hot matrices
+    never holds more than one of them in memory.
+    """
+    return np.vstack(
+        [simulate_liquid(topology, lif, m, windows)[0].reshape(-1) for m in inputs]
+    )
 
 
 # --- readout ------------------------------------------------------------------
@@ -408,7 +410,7 @@ def _fit_readout(kind: str, X: np.ndarray, y: np.ndarray, point: dict, seed: int
 
 
 def train_readout(
-    states: list[LiquidStateVector] | np.ndarray,
+    states: np.ndarray,
     labels: np.ndarray,
     search: list[dict] | None = None,
     folds: int = 10,
@@ -420,10 +422,7 @@ def train_readout(
     Ties resolve to the earliest grid point.  Every evaluated point and its
     loss lands in ``search_log`` so a search can be audited or reproduced.
     """
-    if isinstance(states, np.ndarray):
-        X = np.asarray(states, dtype=np.float64)
-    else:
-        X = np.vstack([s.features for s in states])
+    X = np.asarray(states, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if X.shape[0] != y.shape[0]:
         raise ValueError("states and labels length mismatch")
@@ -482,22 +481,3 @@ class LsmModel:
     lif: LifParams
     windows: int
     readout: ReadoutModel
-
-    def state_of(self, input_matrix: MultiHotMatrix) -> LiquidStateVector:
-        return run_liquid(self.topology, self.lif, input_matrix, windows=self.windows)
-
-    def predict_one(self, input_matrix: MultiHotMatrix) -> tuple[int, float]:
-        return lsm_predict(self.topology, self.lif, self.readout, input_matrix, self.windows)
-
-
-def lsm_predict(
-    topology: LiquidTopology,
-    lif: LifParams,
-    readout: ReadoutModel,
-    input_matrix: MultiHotMatrix,
-    windows: int = 4,
-) -> tuple[int, float]:
-    """(label_int, score) for one trace; ties at 0.5 go to malware."""
-    state = run_liquid(topology, lif, input_matrix, windows=windows)
-    score = float(readout.predict_scores(state.features.reshape(1, -1))[0])
-    return (1 if score >= 0.5 else 0), score

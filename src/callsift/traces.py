@@ -5,9 +5,11 @@ A trace is an ordered sequence of (time_step, call_name) events collected
 while an executable runs; the time step granularity is one millisecond, so
 several calls can share a step.  Two encodings are provided:
 
-* multi-hot: one count vector per occupied time step (order preserved),
-* histogram: one count vector per trace (order discarded), optionally
-  normalized to frequencies.
+* multi-hot (``encode_multihot``): a ``MultiHotMatrix`` with one count
+  vector per occupied time step (order preserved),
+* histogram (``encode_histogram``): one float64 count vector per trace
+  (order discarded), optionally normalized to frequencies;
+  ``models.encode_histograms`` stacks them into a corpus matrix.
 
 Both encodings reserve one extra out-of-vocabulary slot so that models
 trained against one vocabulary can score traces collected later, when new
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -34,6 +36,10 @@ INT_TO_LABEL = {0: GOODWARE, 1: MALWARE}
 
 class TraceParseError(ValueError):
     """Raised when an external trace record is malformed."""
+
+
+# encodings store time steps as int64
+_MAX_STEP = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -130,27 +136,6 @@ class MultiHotMatrix:
     def width(self) -> int:
         return self.counts.shape[1]
 
-    def total_events(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass(frozen=True, eq=False)
-class HistogramVector:
-    """Whole-trace call counts (raw) or frequencies (normalized)."""
-
-    values: np.ndarray  # (width,)
-    normalized: bool
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 1:
-            raise ValueError("histogram must be 1-D")
-        if (self.values < 0).any():
-            raise ValueError("histogram entries must be non-negative")
-        if self.normalized:
-            total = float(self.values.sum())
-            if total and abs(total - 1.0) > 1e-9:
-                raise ValueError("normalized histogram must sum to 1")
-
 
 def build_vocabulary(corpus: Iterable[SyscallTrace]) -> SyscallVocabulary:
     """Collect every distinct call name in the corpus, sorted.
@@ -190,6 +175,8 @@ def parse_trace(record: str | dict, line_number: int | None = None) -> SyscallTr
         raise TraceParseError(f"observed_at must be an integer{where}")
     if label is not None and label not in LABELS:
         raise TraceParseError(f"label must be goodware, malware, or null{where}")
+    if not isinstance(raw_events, (list, tuple)):
+        raise TraceParseError(f"events must be a list{where}")
     events = []
     for ev in raw_events:
         if (
@@ -200,6 +187,8 @@ def parse_trace(record: str | dict, line_number: int | None = None) -> SyscallTr
             or not isinstance(ev[1], str)
         ):
             raise TraceParseError(f"event must be [int_ms, str_name]{where}: {ev!r}")
+        if ev[0] > _MAX_STEP:
+            raise TraceParseError(f"event time_step {ev[0]} exceeds int64{where}")
         events.append((ev[0], ev[1]))
     try:
         return SyscallTrace(trace_id, label, observed_at, tuple(events))
@@ -235,14 +224,6 @@ def write_corpus(traces: Iterable[SyscallTrace], path: str | Path) -> None:
             fh.write("\n")
 
 
-def iter_corpus(path: str | Path) -> Iterator[SyscallTrace]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                yield parse_trace(line, line_number=i)
-
-
 def truncate(trace: SyscallTrace, n: int) -> SyscallTrace:
     """Keep the first min(n, len) events.  Idempotent; n must be >= 1."""
     if n < 1:
@@ -269,8 +250,9 @@ def encode_multihot(trace: SyscallTrace, vocab: SyscallVocabulary) -> MultiHotMa
 
 def encode_histogram(
     trace: SyscallTrace, vocab: SyscallVocabulary, normalize: bool = True
-) -> HistogramVector:
-    """Count calls over the whole trace; optionally divide by the total.
+) -> np.ndarray:
+    """Count calls over the whole trace as a float64 (width,) vector;
+    optionally divide by the total.
 
     An empty trace stays all-zero in both modes.  Normalization defaults on:
     frequency features are comparable across traces of different lengths.
@@ -281,4 +263,4 @@ def encode_histogram(
         total = values.sum()
         if total > 0:
             values = values / total
-    return HistogramVector(values=values, normalized=normalize)
+    return values

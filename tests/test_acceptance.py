@@ -218,7 +218,7 @@ def test_09_lsm_structural_and_dynamical():
         zero = MultiHotMatrix(
             np.zeros((0, 25), dtype=np.int64), np.zeros(0, dtype=np.int64)
         )
-        assert not rv.run_liquid(topo, lif, zero).features.any()
+        assert not rv.simulate_liquid(topo, lif, zero)[0].any()
 
         # closed-form single LIF: injected current above threshold-reset
         # spikes exactly once; below it never spikes
@@ -241,8 +241,8 @@ def test_09_lsm_structural_and_dynamical():
             np.arange(30, dtype=np.int64),
         )
         again = rv.build_liquid(rv.LiquidConfig(input_channels=25), seed=4)
-        a = rv.run_liquid(topo, lif, m).features
-        b = rv.run_liquid(again, lif, m).features
+        a = rv.simulate_liquid(topo, lif, m)[0]
+        b = rv.simulate_liquid(again, lif, m)[0]
         assert np.array_equal(a, b)
 
 

@@ -251,6 +251,35 @@ def test_data_errors_exit_one(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("events", ["null", "3", "[[100000000000000000000000, \"A\"]]"])
+def test_malformed_events_exit_one_naming_the_line(tmp_path, capsys, events):
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text(
+        '{"id": "g", "label": "goodware", "observed_at": 0, "events": [[0, "A"]]}\n'
+        f'{{"id": "m", "label": "malware", "observed_at": 1, "events": {events}}}\n'
+    )
+    rc = cli.main(["eval", "--corpus", str(corpus), "--split", "sorted",
+                   "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "(line 2)" in err
+
+
+def test_non_object_archive_exits_one(workspace, tmp_path, capsys):
+    archive = tmp_path / "list.json"
+    archive.write_text("[]\n")
+    corpus = str(workspace / "corpus.jsonl")
+    for argv in (
+        ["eval", "--corpus", corpus, "--split", "sorted", "--model-archive",
+         str(archive), "--out", str(tmp_path / "r.json")],
+        ["explain", "--corpus", corpus, "--model-archive", str(archive),
+         "--out-dir", str(tmp_path / "explain")],
+    ):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "JSON object" in err
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [("--perturbations", "0", "perturbations"), ("--top-k", "-2", "top_k")],

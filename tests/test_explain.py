@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from callsift import explain
+from callsift import reservoir as rv
 from callsift.explain import (
     CORRECT_MALWARE,
     MISCLASSIFIED_MALWARE,
@@ -18,7 +19,14 @@ from callsift.explain import (
     summarize_explanations,
 )
 from callsift.forest import predict_labels, train_decision_tree
-from callsift.traces import SyscallVocabulary, encode_histogram
+from callsift.models import EncodingOptions, LsmClassifier
+from callsift.traces import (
+    MultiHotMatrix,
+    SyscallVocabulary,
+    encode_histogram,
+    encode_multihot,
+    truncate,
+)
 from conftest import make_trace
 
 
@@ -302,11 +310,14 @@ def test_frequency_table_rendering():
 # --- LSM adapter -----------------------------------------------------------------------
 
 
-def test_lsm_histogram_scorer_flags_approximation(small_corpus, small_labels):
-    from callsift.models import EncodingOptions, LsmClassifier
-
+@pytest.fixture(scope="module")
+def lsm_clf(small_corpus, small_labels):
     clf = LsmClassifier(seed=1, encoding=EncodingOptions(truncation=60), folds=5)
-    clf.fit(small_corpus, small_labels)
+    return clf.fit(small_corpus, small_labels)
+
+
+def test_lsm_histogram_scorer_flags_approximation(lsm_clf):
+    clf = lsm_clf
     scorer = explain.LsmHistogramScorer(clf, nominal_length=60)
     hist = np.zeros(clf.vocab.width)
     hist[0] = 1.0
@@ -320,6 +331,32 @@ def test_lsm_histogram_scorer_flags_approximation(small_corpus, small_labels):
                    perturbations=50, seed=0),
     )
     assert any("approximation" in note for note in e.notes)
+
+
+def liquid_row(lsm, matrix):
+    """One input's state on the per-row path: simulate, then flatten to a row."""
+    return rv.simulate_liquid(lsm.topology, lsm.lif, matrix, lsm.windows)[0].reshape(1, -1)
+
+
+def spread(hist):
+    """A raw-count histogram spread one call per step in vocabulary order."""
+    calls = np.repeat(np.arange(hist.size), hist.astype(np.int64))
+    rows = np.zeros((calls.size, hist.size), dtype=np.int64)
+    rows[np.arange(calls.size), calls] = 1
+    return MultiHotMatrix(rows, np.arange(calls.size, dtype=np.int64))
+
+
+def test_lsm_scores_match_the_per_row_oracle(lsm_clf, small_corpus):
+    lsm, vocab = lsm_clf.lsm, lsm_clf.vocab
+    # the scorer makes one readout call per row on a one-row matrix
+    hists = [encode_histogram(t, vocab, normalize=False) for t in small_corpus]
+    want = [lsm.readout.predict_scores(liquid_row(lsm, spread(h)))[0] for h in hists]
+    got = explain.LsmHistogramScorer(lsm_clf).score_histograms(np.vstack(hists))
+    assert np.array_equal(got, want)
+    # predict stacks the rows and makes one readout call over all of them
+    rows = [liquid_row(lsm, encode_multihot(truncate(t, 60), vocab)) for t in small_corpus]
+    want = lsm.readout.predict_scores(np.vstack(rows))
+    assert np.array_equal(lsm_clf.predict(small_corpus)[1], want)
 
 
 # --- batch explanations ------------------------------------------------------------
@@ -410,14 +447,11 @@ def test_batch_constant_model_is_degenerate_everywhere(rng):
     assert all(e.fidelity is None and any("degenerate" in n for n in e.notes) for e in batch)
 
 
-def test_batch_lsm_scorer_equals_one_by_one(small_corpus, small_labels):
-    from callsift.models import EncodingOptions, LsmClassifier
-
-    clf = LsmClassifier(seed=1, encoding=EncodingOptions(truncation=60), folds=5)
-    clf.fit(small_corpus, small_labels)
+def test_batch_lsm_scorer_equals_one_by_one(lsm_clf, small_corpus):
+    clf = lsm_clf
     scorer = explain.LsmHistogramScorer(clf, nominal_length=60)
     rows = small_corpus[:5] + small_corpus[-4:]
-    X = np.vstack([encode_histogram(t, clf.vocab).values for t in rows])
+    X = np.vstack([encode_histogram(t, clf.vocab) for t in rows])
     cfg = LimeConfig(feature_means=X.mean(axis=0), perturbations=11, seed=2)
     ids = [t.id for t in rows]
     batch = explain.lime_explain_batch(scorer, X, cfg, ids)

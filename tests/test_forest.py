@@ -14,7 +14,6 @@ from callsift.forest import (
     _sigmoid,
     gini_importance,
     logistic_loss_and_grad,
-    predict,
     predict_labels,
     train_decision_tree,
     train_linear,
@@ -33,7 +32,8 @@ def leaves(tree):
 def test_single_class_gives_single_leaf():
     tree = train_decision_tree(np.array([[1.0], [2.0], [3.0]]), np.array([1, 1, 1]))
     assert tree.n_nodes == 1
-    label, score = predict(tree, np.array([9.0]))
+    X = np.array([[9.0]])
+    label, score = predict_labels(tree, X)[0], tree.predict_scores(X)[0]
     assert (label, score) == (1, 1.0)
 
 
@@ -195,7 +195,8 @@ def test_forest_vote_fraction_and_tie_to_malware():
     fake = forest
     for t in fake.trees[:2]:
         t.class_counts[:] = t.class_counts[:, ::-1]
-    label, score = predict(fake, np.array([0.0]))
+    X = np.array([[0.0]])
+    label, score = predict_labels(fake, X)[0], fake.predict_scores(X)[0]
     assert score == 0.5 and label == 1
 
 
@@ -370,7 +371,8 @@ def test_zero_linear_model_ties_to_malware():
     model = train_linear(np.array([[1.0]]), np.array([1]), LinearParams(epochs=0))
     model.weights[:] = 0.0
     model.bias = 0.0
-    label, score = predict(model, np.array([2.0]))
+    X = np.array([[2.0]])
+    label, score = predict_labels(model, X)[0], model.predict_scores(X)[0]
     assert score == 0.5 and label == 1
 
 

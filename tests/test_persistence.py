@@ -106,6 +106,12 @@ def test_corrupted_payload_rejected(tmp_path, small_corpus, small_labels):
         load_model(tmp_path / "noise.json")
 
 
+def test_non_object_archive_rejected(tmp_path):
+    (tmp_path / "list.json").write_text("[]")
+    with pytest.raises(ArchiveError, match="JSON object"):
+        load_model(tmp_path / "list.json")
+
+
 def test_payload_with_missing_field_names_the_type(tmp_path, small_corpus, small_labels):
     clf = fitted("tree", small_corpus, small_labels)
     doc = save_model(clf, tmp_path / "m.json")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from callsift import reservoir as rv
-from callsift.traces import MultiHotMatrix
+from callsift.models import LsmClassifier
+from callsift.traces import MultiHotMatrix, SyscallVocabulary
+from conftest import make_trace
 
 
 def multihot(counts, steps):
@@ -75,9 +77,9 @@ def test_zero_input_zero_state():
     topo = rv.build_liquid(rv.LiquidConfig(input_channels=6), seed=2)
     lif = rv.LifParams()
     empty = multihot(np.zeros((0, 6)), [])
-    assert not rv.run_liquid(topo, lif, empty).features.any()
+    assert not rv.simulate_liquid(topo, lif, empty)[0].any()
     zeros = multihot(np.zeros((4, 6)), [0, 3, 5, 9])
-    assert not rv.run_liquid(topo, lif, zeros).features.any()
+    assert not rv.simulate_liquid(topo, lif, zeros)[0].any()
 
 
 def test_single_pulse_closed_form():
@@ -112,9 +114,9 @@ def test_identical_runs_identical_states():
     lif = rv.LifParams()
     rng = np.random.default_rng(0)
     m = multihot(rng.integers(0, 3, size=(20, 5)), np.arange(0, 40, 2))
-    a = rv.run_liquid(topo, lif, m)
-    b = rv.run_liquid(topo, lif, m)
-    assert np.array_equal(a.features, b.features)
+    a, _ = rv.simulate_liquid(topo, lif, m)
+    b, _ = rv.simulate_liquid(topo, lif, m)
+    assert np.array_equal(a, b)
 
 
 def test_zero_padded_input_same_state():
@@ -130,8 +132,8 @@ def test_zero_padded_input_same_state():
         np.concatenate([steps, steps[-1] + np.array([5, 10, 20, 40])]),
     )
     assert np.array_equal(
-        rv.run_liquid(topo, lif, base).features,
-        rv.run_liquid(topo, lif, padded).features,
+        rv.simulate_liquid(topo, lif, base)[0],
+        rv.simulate_liquid(topo, lif, padded)[0],
     )
 
 
@@ -158,8 +160,8 @@ def test_window_partition_sums_match_total():
     lif = rv.LifParams()
     rng = np.random.default_rng(5)
     m = multihot(rng.integers(0, 4, size=(40, 4)), np.arange(40))
-    w1 = rv.run_liquid(topo, lif, m, windows=1).features
-    w4 = rv.run_liquid(topo, lif, m, windows=4).features.reshape(4, -1)
+    w1 = rv.simulate_liquid(topo, lif, m, windows=1)[0].reshape(-1)
+    w4 = rv.simulate_liquid(topo, lif, m, windows=4)[0]
     assert np.array_equal(w4.sum(axis=0), w1)
 
 
@@ -177,17 +179,28 @@ def test_separation_of_distinct_inputs():
         if (a != b).mean() < 0.2:
             continue
         steps = np.arange(30)
-        sa = rv.run_liquid(topo, lif, multihot(a, steps)).features
-        sb = rv.run_liquid(topo, lif, multihot(b, steps)).features
+        sa = rv.simulate_liquid(topo, lif, multihot(a, steps))[0]
+        sb = rv.simulate_liquid(topo, lif, multihot(b, steps))[0]
         if np.array_equal(sa, sb):
             collisions += 1
     assert collisions / trials <= 0.01
 
 
+def test_liquid_states_stacks_flattened_spike_counts():
+    topo = rv.build_liquid(rv.LiquidConfig(input_channels=4), seed=3)
+    lif = rv.LifParams()
+    rng = np.random.default_rng(4)
+    inputs = [multihot(rng.integers(0, 3, size=(n, 4)), np.arange(n)) for n in (0, 5, 20)]
+    states = rv.liquid_states(topo, lif, iter(inputs), windows=3)
+    assert states.shape == (3, topo.neuron_count * 3)
+    for row, m in zip(states, inputs):
+        assert np.array_equal(row, rv.simulate_liquid(topo, lif, m, windows=3)[0].reshape(-1))
+
+
 def test_channel_mismatch_rejected():
     topo = rv.build_liquid(rv.LiquidConfig(input_channels=5), seed=1)
     with pytest.raises(ValueError, match="channels"):
-        rv.run_liquid(topo, rv.LifParams(), multihot(np.ones((2, 4)), [0, 1]))
+        rv.simulate_liquid(topo, rv.LifParams(), multihot(np.ones((2, 4)), [0, 1]))
 
 
 def test_lif_params_validation():
@@ -270,31 +283,38 @@ def test_rbf_svm_readout_separable(rng):
     assert (pred == y).mean() == 1.0
 
 
+def _fitted_lsm(readout):
+    """An LsmClassifier over a default 3-channel liquid with the given readout."""
+    clf = LsmClassifier()
+    clf.vocab = SyscallVocabulary(("A", "B"))
+    topo = rv.build_liquid(rv.LiquidConfig(input_channels=clf.vocab.width), seed=0)
+    clf.lsm = rv.LsmModel(topology=topo, lif=clf.lif, windows=clf.windows, readout=readout)
+    return clf
+
+
 def test_lsm_predict_tie_goes_to_malware():
-    topo = rv.build_liquid(rv.LiquidConfig(input_channels=3), seed=0)
-    lif = rv.LifParams()
     from callsift.forest import LinearModel, LinearParams
 
+    width = rv.LiquidConfig(input_channels=3).neuron_count * 4
     zero = rv.ReadoutModel(
         kind=rv.LINEAR,
-        model=LinearModel(weights=np.zeros(topo.neuron_count * 4), bias=0.0,
-                          params=LinearParams()),
+        model=LinearModel(weights=np.zeros(width), bias=0.0, params=LinearParams()),
         hyperparams={},
-        feature_mean=np.zeros(topo.neuron_count * 4),
-        feature_std=np.ones(topo.neuron_count * 4),
+        feature_mean=np.zeros(width),
+        feature_std=np.ones(width),
     )
-    label, score = rv.lsm_predict(topo, lif, zero, multihot([[1, 0, 0]], [0]))
-    assert score == 0.5 and label == 1
+    label, score = _fitted_lsm(zero).predict([make_trace([(0, "A")])])
+    assert score[0] == 0.5 and label[0] == 1
 
 
 def test_lsm_predict_deterministic():
-    topo = rv.build_liquid(rv.LiquidConfig(input_channels=3), seed=0)
-    lif = rv.LifParams()
+    width = rv.LiquidConfig(input_channels=3).neuron_count * 4
     rng = np.random.default_rng(2)
-    states = rng.normal(size=(30, topo.neuron_count * 4))
+    states = rng.normal(size=(30, width))
     y = (states[:, 0] > 0).astype(int)
     readout = rv.train_readout(states, y, search=[{"l2": 1e-3}], folds=5, seed=0)
-    m = multihot([[1, 2, 0], [0, 1, 1]], [0, 4])
-    a = rv.lsm_predict(topo, lif, readout, m)
-    b = rv.lsm_predict(topo, lif, readout, m)
-    assert a == b
+    clf = _fitted_lsm(readout)
+    traces = [make_trace([(0, "A"), (0, "B"), (0, "B"), (4, "B"), (4, "C")])]
+    a = clf.predict(traces)
+    b = clf.predict(traces)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])

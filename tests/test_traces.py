@@ -96,6 +96,11 @@ def test_parse_trace_malformed_reports_line():
         parse_trace({"id": "a", "observed_at": 0, "label": "weird", "events": []})
     with pytest.raises(TraceParseError, match="event"):
         parse_trace({"id": "a", "observed_at": 0, "label": None, "events": [[0.5, "X"]]})
+    for events in (None, 3):
+        with pytest.raises(TraceParseError, match="events must be a list.*line 2"):
+            parse_trace({"id": "a", "observed_at": 0, "events": events}, line_number=2)
+    with pytest.raises(TraceParseError, match="int64.*line 4"):
+        parse_trace({"id": "a", "observed_at": 0, "events": [[10**23, "X"]]}, line_number=4)
 
 
 def test_trace_rejects_negative_time():
@@ -146,16 +151,16 @@ def test_encode_histogram_raw_and_normalized():
     vocab = SyscallVocabulary(("A", "B", "C"))
     trace = make_trace([(0, "A"), (1, "B"), (2, "A"), (3, "C"), (4, "A")])
     raw = encode_histogram(trace, vocab, normalize=False)
-    assert raw.values.tolist() == [3, 1, 1, 0]
+    assert raw.tolist() == [3, 1, 1, 0]
     norm = encode_histogram(trace, vocab, normalize=True)
-    assert norm.values.tolist() == pytest.approx([0.6, 0.2, 0.2, 0.0])
-    assert norm.values.sum() == pytest.approx(1.0, abs=1e-9)
+    assert norm.tolist() == pytest.approx([0.6, 0.2, 0.2, 0.0])
+    assert norm.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_encode_histogram_empty_stays_zero():
     vocab = SyscallVocabulary(("A",))
     h = encode_histogram(make_trace([]), vocab, normalize=True)
-    assert not h.values.any()
+    assert not h.any()
 
 
 def loop_histogram(trace, vocab, normalize):
@@ -180,9 +185,8 @@ def test_encode_histogram_matches_loop_oracle(calls, normalize):
     trace = make_trace(list(enumerate(calls)))
     hist = encode_histogram(trace, vocab, normalize=normalize)
     expected = loop_histogram(trace, vocab, normalize)
-    assert hist.values.dtype == np.float64
-    assert np.array_equal(hist.values, expected)
-    assert hist.normalized == normalize
+    assert hist.dtype == np.float64
+    assert np.array_equal(hist, expected)
 
 
 def _random_trace(rng, names, max_events=60):
@@ -199,8 +203,8 @@ def test_histogram_equals_multihot_column_sums(rng):
         trace = _random_trace(rng, names)
         hist = encode_histogram(trace, vocab, normalize=False)
         multi = encode_multihot(trace, vocab)
-        assert np.array_equal(hist.values, multi.counts.sum(axis=0))
-        assert multi.total_events() == len(trace)
+        assert np.array_equal(hist, multi.counts.sum(axis=0))
+        assert multi.counts.sum() == len(trace)
 
 
 def test_truncated_encodings_count_min_n(rng):
@@ -210,7 +214,7 @@ def test_truncated_encodings_count_min_n(rng):
         n = int(rng.integers(1, 50))
         cut = truncate(trace, n)
         hist = encode_histogram(cut, vocab, normalize=False)
-        assert hist.values.sum() == min(n, len(trace))
+        assert hist.sum() == min(n, len(trace))
 
 
 def test_corpus_file_round_trip(tmp_path):
