@@ -20,6 +20,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import sys
@@ -53,7 +54,7 @@ def _parse_models(spec: str) -> tuple[list[str], bool]:
     want_ensemble = "ensemble" in names
     base = [m for m in names if m != "ensemble"]
     for name in base:
-        if name not in (models.TREE, models.HIST_RF, models.LINEAR, models.LSM):
+        if name not in models.BASE_KINDS:
             raise ValueError(f"unknown model kind {name!r}")
     if want_ensemble and len(base) < 2:
         raise ValueError("ensemble needs at least two base models")
@@ -62,9 +63,9 @@ def _parse_models(spec: str) -> tuple[list[str], bool]:
     return base, want_ensemble
 
 
-def _factories(base: list[str], args) -> dict:
+def _factories(base: list[str], args, truncation: int) -> dict:
     encoding = models.EncodingOptions(
-        truncation=args.length, normalize=not args.raw_counts
+        truncation=truncation, normalize=not args.raw_counts
     )
     out = {}
     for kind in base:
@@ -104,24 +105,29 @@ def _run_config_hash(args, command: str) -> str:
 # --- subcommand implementations -----------------------------------------------
 
 
-def cmd_gen(args) -> int:
-    config = datagen.load_config(args.config)
-    if args.seed is not None:
-        doc = datagen.config_to_json_dict(config)
-        doc["seed"] = args.seed
-        config = datagen.config_from_json_dict(doc)
+def _generate(config: datagen.CorpusConfig, out: Path, reproducible: bool) -> int:
+    """Write the config's corpus to ``out`` and its ``<out>.meta.json``
+    sidecar (the hash of the config's codec form); return the trace count."""
     corpus = datagen.generate_corpus(config)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_corpus(corpus, out)
     meta = {
-        "config_hash": persistence.config_hash(datagen.config_to_json_dict(config)),
+        "config_hash": persistence.config_hash(persistence.encode(config)),
         "seed": config.seed,
         "traces": len(corpus),
-        "created_at": _now(args.reproducible),
+        "created_at": _now(reproducible),
     }
     _write_json(meta, Path(str(out) + ".meta.json"))
-    print(f"wrote {len(corpus)} traces to {out}")
+    return len(corpus)
+
+
+def cmd_gen(args) -> int:
+    doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    config = persistence.decode(datagen.CorpusConfig, doc)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    out = Path(args.out)
+    print(f"wrote {_generate(config, out, args.reproducible)} traces to {out}")
     return 0
 
 
@@ -139,11 +145,7 @@ def cmd_train(args) -> int:
             train_fraction=None if args.train_counts else args.train_fraction,
             train_counts=_split_train_counts(args.train_counts),
         )
-    encoding = models.EncodingOptions(
-        truncation=args.length, normalize=not args.raw_counts
-    )
-    kwargs = {"folds": args.folds} if args.model == models.LSM else {}
-    clf = models.make_classifier(args.model, seed=args.seed, encoding=encoding, **kwargs)
+    clf = _factories([args.model], args, args.length)[args.model](args.seed)
     clf.fit(train.samples, train.labels)
     persistence.save_model(
         clf,
@@ -192,7 +194,7 @@ def cmd_eval(args) -> int:
         )
     else:
         base, want_ensemble = _parse_models(args.models)
-        factories = _factories(base, args)
+        factories = _factories(base, args, args.length)
         ensemble_name = "ensemble" if want_ensemble else None
         if args.split == "cv":
             report = evaluation.evaluate_cv(
@@ -230,7 +232,8 @@ def cmd_sweep(args) -> int:
     dataset = _load_dataset(args.corpus)
     base, want_ensemble = _parse_models(args.models)
     lengths = [int(v) for v in args.lengths.split(",")]
-    factories = _factories(base, args)
+    # the sweep truncates every trace itself; the encoders must not cut further
+    factories = _factories(base, args, max(lengths))
     reports = evaluation.sweep_sequence_length(
         dataset, factories, lengths, train_fraction=args.train_fraction,
         seed=args.seed, ensemble_name="ensemble" if want_ensemble else None,
@@ -375,15 +378,8 @@ def cmd_pipeline(args) -> int:
         "sorted", scale=args.scale, seed=args.seed, profiles=profiles,
         drift=datagen.DriftSchedule(args.drift),
     )
-    corpus = datagen.generate_corpus(config)
     corpus_path = out_dir / "corpus.jsonl"
-    write_corpus(corpus, corpus_path)
-    digest = persistence.config_hash(datagen.config_to_json_dict(config))
-    _write_json(
-        {"config_hash": digest, "seed": args.seed, "traces": len(corpus),
-         "created_at": _now(args.reproducible)},
-        Path(str(corpus_path) + ".meta.json"),
-    )
+    _generate(config, corpus_path, args.reproducible)
 
     model_spec = "tree,hist-rf,linear,lsm,ensemble" if args.with_lsm else "tree,hist-rf,linear,ensemble"
     scaled = {
@@ -455,14 +451,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"callsift {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common_eval(p):
+    def add_common_eval(p, length_and_counts=True):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--length", type=int, default=models.DEFAULT_TRUNCATION,
-                       help="truncate traces to the first N calls")
         p.add_argument("--raw-counts", action="store_true",
                        help="use raw histogram counts instead of frequencies")
         p.add_argument("--folds", type=int, default=10)
         p.add_argument("--train-fraction", type=float, default=0.8)
+        if not length_and_counts:  # sweep sets both itself
+            return
+        p.add_argument("--length", type=int, default=models.DEFAULT_TRUNCATION,
+                       help="truncate traces to the first N calls")
         p.add_argument("--train-counts", default=None,
                        help="explicit per-class train counts 'goodware,malware'")
 
@@ -496,13 +494,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common_eval(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="sequence-length sweep")
+    # no abbreviations: --length would silently mean --lengths
+    p = sub.add_parser("sweep", help="sequence-length sweep", allow_abbrev=False)
     p.add_argument("--corpus", required=True)
     p.add_argument("--models", default="hist-rf")
     p.add_argument("--lengths", default=",".join(str(n) for n in evaluation.DEFAULT_SWEEP_LENGTHS))
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--report-json", default=None)
-    add_common_eval(p)
+    add_common_eval(p, length_and_counts=False)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("stats", help="significance matrix from a report")

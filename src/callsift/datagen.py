@@ -13,12 +13,12 @@ in this package exploit different structure:
 
 Everything is a pure function of the config: per-trace random streams are
 derived from (seed, trace ordinal), so corpora are reproducible even if
-traces are generated out of order.
+traces are generated out of order.  A config's JSON form is the archive
+codec's (``persistence.encode``/``decode``).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -590,93 +590,3 @@ def drift_gap_probe(
     perm = rng.permutation(len(ordered))
     shuffled_test = [ordered[i] for i in perm[cut:]]
     return _oracle_caa(oracle, sorted_test), _oracle_caa(oracle, shuffled_test)
-
-
-# --- Config (de)serialization -------------------------------------------------
-
-
-def config_to_json_dict(config: CorpusConfig) -> dict:
-    doc = {
-        "seed": config.seed,
-        "goodware_count": config.goodware_count,
-        "malware_count": config.malware_count,
-        "drift": {"magnitude": config.drift.magnitude, "mode": config.drift.mode},
-        "timestamp_range": list(config.timestamp_range)
-        if config.timestamp_range
-        else None,
-        "train_counts": dict(config.train_counts) if config.train_counts else None,
-        "profiles": {
-            label: [
-                {
-                    "call_frequencies": comp.call_frequencies,
-                    "motifs": [
-                        {
-                            "calls": list(m.calls),
-                            "probability": m.probability,
-                            "style": m.style,
-                            "every": m.every,
-                            "window": m.window,
-                            "spread_gap": m.spread_gap,
-                        }
-                        for m in comp.motifs
-                    ],
-                    "length_min": comp.length_min,
-                    "length_max": comp.length_max,
-                    "length_law": comp.length_law,
-                    "burstiness": comp.burstiness,
-                }
-                for comp in comps
-            ]
-            for label, comps in config.profiles.items()
-        },
-    }
-    return doc
-
-
-def config_from_json_dict(doc: dict) -> CorpusConfig:
-    profiles = {}
-    for label, comps in doc["profiles"].items():
-        parsed = []
-        for comp in comps:
-            motifs = tuple(
-                Motif(
-                    calls=tuple(m["calls"]),
-                    probability=m["probability"],
-                    style=m.get("style", "burst"),
-                    every=m.get("every", 25),
-                    window=m.get("window"),
-                    spread_gap=m.get("spread_gap", 8),
-                )
-                for m in comp.get("motifs", [])
-            )
-            parsed.append(
-                ClassProfile(
-                    call_frequencies=dict(comp["call_frequencies"]),
-                    motifs=motifs,
-                    length_min=comp.get("length_min", 80),
-                    length_max=comp.get("length_max", 160),
-                    length_law=comp.get("length_law", "uniform"),
-                    burstiness=comp.get("burstiness", 1.2),
-                )
-            )
-        profiles[label] = tuple(parsed)
-    drift_doc = doc.get("drift") or {}
-    return CorpusConfig(
-        seed=doc["seed"],
-        goodware_count=doc["goodware_count"],
-        malware_count=doc["malware_count"],
-        profiles=profiles,
-        drift=DriftSchedule(
-            magnitude=drift_doc.get("magnitude", 0.0),
-            mode=drift_doc.get("mode", FREQUENCY_SHIFT),
-        ),
-        timestamp_range=tuple(doc["timestamp_range"])
-        if doc.get("timestamp_range")
-        else None,
-        train_counts=doc.get("train_counts"),
-    )
-
-
-def load_config(path) -> CorpusConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_json_dict(json.load(fh))

@@ -47,7 +47,6 @@ class LimeConfig:
     ridge: float = 1e-3
     top_k: int | None = None
     seed: int = 0
-    mask_probability: float = 0.5
 
     def __post_init__(self) -> None:
         if self.perturbations < 1:
@@ -57,12 +56,12 @@ class LimeConfig:
 
     @cached_property
     def mask(self) -> np.ndarray:
-        """(perturbations, d) read-only mask, True where a feature is set to
-        its corpus mean; a function of the seed alone, so every sample
-        explained under this config shares it."""
+        """(perturbations, d) read-only mask, True (with probability 1/2)
+        where a feature is set to its corpus mean; a function of the seed
+        alone, so every sample explained under this config shares it."""
         d = np.asarray(self.feature_means).shape[0]
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, 5]))
-        mask = rng.random((self.perturbations, d)) < self.mask_probability
+        mask = rng.random((self.perturbations, d)) < 0.5
         mask.flags.writeable = False
         return mask
 

@@ -38,7 +38,9 @@ HIST_RF = "hist-rf"
 LINEAR = "linear"
 LSM = "lsm"
 ENSEMBLE = "ensemble"
-MODEL_KINDS = (TREE, HIST_RF, LINEAR, LSM, ENSEMBLE)
+# the single-model kinds; an ensemble votes over one of each
+BASE_KINDS = (TREE, HIST_RF, LINEAR, LSM)
+MODEL_KINDS = BASE_KINDS + (ENSEMBLE,)
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,6 @@ class LsmClassifier:
         self,
         seed: int = 0,
         encoding: EncodingOptions | None = None,
-        liquid_config: reservoir.LiquidConfig | None = None,
         lif: reservoir.LifParams | None = None,
         windows: int = 4,
         readout_kind: str = reservoir.LINEAR,
@@ -130,7 +131,6 @@ class LsmClassifier:
     ):
         self.seed = seed
         self.encoding = encoding or EncodingOptions()
-        self.liquid_config = liquid_config
         self.lif = lif or reservoir.LifParams()
         self.windows = windows
         self.readout_kind = readout_kind
@@ -149,12 +149,9 @@ class LsmClassifier:
 
     def fit(self, traces: list[SyscallTrace], labels: np.ndarray) -> "LsmClassifier":
         self.vocab = build_vocabulary(traces)
-        config = self.liquid_config or reservoir.LiquidConfig(
-            input_channels=self.vocab.width
+        topology = reservoir.build_liquid(
+            reservoir.LiquidConfig(input_channels=self.vocab.width), seed=self.seed
         )
-        if config.input_channels != self.vocab.width:
-            raise ValueError("liquid_config.input_channels must match vocabulary width")
-        topology = reservoir.build_liquid(config, seed=self.seed)
         states = self._states(topology, traces)
         y = np.asarray(labels, dtype=np.int64)
         folds = min(self.folds, int(np.bincount(y, minlength=2).min()))
@@ -208,7 +205,6 @@ def make_classifier(
     kind: str,
     seed: int = 0,
     encoding: EncodingOptions | None = None,
-    ensemble_members: tuple[str, ...] = (TREE, HIST_RF, LINEAR, LSM),
     **kwargs,
 ):
     if kind in (TREE, HIST_RF, LINEAR):
@@ -217,6 +213,6 @@ def make_classifier(
         return LsmClassifier(seed=seed, encoding=encoding, **kwargs)
     if kind == ENSEMBLE:
         return VotingEnsembleClassifier(
-            {m: make_classifier(m, seed=seed, encoding=encoding) for m in ensemble_members}
+            {m: make_classifier(m, seed=seed, encoding=encoding) for m in BASE_KINDS}
         )
     raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")

@@ -8,7 +8,12 @@ training provenance.  The payload of a single model is its model dataclass
 dict of its fields, nested dataclasses likewise and numpy arrays as nested
 lists; an ensemble's payload maps each member name to that member's own
 ``{"kind", "payload"}``.  Loading rebuilds every value from the dataclass
-field annotations.
+field annotations.  The same codec serves corpus configs
+(``datagen.CorpusConfig``): ``callsift gen --config`` decodes its file with
+it and hashes the config's ``encode`` form into the corpus's
+``.meta.json``.  Decoding is strict: a payload must hold every field of its
+dataclass and no other, and a value of the wrong container type is an
+``ArchiveError``.
 
 A SHA-256 checksum over the canonical payload JSON guards against
 corruption, and loading an archive reproduces the saved model's
@@ -81,15 +86,19 @@ def _field_types(cls) -> dict:
 
 
 def _union_member(union, value):
-    """The member of ``X | Y`` to decode ``value`` as: for a dict, the
-    dataclass whose field names equal its keys; for a scalar (``int | None``)
-    ``object``, which ``decode`` keeps as is."""
-    if not isinstance(value, dict):
+    """The member of ``X | Y`` to decode ``value`` as: ``object`` (kept as
+    is) for null, ``X`` for any other value of ``X | None``, and otherwise
+    the dataclass whose field names equal the payload's keys."""
+    members = [t for t in typing.get_args(union) if t is not type(None)]
+    if value is None:
         return object
-    for cls in typing.get_args(union):
-        if dataclasses.is_dataclass(cls) and value.keys() == _field_types(cls).keys():
+    if len(members) == 1:
+        return members[0]
+    keys = sorted(value) if isinstance(value, dict) else type(value).__name__
+    for cls in members:
+        if dataclasses.is_dataclass(cls) and keys == sorted(_field_types(cls)):
             return cls
-    raise ArchiveError(f"payload fields {sorted(value)} match no member of {union}")
+    raise ArchiveError(f"payload fields {keys} match no member of {union}")
 
 
 def decode(tp, value):
@@ -107,9 +116,18 @@ def decode(tp, value):
     if isinstance(tp, types.UnionType):
         return decode(_union_member(tp, value), value)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (dict, list, tuple) and not isinstance(
+            value, dict if origin is dict else list):
+        raise ArchiveError(f"{tp} payload is a {type(value).__name__}")
+    if origin is dict:
+        return {k: decode(args[1], v) for k, v in value.items()}
     if origin is list:
         return [decode(args[0], v) for v in value]
     if origin is tuple:
+        if args[-1] is Ellipsis:
+            return tuple(decode(args[0], v) for v in value)
+        if len(value) != len(args):
+            raise ArchiveError(f"{tp} payload has {len(value)} items")
         return tuple(decode(t, v) for t, v in zip(args, value))
     return value
 

@@ -252,7 +252,7 @@ def test_10_determinism_and_persistence(tmp_path):
             seed=6, goodware_count=40, malware_count=40,
             profiles=datagen.default_profiles(length_min=40, length_max=80),
         )
-        doc = datagen.config_to_json_dict(config)
+        doc = persistence.encode(config)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(doc))
         c1, c2 = tmp_path / "c1.jsonl", tmp_path / "c2.jsonl"

@@ -7,23 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from callsift import cli, datagen
+from callsift import cli, datagen, persistence
 from callsift.evaluation import EvaluationReport
-
-CONFIG = {
-    "seed": 5,
-    "goodware_count": 40,
-    "malware_count": 40,
-    "drift": {"magnitude": 0.2, "mode": "frequency-shift"},
-    "timestamp_range": None,
-    "train_counts": None,
-}
+from callsift.traces import GOODWARE, MALWARE, write_corpus
 
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
-    doc = datagen.config_to_json_dict(
+    doc = persistence.encode(
         datagen.make_config(
             seed=5, goodware_count=40, malware_count=40,
             profiles=datagen.default_profiles(length_min=40, length_max=80),
@@ -54,6 +46,47 @@ def test_gen_seed_override_changes_output(workspace, tmp_path):
     assert cli.main(["gen", "--config", str(workspace / "config.json"),
                      "--out", str(out), "--seed", "99", "--reproducible"]) == 0
     assert out.read_bytes() != (workspace / "corpus.jsonl").read_bytes()
+
+
+def _typo(key, wrong, where):
+    def mutate(doc):
+        target = where(doc)
+        target[wrong] = target.pop(key)
+        return doc
+    return mutate
+
+
+def _drop_timestamp_range(doc):
+    del doc["timestamp_range"]
+    return doc
+
+
+def _frequencies_as_list(doc):
+    profile = doc["profiles"]["goodware"][0]
+    profile["call_frequencies"] = list(profile["call_frequencies"])
+    return doc
+
+
+@pytest.mark.parametrize("mutate, type_name", [
+    (lambda doc: [], "CorpusConfig"),
+    (_typo("burstiness", "burstines", lambda d: d["profiles"]["malware"][0]), "ClassProfile"),
+    (_typo("style", "styel", lambda d: d["profiles"]["goodware"][0]["motifs"][0]), "Motif"),
+    (_drop_timestamp_range, "CorpusConfig"),
+    (_frequencies_as_list, "dict[str, float]"),
+], ids=["not-an-object", "profile-typo", "motif-typo", "missing-field", "frequencies-list"])
+def test_gen_rejects_malformed_config(tmp_path, capsys, mutate, type_name):
+    doc = persistence.encode(datagen.make_config(
+        seed=1, goodware_count=3, malware_count=3,
+        profiles=datagen.accumulating_profiles(),
+    ))
+    doc = mutate(doc)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "corpus.jsonl"
+    assert cli.main(["gen", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and type_name in err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +187,66 @@ def test_sweep_csv(workspace):
     lines = out.read_text().splitlines()
     assert len(lines) == 3
     assert lines[1].split(",")[2] == "20" and lines[2].split(",")[2] == "60"
+
+
+@pytest.fixture(scope="module")
+def long_corpus(tmp_path_factory):
+    """80 traces of 1,100 to 1,400 calls, weakly separated over four calls,
+    each of which every trace makes within its first 100 events (so a
+    vocabulary built from truncated traces equals one built from whole ones)."""
+    def profile(a, b):
+        return datagen.ClassProfile(
+            call_frequencies={"NtClose": a, "NtOpenKey": b, "NtReadFile": 0.5 - a,
+                              "NtWriteFile": 0.5 - b},
+            length_min=1100, length_max=1400,
+        )
+    config = datagen.make_config(
+        seed=4, goodware_count=40, malware_count=40,
+        profiles={GOODWARE: profile(0.255, 0.245), MALWARE: profile(0.245, 0.255)},
+    )
+    corpus = datagen.generate_corpus(config)
+    assert all(len({c for _, c in t.events[:100]}) == 4 for t in corpus)
+    path = tmp_path_factory.mktemp("long") / "corpus.jsonl"
+    write_corpus(corpus, path)
+    return path
+
+
+def test_sweep_lengths_match_eval_at_each_length(long_corpus, tmp_path):
+    """Each swept length trains and scores on exactly the first n calls, the
+    same as ``eval --length n`` on the sorted split, also past the default
+    ``--length`` of 1000."""
+    lengths = (1000, 1400)
+    sweep_json = tmp_path / "sweep.json"
+    assert cli.main([
+        "sweep", "--corpus", str(long_corpus), "--models", "tree,hist-rf",
+        "--lengths", ",".join(map(str, lengths)), "--seed", "3",
+        "--out", str(tmp_path / "sweep.csv"), "--report-json", str(sweep_json),
+    ]) == 0
+    swept = json.loads(sweep_json.read_text())
+    bitmaps = []
+    for n, report in zip(lengths, swept):
+        out = tmp_path / f"eval_{n}.json"
+        assert cli.main([
+            "eval", "--corpus", str(long_corpus), "--split", "sorted",
+            "--models", "tree,hist-rf", "--train-fraction", "0.8",
+            "--length", str(n), "--seed", "3", "--out", str(out),
+        ]) == 0
+        evaluated = json.loads(out.read_text())
+        assert report["length"] == n
+        for name in ("tree", "hist-rf"):
+            assert (report["models"][name]["correctness_bitmap"]
+                    == evaluated["models"][name]["correctness_bitmap"]), (n, name)
+        bitmaps.append({k: v["correctness_bitmap"] for k, v in evaluated["models"].items()})
+    # the two lengths must give different results, or this test shows nothing
+    assert bitmaps[0] != bitmaps[1]
+
+
+def test_sweep_accepts_only_options_it_honours(tmp_path):
+    for extra in (["--length", "5"], ["--train-counts", "1,1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--corpus", str(tmp_path / "corpus.jsonl"),
+                      "--out", str(tmp_path / "sweep.csv")] + extra)
+        assert exc.value.code == 2
 
 
 def test_stats_from_report(workspace, sorted_report, capsys):

@@ -2,15 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from callsift import datagen
+from callsift import datagen, persistence
 from callsift.datagen import (
     ClassProfile,
     CorpusConfig,
     DriftSchedule,
     Motif,
-    config_from_json_dict,
-    config_to_json_dict,
     drift_gap_probe,
     drifted_frequencies,
     generate_corpus,
@@ -283,9 +283,85 @@ def test_mixture_profiles_pick_components():
 def test_config_json_round_trip():
     config = table1_shape("sorted", scale=0.01, seed=42,
                           drift=DriftSchedule(0.3, "motif-swap"))
-    doc = config_to_json_dict(config)
+    doc = persistence.encode(config)
     doc = json.loads(json.dumps(doc))  # force plain-JSON types
-    back = config_from_json_dict(doc)
+    back = persistence.decode(CorpusConfig, doc)
+    assert back == config
+    assert [trace_to_record(t) for t in generate_corpus(back)] == [
+        trace_to_record(t) for t in generate_corpus(config)
+    ]
+
+
+def test_config_hash_golden():
+    """The sidecar hash of the pipeline's seed-13 config, as written before
+    configs went through the archive codec."""
+    config = table1_shape("sorted", scale=0.01, seed=13,
+                          profiles=datagen.default_profiles(separation=2.0),
+                          drift=DriftSchedule(0.3))
+    assert persistence.config_hash(persistence.encode(config)) == (
+        "8c267532a3ff5de945a379ce2405398653294864eeebea788cbaeb31fcc2a257"
+    )
+
+
+_CALLS = ("NtClose", "NtOpenKey", "NtReadFile", "NtWriteFile", "NtMapViewOfSection")
+
+
+@st.composite
+def motifs(draw):
+    return Motif(
+        calls=tuple(draw(st.lists(st.sampled_from(_CALLS), min_size=1, max_size=7))),
+        probability=draw(st.floats(0.0, 1.0)),
+        style=draw(st.sampled_from(("burst", "spread"))),
+        every=draw(st.integers(1, 12)),
+        window=draw(st.none() | st.integers(1, 40)),
+        spread_gap=draw(st.integers(1, 9)),
+    )
+
+
+@st.composite
+def class_profiles(draw):
+    names = draw(st.lists(st.sampled_from(_CALLS), min_size=1, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(names),
+                            max_size=len(names)))
+    total = sum(weights)
+    length_min = draw(st.integers(1, 25))
+    return ClassProfile(
+        call_frequencies={n: w / total for n, w in zip(names, weights)},
+        motifs=tuple(draw(st.lists(motifs(), max_size=2))),
+        length_min=length_min,
+        length_max=draw(st.integers(length_min, 40)),
+        length_law=draw(st.sampled_from(("uniform", "loguniform"))),
+        burstiness=draw(st.floats(0.2, 3.0)),
+    )
+
+
+@st.composite
+def corpus_configs(draw):
+    goodware, malware = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    lo = draw(st.integers(0, 10**6))
+    return CorpusConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        goodware_count=goodware,
+        malware_count=malware,
+        profiles={  # one or two mixture components per class
+            GOODWARE: tuple(draw(st.lists(class_profiles(), min_size=1, max_size=2))),
+            MALWARE: tuple(draw(st.lists(class_profiles(), min_size=1, max_size=2))),
+        },
+        drift=DriftSchedule(draw(st.floats(0.0, 1.0)),
+                            draw(st.sampled_from(datagen.DRIFT_MODES))),
+        timestamp_range=draw(st.none() | st.integers(goodware + malware, 10**4).map(
+            lambda width: (lo, lo + width))),
+        train_counts=draw(st.none() | st.builds(
+            lambda g, m: {GOODWARE: g, MALWARE: m},
+            st.integers(0, goodware), st.integers(0, malware))),
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(corpus_configs())
+def test_config_codec_round_trip(config):
+    doc = json.loads(json.dumps(persistence.encode(config)))
+    back = persistence.decode(CorpusConfig, doc)
     assert back == config
     assert [trace_to_record(t) for t in generate_corpus(back)] == [
         trace_to_record(t) for t in generate_corpus(config)
