@@ -13,6 +13,13 @@ Determinism: given identical inputs, params, and seed, training produces a
 bit-identical model.  Split ties are broken toward the lowest feature index,
 then the lowest threshold.
 
+A forest's trees grow in parallel: each tree draws from its own seed stream,
+``SeedSequence([seed, t])``, so ``train_random_forest`` splits them into one
+contiguous block per usable CPU, grows the first block itself and each other
+block in a forked child that sends its trees back pickled over a pipe.  The
+forest is bitwise the same for any CPU count; with one usable CPU, one tree
+or no ``os.fork`` every tree grows in-process.
+
 Split search is whole-array.  Every column is dense-rank-coded
 (``np.unique``; NaN takes the rank above every value) once per forest:
 ``train_random_forest`` codes the full training matrix and hands each tree
@@ -51,7 +58,10 @@ implementation (kept in the tests as an oracle).
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -364,8 +374,8 @@ def train_random_forest(
     if k is None:
         k = max(1, math.ceil(math.sqrt(d)))
     ranked = _RankedSamples.of(X)
-    trees = []
-    for t in range(params.n_trees):
+
+    def grow(t: int) -> DecisionTree:
         # independent, reproducible stream per tree
         tree_seed_seq = np.random.SeedSequence([params.seed, t])
         tree_rng = np.random.default_rng(tree_seed_seq)
@@ -380,8 +390,81 @@ def train_random_forest(
             feature_subsample=min(k, d),
             seed=int(tree_rng.integers(0, 2**31 - 1)),
         )
-        trees.append(train_decision_tree(Xb, yb, tree_params))
+        return train_decision_tree(Xb, yb, tree_params)
+
+    trees = _grow_forked(grow, params.n_trees)
     return RandomForest(trees=trees, n_features=d, params=params)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _grow_forked(grow, n_trees: int) -> list:
+    """``[grow(t) for t in range(n_trees)]``, the trees split into one
+    contiguous block per usable CPU.  The parent grows block 0 and each
+    other block grows in a forked child, which inherits everything ``grow``
+    reads and sends its trees back pickled over a pipe."""
+    workers = min(n_trees, _usable_cpus())
+    if workers < 2 or not hasattr(os, "fork"):
+        return [grow(t) for t in range(n_trees)]
+    bounds = [n_trees * w // workers for w in range(workers + 1)]
+    children = []  # (pid, read end of its pipe)
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _grow_in_child(grow, range(bounds[w], bounds[w + 1]), read, write)
+            except BaseException:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)
+            children.append((pid, read))
+        trees = [grow(t) for t in range(bounds[1])]
+        for pid, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                raise RuntimeError(f"forest worker {pid} exited without its trees")
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):
+                raise result
+            trees += result
+        return trees
+    finally:
+        # a child blocked on a full pipe fails its write and exits once no
+        # process holds the read end, and later children inherited the
+        # earlier read ends: close them all before waiting on any child
+        for pid, read in children:
+            os.close(read)
+        for pid, read in children:
+            os.waitpid(pid, 0)
+
+
+def _grow_in_child(grow, block: range, read: int, write: int) -> NoReturn:
+    """Grow ``block`` in a forked child and write its trees, or the exception
+    that stopped it, to the pipe.  Leaves by ``os._exit``, so the child runs
+    none of the parent's exit handlers and flushes none of its buffers."""
+    try:
+        os.close(read)
+        try:
+            result = [grow(t) for t in block]
+        except BaseException as exc:  # the parent raises it
+            result = exc
+        try:
+            data = pickle.dumps(result)
+        except Exception:  # an exception that does not pickle
+            data = pickle.dumps(RuntimeError(f"{type(result).__name__}: {result}"))
+        with open(write, "wb") as out:
+            out.write(data)
+    finally:
+        os._exit(0)
 
 
 @dataclass(eq=False)

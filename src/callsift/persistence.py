@@ -101,8 +101,22 @@ def _union_member(union, value):
     raise ArchiveError(f"payload fields {keys} match no member of {union}")
 
 
+# JSON values a scalar field accepts: bool is an int subclass in Python but
+# not a number here, and a float field keeps an integer as given, so the
+# hash of a config that spells 2.0 as 2 does not move
+_SCALARS = {
+    int: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    float: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    str: lambda v: isinstance(v, str),
+    bool: lambda v: isinstance(v, bool),
+}
+
+
 def decode(tp, value):
-    """Rebuild a value of annotated type ``tp`` from its ``encode`` form."""
+    """Rebuild a value of annotated type ``tp`` from its ``encode`` form.
+
+    A payload of the wrong JSON type raises ``ArchiveError`` naming each
+    dataclass field on the way down to it."""
     if dataclasses.is_dataclass(tp):
         fields = _field_types(tp)
         if not isinstance(value, dict) or value.keys() != fields.keys():
@@ -110,7 +124,13 @@ def decode(tp, value):
             raise ArchiveError(
                 f"{tp.__name__} payload has fields {got}, expected {sorted(fields)}"
             )
-        return tp(**{name: decode(t, value[name]) for name, t in fields.items()})
+        decoded = {}
+        for name, t in fields.items():
+            try:
+                decoded[name] = decode(t, value[name])
+            except ArchiveError as exc:
+                raise ArchiveError(f"{tp.__name__}.{name}: {exc}") from None
+        return tp(**decoded)
     if tp is np.ndarray:
         return np.array(value)
     if isinstance(tp, types.UnionType):
@@ -129,6 +149,8 @@ def decode(tp, value):
         if len(value) != len(args):
             raise ArchiveError(f"{tp} payload has {len(value)} items")
         return tuple(decode(t, v) for t, v in zip(args, value))
+    if tp in _SCALARS and not _SCALARS[tp](value):
+        raise ArchiveError(f"{tp.__name__} payload is a {type(value).__name__}")
     return value
 
 

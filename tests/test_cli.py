@@ -67,13 +67,24 @@ def _frequencies_as_list(doc):
     return doc
 
 
+def _set(key, value):
+    def mutate(doc):
+        doc[key] = value
+        return doc
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, type_name", [
     (lambda doc: [], "CorpusConfig"),
     (_typo("burstiness", "burstines", lambda d: d["profiles"]["malware"][0]), "ClassProfile"),
     (_typo("style", "styel", lambda d: d["profiles"]["goodware"][0]["motifs"][0]), "Motif"),
     (_drop_timestamp_range, "CorpusConfig"),
     (_frequencies_as_list, "dict[str, float]"),
-], ids=["not-an-object", "profile-typo", "motif-typo", "missing-field", "frequencies-list"])
+    (_set("goodware_count", "3"), "CorpusConfig.goodware_count: int payload is a str"),
+    (_set("seed", "13"), "CorpusConfig.seed: int payload is a str"),
+    (_set("seed", True), "CorpusConfig.seed: int payload is a bool"),
+], ids=["not-an-object", "profile-typo", "motif-typo", "missing-field", "frequencies-list",
+        "count-as-string", "seed-as-string", "seed-as-bool"])
 def test_gen_rejects_malformed_config(tmp_path, capsys, mutate, type_name):
     doc = persistence.encode(datagen.make_config(
         seed=1, goodware_count=3, malware_count=3,

@@ -1,4 +1,10 @@
+import contextlib
 import itertools
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,7 +25,7 @@ from callsift.forest import (
     train_linear,
     train_random_forest,
 )
-from test_forest_oracle import assert_same_tree, datasets
+from test_forest_oracle import assert_same_tree, datasets, encoded_corpus  # noqa: F401
 
 
 def leaves(tree):
@@ -252,6 +258,166 @@ def test_forest_prediction_invariant_under_tree_permutation():
     before = forest.predict_scores(Xt)
     forest.trees.reverse()
     assert np.array_equal(before, forest.predict_scores(Xt))
+
+
+# --- tree-parallel fit ----------------------------------------------------------
+
+
+def _assert_same_forest(a, b, X):
+    for ta, tb in zip(a.trees, b.trees, strict=True):
+        assert_same_tree(ta, tb)
+    assert np.array_equal(a.predict_scores(X), b.predict_scores(X))
+
+
+def _counting_forks():
+    """A stand-in for ``os.fork`` that counts the parent's calls."""
+    calls = []
+    real = os.fork
+
+    def fork():
+        calls.append(1)
+        return real()
+    return calls, fork
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    datasets(),
+    st.builds(
+        ForestParams,
+        n_trees=st.integers(1, 7),
+        bootstrap=st.booleans(),
+        feature_subsample=st.none() | st.integers(1, 5),
+        max_depth=st.none() | st.integers(0, 6),
+        min_samples_leaf=st.integers(1, 3),
+        seed=st.integers(0, 2**31 - 1),
+    ),
+    st.integers(2, 4),
+)
+def test_forked_fit_equals_one_cpu_fit(data, params, workers):
+    X, y, Xt = data
+    with mock.patch.object(forest, "_usable_cpus", lambda: 1):
+        serial = train_random_forest(X, y, params)
+    _assert_same_forest(serial, train_random_forest(X, y, params), Xt)
+    calls, fork = _counting_forks()
+    with mock.patch.object(forest, "_usable_cpus", lambda: workers), \
+            mock.patch.object(os, "fork", fork):
+        forked = train_random_forest(X, y, params)
+    assert len(calls) == min(workers, params.n_trees) - 1
+    _assert_same_forest(serial, forked, Xt)
+
+
+@pytest.mark.parametrize("workers", [None, 3])
+def test_forked_fit_equals_one_cpu_fit_on_encoded_corpus(encoded_corpus, monkeypatch, workers):
+    X, y = encoded_corpus
+    params = ForestParams(n_trees=10, seed=3)
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: 1)
+    serial = train_random_forest(X, y, params)
+    monkeypatch.undo()
+    if workers is not None:
+        monkeypatch.setattr(forest, "_usable_cpus", lambda: workers)
+    _assert_same_forest(serial, train_random_forest(X, y, params), X)
+
+
+class TreeGrowthFailed(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, a fit that waits on a child forever."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _fail_in(where, exc):
+    """A ``train_decision_tree`` that raises ``exc`` in the parent or in the
+    forked children."""
+    parent, own = os.getpid(), forest.train_decision_tree
+
+    def train(samples, labels, params):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise exc
+        return own(samples, labels, params)
+    return train
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failing_tree_raises_in_the_parent_and_leaves_no_child(
+        encoded_corpus, monkeypatch, where):
+    # 3 workers on 60 trees: each child's block pickles to about 100 KB, more
+    # than a 64 KB pipe buffer holds, so a parent that fails first must not
+    # wait on a blocked writer
+    X, y = encoded_corpus
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(forest, "train_decision_tree",
+                        _fail_in(where, TreeGrowthFailed("no tree today")))
+    with pytest.raises(TreeGrowthFailed) as info, _deadline(60):
+        train_random_forest(X, y, ForestParams(n_trees=60))
+    assert type(info.value) is TreeGrowthFailed and str(info.value) == "no tree today"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_unpicklable_child_error_arrives_by_type_name_and_message(monkeypatch):
+    class LocalError(Exception):  # a local class does not pickle
+        pass
+
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forest, "train_decision_tree",
+                        _fail_in("child", LocalError("bad split")))
+    with pytest.raises(RuntimeError, match="^LocalError: bad split$"):
+        train_random_forest(np.arange(8.0)[:, None], np.arange(8) % 2, ForestParams(n_trees=4))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_output_left_unflushed_before_a_forked_fit_is_written_once():
+    # stdout to a pipe is block-buffered (unless PYTHONUNBUFFERED is set): a
+    # child that flushed the parent's buffer on its way out would print the
+    # text a second time
+    src = str(Path(forest.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "from unittest import mock\n"
+        "import numpy as np\n"
+        "from callsift import forest\n"
+        "print('before the fit', end='')\n"
+        "with mock.patch.object(forest, '_usable_cpus', lambda: 3):\n"
+        "    forest.train_random_forest(np.arange(12.0)[:, None], np.arange(12) % 2,\n"
+        "                               forest.ForestParams(n_trees=6))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "before the fit"
+
+
+@pytest.mark.parametrize("affinity, n_trees", [({0}, 5), ({0, 1, 2, 3}, 1)])
+def test_one_cpu_or_one_tree_never_forks(monkeypatch, affinity, n_trees):
+    def fork():
+        raise AssertionError("os.fork called")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    X = np.arange(10.0)[:, None]
+    fo = train_random_forest(X, np.arange(10) % 2, ForestParams(n_trees=n_trees))
+    assert len(fo.trees) == n_trees
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert forest._usable_cpus() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert forest._usable_cpus() == 6
 
 
 # --- gini importance -------------------------------------------------------------

@@ -295,3 +295,31 @@ def test_codec_round_trip(model):
     loaded = decode(type(model), json.loads(json.dumps(payload)))
     _assert_same(model, loaded)
     assert canonical_json(encode(loaded)) == canonical_json(payload)
+
+
+@pytest.mark.parametrize("tp, payload, message", [
+    (ForestParams, {"bootstrap": 1}, "ForestParams.bootstrap: bool payload is a int"),
+    (ForestParams, {"seed": 1.0}, "ForestParams.seed: int payload is a float"),
+    (ForestParams, {"max_depth": False}, "ForestParams.max_depth: int payload is a bool"),
+    (LinearParams, {"l2": True}, "LinearParams.l2: float payload is a bool"),
+    (LinearParams, {"l2": "0.1"}, "LinearParams.l2: float payload is a str"),
+], ids=["bool-as-int", "int-as-float", "optional-int-as-bool", "float-as-bool", "float-as-str"])
+def test_scalar_of_the_wrong_json_type_names_the_field(tp, payload, message):
+    doc = {**encode(tp()), **payload}
+    with pytest.raises(ArchiveError, match=f"^{message}$"):
+        decode(tp, doc)
+
+
+def test_nested_scalar_error_names_every_field_on_the_way():
+    doc = encode(RbfSvm(np.zeros((1, 2)), np.ones(1), 0.0, 1.0, 1.0))
+    readout = {"kind": RBF_SVM, "model": {**doc, "box": "big"}, "hyperparams": {},
+               "feature_mean": [0.0, 0.0], "feature_std": [1.0, 1.0], "search_log": []}
+    with pytest.raises(ArchiveError, match=r"^ReadoutModel\.model: RbfSvm\.box: float "):
+        decode(ReadoutModel, readout)
+
+
+def test_float_field_keeps_an_integer_as_given():
+    doc = {**encode(LinearParams()), "learning_rate": 2}
+    params = decode(LinearParams, doc)
+    assert params.learning_rate == 2 and type(params.learning_rate) is int
+    assert canonical_json(encode(params)) == canonical_json(doc)
