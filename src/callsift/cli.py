@@ -176,21 +176,20 @@ def cmd_eval(args) -> int:
     dataset = _load_dataset(args.corpus)
     train_counts = _split_train_counts(args.train_counts)
     train_fraction = None if train_counts else args.train_fraction
+    if args.split == "cv" and args.model_archive:
+        return _fail("--model-archive cannot be evaluated under cv (needs retraining per fold)")
+    if args.split == "sorted":
+        train, test = evaluation.split_sorted(dataset, train_fraction, train_counts)
+    elif args.split == "distributed":
+        train, test = evaluation.split_distributed(
+            dataset, args.test_malware, train_fraction, train_counts, seed=args.seed
+        )
 
     if args.model_archive:
-        if args.split == "cv":
-            return _fail("--model-archive cannot be evaluated under cv (needs retraining per fold)")
-        clf = persistence.load_model(args.model_archive)
-        if args.split == "sorted":
-            _, test = evaluation.split_sorted(dataset, train_fraction, train_counts)
-        else:
-            _, test = evaluation.split_distributed(
-                dataset, args.test_malware, train_fraction, train_counts, seed=args.seed
-            )
-        pred, _ = clf.predict(test.samples)
-        result = evaluation._model_result(pred, test.labels)
+        pred, _ = persistence.load_model(args.model_archive).predict(test.samples)
         report = evaluation.EvaluationReport(
-            split=_eval_descriptor(args), seed=args.seed, models={"archived": result}
+            split=_eval_descriptor(args), seed=args.seed,
+            models=evaluation.model_results({"archived": pred}, test.labels),
         )
     else:
         base, want_ensemble = _parse_models(args.models)
@@ -202,13 +201,6 @@ def cmd_eval(args) -> int:
                 ensemble_name=ensemble_name,
             )
         else:
-            if args.split == "sorted":
-                train, test = evaluation.split_sorted(dataset, train_fraction, train_counts)
-            else:
-                train, test = evaluation.split_distributed(
-                    dataset, args.test_malware, train_fraction, train_counts,
-                    seed=args.seed,
-                )
             report = evaluation.evaluate_split(
                 train, test, factories, seed=args.seed,
                 split_descriptor=_eval_descriptor(args), ensemble_name=ensemble_name,

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import GOODWARE, MALWARE, LABELS, SyscallTrace
+from .evaluation import LabeledDataset, compute_metrics, split_sorted
+from .traces import GOODWARE, LABEL_TO_INT, LABELS, MALWARE, SyscallTrace
 
 FREQUENCY_SHIFT = "frequency-shift"
 MOTIF_SWAP = "motif-swap"
@@ -555,19 +556,6 @@ def likelihood_oracle(config: CorpusConfig) -> ProfileLikelihoodOracle:
     return ProfileLikelihoodOracle(config)
 
 
-def _oracle_caa(oracle: ProfileLikelihoodOracle, traces: list[SyscallTrace]) -> float:
-    per_class = []
-    for label in LABELS:
-        members = [t for t in traces if t.label == label]
-        if not members:
-            continue
-        hits = sum(1 for t in members if oracle.predict(t) == label)
-        per_class.append(hits / len(members))
-    if not per_class:
-        raise ValueError("no labeled traces to score")
-    return sum(per_class) / len(per_class)
-
-
 def drift_gap_probe(
     corpus: list[SyscallTrace],
     oracle: ProfileLikelihoodOracle,
@@ -580,13 +568,15 @@ def drift_gap_probe(
     shuffled block mixes early and late samples and therefore scores higher,
     quantifying how much discarding temporal order inflates evaluation.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
-    ordered = sorted(corpus, key=lambda t: t.observed_at)
-    cut = int(round(train_fraction * len(ordered)))
-    cut = min(max(cut, 1), len(ordered) - 1)
-    sorted_test = ordered[cut:]
+    train, test = split_sorted(LabeledDataset.from_traces(corpus), train_fraction)
+    ordered = train.samples + test.samples
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     perm = rng.permutation(len(ordered))
-    shuffled_test = [ordered[i] for i in perm[cut:]]
-    return _oracle_caa(oracle, sorted_test), _oracle_caa(oracle, shuffled_test)
+    shuffled_test = [ordered[i] for i in perm[len(train):]]
+
+    def caa(traces: list[SyscallTrace]) -> float:
+        predicted = [LABEL_TO_INT[oracle.predict(t)] for t in traces]
+        labels = [LABEL_TO_INT[t.label] for t in traces]
+        return compute_metrics(np.array(predicted), np.array(labels))[0].caa
+
+    return caa(test.samples), caa(shuffled_test)

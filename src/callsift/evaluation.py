@@ -361,13 +361,52 @@ def _unpack_bits(b64: str, n: int) -> np.ndarray:
     return np.unpackbits(packed)[:n].astype(bool)
 
 
-def _model_result(pred: np.ndarray, labels: np.ndarray) -> ModelResult:
-    metrics, confusion = compute_metrics(pred, labels)
-    return ModelResult(
-        metrics=metrics,
-        confusion=confusion,
-        correctness=pred == labels,
-        predictions=pred,
+def model_results(
+    predictions: dict[str, np.ndarray],
+    labels: np.ndarray,
+    ensemble_name: str | None = None,
+) -> dict[str, ModelResult]:
+    """Metrics and correctness of each model's test predictions.
+
+    When ensemble_name is set and at least two base models are present, a
+    majority-vote ensemble over the base predictions is appended.
+    """
+    if ensemble_name and len(predictions) >= 2:
+        predictions = {**predictions, ensemble_name: majority_vote(list(predictions.values()))}
+    results = {}
+    for name, pred in predictions.items():
+        metrics, confusion = compute_metrics(pred, labels)
+        results[name] = ModelResult(
+            metrics=metrics, confusion=confusion, correctness=pred == labels, predictions=pred
+        )
+    return results
+
+
+def _evaluate_folds(
+    folds: Sequence[tuple[LabeledDataset, LabeledDataset]],
+    factories: dict[str, ModelFactory],
+    seed: int,
+    split: dict,
+    ensemble_name: str | None,
+) -> EvaluationReport:
+    """Train every factory on each fold's train side and score its test side.
+
+    Predictions and labels concatenate over the folds in order, so per-sample
+    vectors stay aligned across models.
+    """
+    predictions: dict[str, list[np.ndarray]] = {name: [] for name in factories}
+    for train, test in folds:
+        for name, factory in factories.items():
+            model = factory(seed)
+            model.fit(train.samples, train.labels)
+            predictions[name].append(model.predict(test.samples)[0])
+    labels = np.concatenate([test.labels for _, test in folds])
+    return EvaluationReport(
+        split=split,
+        seed=seed,
+        models=model_results(
+            {name: np.concatenate(p) for name, p in predictions.items()}, labels, ensemble_name
+        ),
     )
 
 
@@ -379,24 +418,10 @@ def evaluate_split(
     split_descriptor: dict | None = None,
     ensemble_name: str | None = "ensemble",
 ) -> EvaluationReport:
-    """Train every factory on the train side, score the test side.
-
-    When ensemble_name is set and at least two base models are present, a
-    majority-vote ensemble over the base predictions is appended.
-    """
-    predictions: dict[str, np.ndarray] = {}
-    for name, factory in factories.items():
-        model = factory(seed)
-        model.fit(train.samples, train.labels)
-        pred, _ = model.predict(test.samples)
-        predictions[name] = pred
-    if ensemble_name and len(predictions) >= 2:
-        predictions[ensemble_name] = majority_vote(list(predictions.values()))
-    models = {name: _model_result(p, test.labels) for name, p in predictions.items()}
-    return EvaluationReport(
-        split=split_descriptor or {"kind": "custom"},
-        seed=seed,
-        models=models,
+    """Train every factory on the train side, score the test side, and append
+    a majority-vote ensemble as ``model_results`` does."""
+    return _evaluate_folds(
+        [(train, test)], factories, seed, split_descriptor or {"kind": "custom"}, ensemble_name
     )
 
 
@@ -409,26 +434,8 @@ def evaluate_cv(
 ) -> EvaluationReport:
     """k-fold evaluation; correctness vectors concatenate folds in order,
     so per-sample vectors stay aligned across models."""
-    folds = split_kfold(dataset, k, seed)
-    names = list(factories)
-    all_preds: dict[str, list[np.ndarray]] = {n: [] for n in names}
-    all_labels: list[np.ndarray] = []
-    for fold_i, (train, test) in enumerate(folds):
-        all_labels.append(test.labels)
-        for name in names:
-            model = factories[name](seed)
-            model.fit(train.samples, train.labels)
-            pred, _ = model.predict(test.samples)
-            all_preds[name].append(pred)
-    labels = np.concatenate(all_labels)
-    predictions = {n: np.concatenate(ps) for n, ps in all_preds.items()}
-    if ensemble_name and len(predictions) >= 2:
-        predictions[ensemble_name] = majority_vote(list(predictions.values()))
-    models = {name: _model_result(p, labels) for name, p in predictions.items()}
-    return EvaluationReport(
-        split={"kind": "cv", "folds": k},
-        seed=seed,
-        models=models,
+    return _evaluate_folds(
+        split_kfold(dataset, k, seed), factories, seed, {"kind": "cv", "folds": k}, ensemble_name
     )
 
 

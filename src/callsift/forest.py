@@ -16,9 +16,11 @@ then the lowest threshold.
 A forest's trees grow in parallel: each tree draws from its own seed stream,
 ``SeedSequence([seed, t])``, so ``train_random_forest`` splits them into one
 contiguous block per usable CPU, grows the first block itself and each other
-block in a forked child that sends its trees back pickled over a pipe.  The
-forest is bitwise the same for any CPU count; with one usable CPU, one tree
-or no ``os.fork`` every tree grows in-process.
+block in a worker of a fork-started ``ProcessPoolExecutor``, which returns
+the block's trees and re-raises a worker's error, or ``BrokenProcessPool``
+for a worker that died, in the caller.  The forest is bitwise the same for
+any CPU count; with one usable CPU, one tree or no fork every tree grows
+in-process.
 
 Split search is whole-array.  Every column is dense-rank-coded
 (``np.unique``; NaN takes the rank above every value) once per forest:
@@ -58,10 +60,10 @@ implementation (kept in the tests as an oracle).
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
-import pickle
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import NoReturn
 
 import numpy as np
 
@@ -405,66 +407,34 @@ def _usable_cpus() -> int:
 
 def _grow_forked(grow, n_trees: int) -> list:
     """``[grow(t) for t in range(n_trees)]``, the trees split into one
-    contiguous block per usable CPU.  The parent grows block 0 and each
-    other block grows in a forked child, which inherits everything ``grow``
-    reads and sends its trees back pickled over a pipe."""
+    contiguous block per usable CPU.  The calling process grows block 0 and
+    a fork-started process pool the other blocks; its workers inherit
+    ``grow`` and everything it reads, so only block bounds and trees are
+    pickled."""
     workers = min(n_trees, _usable_cpus())
     if workers < 2 or not hasattr(os, "fork"):
         return [grow(t) for t in range(n_trees)]
     bounds = [n_trees * w // workers for w in range(workers + 1)]
-    children = []  # (pid, read end of its pipe)
-    try:
-        for w in range(1, workers):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _grow_in_child(grow, range(bounds[w], bounds[w + 1]), read, write)
-            except BaseException:
-                os.close(read)
-                raise
-            finally:
-                os.close(write)
-            children.append((pid, read))
+    with ProcessPoolExecutor(workers - 1, multiprocessing.get_context("fork"),
+                             initializer=_set_worker_grow, initargs=(grow,)) as pool:
+        blocks = [pool.submit(_grow_block, range(bounds[w], bounds[w + 1]))
+                  for w in range(1, workers)]
         trees = [grow(t) for t in range(bounds[1])]
-        for pid, read in children:
-            with open(read, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            if not data:
-                raise RuntimeError(f"forest worker {pid} exited without its trees")
-            result = pickle.loads(data)
-            if isinstance(result, BaseException):
-                raise result
-            trees += result
-        return trees
-    finally:
-        # a child blocked on a full pipe fails its write and exits once no
-        # process holds the read end, and later children inherited the
-        # earlier read ends: close them all before waiting on any child
-        for pid, read in children:
-            os.close(read)
-        for pid, read in children:
-            os.waitpid(pid, 0)
+        for block in blocks:
+            trees += block.result()
+    return trees
 
 
-def _grow_in_child(grow, block: range, read: int, write: int) -> NoReturn:
-    """Grow ``block`` in a forked child and write its trees, or the exception
-    that stopped it, to the pipe.  Leaves by ``os._exit``, so the child runs
-    none of the parent's exit handlers and flushes none of its buffers."""
-    try:
-        os.close(read)
-        try:
-            result = [grow(t) for t in block]
-        except BaseException as exc:  # the parent raises it
-            result = exc
-        try:
-            data = pickle.dumps(result)
-        except Exception:  # an exception that does not pickle
-            data = pickle.dumps(RuntimeError(f"{type(result).__name__}: {result}"))
-        with open(write, "wb") as out:
-            out.write(data)
-    finally:
-        os._exit(0)
+_worker_grow = None  # a pool worker's ``grow``, set once as the worker starts
+
+
+def _set_worker_grow(grow) -> None:
+    global _worker_grow
+    _worker_grow = grow
+
+
+def _grow_block(block: range) -> list:
+    return [_worker_grow(t) for t in block]
 
 
 @dataclass(eq=False)

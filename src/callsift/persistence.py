@@ -12,8 +12,8 @@ field annotations.  The same codec serves corpus configs
 (``datagen.CorpusConfig``): ``callsift gen --config`` decodes its file with
 it and hashes the config's ``encode`` form into the corpus's
 ``.meta.json``.  Decoding is strict: a payload must hold every field of its
-dataclass and no other, and a value of the wrong container type is an
-``ArchiveError``.
+dataclass and no other, and a value of the wrong container type, or an
+array that is not a regular nesting of numbers, is an ``ArchiveError``.
 
 A SHA-256 checksum over the canonical payload JSON guards against
 corruption, and loading an archive reproduces the saved model's
@@ -132,7 +132,15 @@ def decode(tp, value):
                 raise ArchiveError(f"{tp.__name__}.{name}: {exc}") from None
         return tp(**decoded)
     if tp is np.ndarray:
-        return np.array(value)
+        if not isinstance(value, list):
+            raise ArchiveError(f"array payload is a {type(value).__name__}")
+        try:
+            array = np.array(value)
+        except ValueError:  # lists nested to no regular shape
+            raise ArchiveError("array payload is ragged") from None
+        if array.dtype.kind not in "biuf":
+            raise ArchiveError(f"array payload has {array.dtype} items, not numbers")
+        return array
     if isinstance(tp, types.UnionType):
         return decode(_union_member(tp, value), value)
     origin, args = typing.get_origin(tp), typing.get_args(tp)

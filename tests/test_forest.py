@@ -373,8 +373,28 @@ def test_an_unpicklable_child_error_arrives_by_type_name_and_message(monkeypatch
     monkeypatch.setattr(forest, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(forest, "train_decision_tree",
                         _fail_in("child", LocalError("bad split")))
-    with pytest.raises(RuntimeError, match="^LocalError: bad split$"):
+    # the pool raises the pickler's error; the worker's traceback, which
+    # holds the unpicklable error, is its cause
+    with pytest.raises(Exception) as info, _deadline(60):
         train_random_forest(np.arange(8.0)[:, None], np.arange(8) % 2, ForestParams(n_trees=4))
+    assert "LocalError: bad split" in str(info.value.__cause__)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_dying_worker_raises_in_the_parent_and_leaves_no_child(encoded_corpus, monkeypatch):
+    parent, own = os.getpid(), forest.train_decision_tree
+
+    def train(samples, labels, params):
+        if os.getpid() != parent:
+            os._exit(3)
+        return own(samples, labels, params)
+
+    X, y = encoded_corpus
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(forest, "train_decision_tree", train)
+    with pytest.raises(RuntimeError), _deadline(60):  # BrokenProcessPool
+        train_random_forest(X, y, ForestParams(n_trees=12))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -318,6 +318,20 @@ def test_nested_scalar_error_names_every_field_on_the_way():
         decode(ReadoutModel, readout)
 
 
+@pytest.mark.parametrize("threshold, message", [
+    ("abc", "array payload is a str"),
+    (0.25, "array payload is a float"),
+    (None, "array payload is a NoneType"),
+    ([0.25, None, None], "array payload has object items, not numbers"),
+    (["0.25", "nan", "1"], "array payload has <U4 items, not numbers"),
+    ([[0.25], [1.0, 2.0], []], "array payload is ragged"),
+], ids=["string", "scalar", "null", "null-items", "string-items", "ragged"])
+def test_array_that_is_not_a_list_of_numbers_names_the_field(threshold, message):
+    doc = {**json.loads(GOLDEN_TREE), "threshold": threshold}
+    with pytest.raises(ArchiveError, match=f"^DecisionTree.threshold: {message}$"):
+        decode(DecisionTree, doc)
+
+
 def test_float_field_keeps_an_integer_as_given():
     doc = {**encode(LinearParams()), "learning_rate": 2}
     params = decode(LinearParams, doc)
