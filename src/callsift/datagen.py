@@ -552,10 +552,6 @@ class ProfileLikelihoodOracle:
         return MALWARE if ll[MALWARE] >= ll[GOODWARE] else GOODWARE
 
 
-def likelihood_oracle(config: CorpusConfig) -> ProfileLikelihoodOracle:
-    return ProfileLikelihoodOracle(config)
-
-
 def drift_gap_probe(
     corpus: list[SyscallTrace],
     oracle: ProfileLikelihoodOracle,

@@ -8,15 +8,18 @@ Four views, from local to global:
   positive = pushes toward goodware — bars drawn left/right accordingly);
   ``lime_explain_batch`` explains a whole histogram matrix: every sample
   shares one perturbation mask (``LimeConfig.mask``, drawn once from the
-  seed), and when the model scores rows independently of each other
-  (``rowwise_scores``) the perturbations of many samples are scored in one
-  call of at most ``SCORE_ROW_BOUND`` rows, whole samples per call, before
-  one ``lime_explain`` surrogate fit per sample;
+  seed), and the perturbations of many samples are scored in one call of
+  at most ``SCORE_ROW_BOUND`` rows, whole samples per call, before one
+  ``lime_explain`` surrogate fit per sample;
 * group summaries: mean +- std of local weights over a group of samples
   (e.g. correctly classified malware vs missed malware);
 * decision-tree rule extraction: one human-readable rule per leaf,
   jointly exhaustive and mutually exclusive, replaying the tree exactly;
 * class frequency marks: which calls are used more by which class.
+
+A scorer -- a callable mapping an (n, d) matrix to n malware scores, or an
+object exposing ``score_histograms`` -- must score each row independently
+of the other rows in the call: batching perturbations never changes a score.
 """
 
 from __future__ import annotations
@@ -123,13 +126,12 @@ def lime_explain(model, sample: np.ndarray, config: LimeConfig,
                  ) -> LocalExplanation:
     """Fit a local linear surrogate to the model's malware score.
 
-    ``model`` is either a callable mapping an (n, d) matrix to n scores or
-    an object exposing ``score_histograms``.  Perturbations mask each
-    feature to its corpus mean independently with probability 1/2; samples
-    are weighted by an exponential kernel on Euclidean distance from the
-    original.  The reported weight sign follows the display convention:
-    the surrogate coefficient is negated, so weights pointing toward
-    malware are negative (drawn leftward).  ``scores``, when given, are the
+    ``model`` is a scorer as the module docstring defines it.  Perturbations
+    mask each feature to its corpus mean independently with probability
+    1/2; samples are weighted by an exponential kernel on Euclidean distance
+    from the original.  The reported weight sign follows the display
+    convention: the surrogate coefficient is negated, so weights pointing
+    toward malware are negative (drawn leftward).  ``scores``, when given, are the
     model's scores of this sample's perturbations (as ``lime_explain_batch``
     computes them) and the model is not called.
     """
@@ -187,13 +189,10 @@ def lime_explain_batch(model, X: np.ndarray, config: LimeConfig,
                        sample_ids: list[str]) -> list[LocalExplanation]:
     """``lime_explain`` of every row of X, equal to explaining them one by one.
 
-    A model with a true ``rowwise_scores`` attribute scores each row
-    independently of the others in the call (trees, forests, the LSM
-    adapter), so the perturbations of as many whole rows as fit in
-    ``SCORE_ROW_BOUND`` are scored in one call (a row with more
-    perturbations than that is scored alone).  Any other model, such as a
-    BLAS-backed linear scorer whose rounding depends on a row's position in
-    the call, is called once per row, as ``lime_explain`` would.
+    The perturbations of as many whole rows as fit in ``SCORE_ROW_BOUND``
+    are scored in one call (a row with more perturbations than that is
+    scored alone); the scorer contract makes the scores those of one call
+    per row.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -204,7 +203,7 @@ def lime_explain_batch(model, X: np.ndarray, config: LimeConfig,
         raise ValueError("sample and feature_means dimensionality mismatch")
     score_fn = _score_fn(model)
     p = config.perturbations
-    per_call = max(1, SCORE_ROW_BOUND // p) if getattr(model, "rowwise_scores", False) else 1
+    per_call = max(1, SCORE_ROW_BOUND // p)
     out = []
     for start in range(0, X.shape[0], per_call):
         rows = X[start:start + per_call]
@@ -438,16 +437,12 @@ class LsmHistogramScorer:
     """
 
     explanation_notes = ("approximation: histogram spread uniformly over time for LSM input",)
-    rowwise_scores = True  # each row is simulated on its own
 
     def __init__(self, lsm_classifier, nominal_length: int = 100):
         if lsm_classifier.lsm is None or lsm_classifier.vocab is None:
             raise ValueError("LSM classifier must be fitted first")
         self.classifier = lsm_classifier
         self.nominal_length = nominal_length
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        return self.score_histograms(X)
 
     def score_histograms(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -464,6 +459,5 @@ class LsmHistogramScorer:
             rows[np.arange(calls.size), calls] = 1
             matrix = MultiHotMatrix(rows, np.arange(calls.size, dtype=np.int64))
             state = liquid_states(lsm.topology, lsm.lif, [matrix], lsm.windows)
-            # one readout call per row: a many-row product rounds differently
             scores[i] = lsm.readout.predict_scores(state)[0]
         return scores

@@ -218,9 +218,10 @@ class _RankedSamples:
     by row subsets (``take``).  ``np.asarray`` of it is the matrix itself,
     so anything that accepts a matrix accepts it."""
 
-    values: np.ndarray  # (n, d) float64
+    values: np.ndarray  # (N, d) float64, the matrix that was coded
     codes: np.ndarray  # (d, n) uint32, rank << 1 (low bit left for the label)
     distinct: tuple[np.ndarray, ...]  # per column, sorted distinct non-NaN values
+    rows: np.ndarray | None = None  # this sample's rows of values; None = all
 
     @classmethod
     def of(cls, X: np.ndarray) -> "_RankedSamples":
@@ -234,10 +235,12 @@ class _RankedSamples:
         return cls(X, codes, tuple(distinct))
 
     def take(self, idx: np.ndarray) -> "_RankedSamples":
-        return _RankedSamples(self.values[idx], self.codes[:, idx], self.distinct)
+        rows = idx if self.rows is None else self.rows[idx]
+        return _RankedSamples(self.values, self.codes[:, idx], self.distinct, rows)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array(self.values, dtype=dtype, copy=copy)
+        values = self.values if self.rows is None else self.values[self.rows]
+        return np.array(values, dtype=dtype, copy=copy)
 
 
 def train_decision_tree(
@@ -253,17 +256,19 @@ def train_decision_tree(
     (``_RankedSamples``, as the forest passes them).
     """
     params = params or TreeParams()
-    X = np.asarray(samples, dtype=np.float64)
+    if not isinstance(samples, _RankedSamples):
+        X = np.asarray(samples, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError("samples must be a 2-D matrix")
+        samples = _RankedSamples.of(X)
     y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2:
-        raise ValueError("samples must be a 2-D matrix")
-    if X.shape[0] != y.shape[0]:
+    d, n = samples.codes.shape
+    if n != y.shape[0]:
         raise ValueError("samples and labels length mismatch")
-    if X.shape[0] == 0:
+    if n == 0:
         raise ValueError("cannot train on an empty dataset")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 (goodware) or 1 (malware)")
-    n, d = X.shape
     k = params.feature_subsample
     if k is not None and k > d:
         k = d
@@ -273,9 +278,8 @@ def train_decision_tree(
     # non-NaN values, possibly of a superset of these rows); NaN codes to
     # len(values[f]), above every value.  keyed carries the label in the
     # low bit, once per tree.
-    ranked = samples if isinstance(samples, _RankedSamples) else _RankedSamples.of(X)
-    values = ranked.distinct
-    keyed = ranked.codes | y.astype(np.uint32)
+    values = samples.distinct
+    keyed = samples.codes | y.astype(np.uint32)
     nan_key = np.array([[v.size << 1] for v in values], dtype=np.uint32)
     all_features = np.arange(d)
 
@@ -448,10 +452,12 @@ class LinearModel:
         return self.weights.shape[0]
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
+        X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected (n, {self.n_features}) input, got {X.shape}")
-        return _sigmoid(X @ self.weights + self.bias)
+        # a per-row sum, unlike a BLAS X @ w, rounds a row the same way
+        # whatever other rows share the call
+        return _sigmoid((X * self.weights).sum(axis=1) + self.bias)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

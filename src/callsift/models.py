@@ -9,7 +9,8 @@ Every classifier here:
   histogram matrix (``encode_histograms``) or one liquid-state matrix
   (``reservoir.liquid_states``) per call,
 * predicts (labels_int, scores) with the shared tie rule (score >= 0.5
-  means malware),
+  means malware); a trace's score does not depend on which other traces
+  are scored with it,
 * exposes its registry ``kind``, its ``vocab`` and its ``encoding``, which
   is all an archive needs besides the model itself.
 """
@@ -57,11 +58,9 @@ def encode_histograms(traces, vocab: SyscallVocabulary,
                       encoding: EncodingOptions) -> np.ndarray:
     """The (len(traces), vocab.width) histogram matrix of the traces, each
     truncated and encoded as ``encoding`` says."""
-    return np.vstack([
-        encode_histogram(truncate(t, encoding.truncation), vocab,
-                         normalize=encoding.normalize)
-        for t in traces
-    ])
+    rows = [encode_histogram(truncate(t, encoding.truncation), vocab,
+                             normalize=encoding.normalize) for t in traces]
+    return np.array(rows).reshape(len(rows), vocab.width)
 
 
 class HistogramClassifier:
@@ -96,13 +95,6 @@ class HistogramClassifier:
             params = self.params or forest.LinearParams(seed=self.seed)
             self.model = forest.train_linear(X, y, params)
         return self
-
-    @property
-    def rowwise_scores(self) -> bool:
-        """Whether a row's score is independent of the other rows scored with
-        it: tree leaves and forest votes are; the linear model's BLAS product
-        may round a row differently depending on its position in the call."""
-        return self.kind != LINEAR
 
     def score_histograms(self, X: np.ndarray) -> np.ndarray:
         """Score pre-encoded histogram vectors (the explanation surface)."""

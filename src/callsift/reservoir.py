@@ -243,9 +243,8 @@ def liquid_states(
     Inputs are consumed one at a time, so a generator of multi-hot matrices
     never holds more than one of them in memory.
     """
-    return np.vstack(
-        [simulate_liquid(topology, lif, m, windows)[0].reshape(-1) for m in inputs]
-    )
+    states = [simulate_liquid(topology, lif, m, windows)[0].reshape(-1) for m in inputs]
+    return np.array(states).reshape(len(states), topology.neuron_count * windows)
 
 
 # --- readout ------------------------------------------------------------------
@@ -263,7 +262,7 @@ class RbfSvm:
 
     def decision(self, X: np.ndarray) -> np.ndarray:
         k = _rbf_kernel(X, self.support_vectors, self.sigma)
-        return k @ self.dual_coef + self.bias
+        return (k * self.dual_coef).sum(axis=1) + self.bias
 
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         # squash the margin to the shared [0, 1] score convention
@@ -271,11 +270,14 @@ class RbfSvm:
 
 
 def _rbf_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian kernel matrix; entry (i, j) depends on rows a[i] and b[j]
+    alone (einsum, unlike a BLAS product, never regroups by row count)."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
     # an empty support set reloads from JSON as shape (0,), not (0, d)
-    b = b.reshape(-1, a.shape[1])
+    b = np.ascontiguousarray(b, dtype=np.float64).reshape(-1, a.shape[1])
     aa = (a**2).sum(axis=1)[:, None]
     bb = (b**2).sum(axis=1)[None, :]
-    d2 = np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+    d2 = np.maximum(aa + bb - 2.0 * np.einsum("ik,jk->ij", a, b), 0.0)
     return np.exp(-d2 / (2.0 * sigma**2))
 
 

@@ -11,10 +11,10 @@ from callsift.datagen import (
     CorpusConfig,
     DriftSchedule,
     Motif,
+    ProfileLikelihoodOracle,
     drift_gap_probe,
     drifted_frequencies,
     generate_corpus,
-    likelihood_oracle,
     make_config,
     table1_shape,
 )
@@ -138,7 +138,7 @@ def test_table1_corpus_blocks_match_split():
 def test_likelihood_oracle_separates_drift_free_corpus():
     config = small_config(seed=17, counts=(120, 120))
     corpus = generate_corpus(config)
-    oracle = likelihood_oracle(config)
+    oracle = ProfileLikelihoodOracle(config)
     ordered = sorted(corpus, key=lambda t: t.observed_at)
     held_out = ordered[int(0.8 * len(ordered)):]
     per_class = []
@@ -155,7 +155,7 @@ def test_drift_gap_zero_magnitude_within_noise():
     for seed in range(5):
         config = small_config(seed=seed, counts=(120, 120))
         corpus = generate_corpus(config)
-        s, sh = drift_gap_probe(corpus, likelihood_oracle(config), 0.8, seed=seed)
+        s, sh = drift_gap_probe(corpus, ProfileLikelihoodOracle(config), 0.8, seed=seed)
         gaps.append(sh - s)
     assert abs(sorted(gaps)[2]) <= 0.03
 
@@ -167,7 +167,7 @@ def test_drift_gap_direction_at_high_magnitude():
         drift=DriftSchedule(0.8),
     )
     corpus = generate_corpus(config)
-    s, sh = drift_gap_probe(corpus, likelihood_oracle(config), 0.8, seed=1)
+    s, sh = drift_gap_probe(corpus, ProfileLikelihoodOracle(config), 0.8, seed=1)
     assert sh > s
 
 
@@ -181,7 +181,7 @@ def test_drift_gap_monotone_in_magnitude():
                 drift=DriftSchedule(magnitude),
             )
             corpus = generate_corpus(config)
-            s, sh = drift_gap_probe(corpus, likelihood_oracle(config), 0.8, seed=seed)
+            s, sh = drift_gap_probe(corpus, ProfileLikelihoodOracle(config), 0.8, seed=seed)
             gaps.append(sh - s)
         return sorted(gaps)[2]
 
@@ -200,7 +200,7 @@ def test_perfectly_separated_drift_free_corpus_scores_one():
         },
     )
     corpus = generate_corpus(config)
-    s, sh = drift_gap_probe(corpus, likelihood_oracle(config), 0.8, seed=0)
+    s, sh = drift_gap_probe(corpus, ProfileLikelihoodOracle(config), 0.8, seed=0)
     assert s == 1.0 and sh == 1.0
 
 

@@ -321,7 +321,7 @@ def test_lsm_histogram_scorer_flags_approximation(lsm_clf):
     scorer = explain.LsmHistogramScorer(clf, nominal_length=60)
     hist = np.zeros(clf.vocab.width)
     hist[0] = 1.0
-    scores = scorer(np.vstack([hist, hist]))
+    scores = scorer.score_histograms(np.vstack([hist, hist]))
     assert scores.shape == (2,)
     assert np.isfinite(scores).all()
     e = lime_explain(
@@ -348,14 +348,14 @@ def spread(hist):
 
 def test_lsm_scores_match_the_per_row_oracle(lsm_clf, small_corpus):
     lsm, vocab = lsm_clf.lsm, lsm_clf.vocab
-    # the scorer makes one readout call per row on a one-row matrix
+    # the oracle scores each input alone, one readout call on a one-row matrix
     hists = [encode_histogram(t, vocab, normalize=False) for t in small_corpus]
     want = [lsm.readout.predict_scores(liquid_row(lsm, spread(h)))[0] for h in hists]
     got = explain.LsmHistogramScorer(lsm_clf).score_histograms(np.vstack(hists))
     assert np.array_equal(got, want)
-    # predict stacks the rows and makes one readout call over all of them
+    # predict's one readout call over all stacked rows scores each as alone
     rows = [liquid_row(lsm, encode_multihot(truncate(t, 60), vocab)) for t in small_corpus]
-    want = lsm.readout.predict_scores(np.vstack(rows))
+    want = [lsm.readout.predict_scores(row)[0] for row in rows]
     assert np.array_equal(lsm_clf.predict(small_corpus)[1], want)
 
 
@@ -377,7 +377,6 @@ class CountingScorer:
 
     def __init__(self, inner):
         self.inner = inner
-        self.rowwise_scores = getattr(inner, "rowwise_scores", False)
         self.explanation_notes = getattr(inner, "explanation_notes", ())
         self.calls = []
 
@@ -412,9 +411,8 @@ def test_batch_equals_one_by_one(histogram_models, kind):
     model = CountingScorer(fitted[kind])
     batch = explain.lime_explain_batch(model, X, cfg, ids)
     assert_same_explanations(batch, one_by_one(fitted[kind], X, cfg, ids))
-    # the forest and the tree score every row in one call; the linear
-    # model's BLAS product is called once per row, as lime_explain calls it
-    assert model.calls == ([X.shape[0] * 30] if kind != "linear" else [30] * X.shape[0])
+    # every model scores all samples' perturbations in one call
+    assert model.calls == [X.shape[0] * 30]
 
 
 def test_batch_splits_at_the_row_bound(histogram_models, monkeypatch):
@@ -435,8 +433,6 @@ def test_batch_splits_at_the_row_bound(histogram_models, monkeypatch):
 
 def test_batch_constant_model_is_degenerate_everywhere(rng):
     class Constant:
-        rowwise_scores = True
-
         def score_histograms(self, X):
             return np.full(X.shape[0], 0.42)
 
