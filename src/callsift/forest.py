@@ -18,9 +18,10 @@ A forest's trees grow in parallel: each tree draws from its own seed stream,
 contiguous block per usable CPU, grows the first block itself and each other
 block in a worker of a fork-started ``ProcessPoolExecutor``, which returns
 the block's trees and re-raises a worker's error, or ``BrokenProcessPool``
-for a worker that died, in the caller.  The forest is bitwise the same for
-any CPU count; with one usable CPU, one tree or no fork every tree grows
-in-process.
+for a worker that died, in the caller (``_map_forked``, which
+``reservoir.train_readout`` also runs its cross-validation fits through).
+The forest is bitwise the same for any CPU count; with one usable CPU, one
+tree or no fork every tree grows in-process.
 
 Split search is whole-array.  Every column is dense-rank-coded
 (``np.unique``; NaN takes the rank above every value) once per forest:
@@ -398,7 +399,7 @@ def train_random_forest(
         )
         return train_decision_tree(Xb, yb, tree_params)
 
-    trees = _grow_forked(grow, params.n_trees)
+    trees = _map_forked(grow, params.n_trees)
     return RandomForest(trees=trees, n_features=d, params=params)
 
 
@@ -409,36 +410,37 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _grow_forked(grow, n_trees: int) -> list:
-    """``[grow(t) for t in range(n_trees)]``, the trees split into one
-    contiguous block per usable CPU.  The calling process grows block 0 and
+def _map_forked(fn, count: int) -> list:
+    """``[fn(i) for i in range(count)]``, the indices split into one
+    contiguous block per usable CPU.  The calling process runs block 0 and
     a fork-started process pool the other blocks; its workers inherit
-    ``grow`` and everything it reads, so only block bounds and trees are
-    pickled."""
-    workers = min(n_trees, _usable_cpus())
+    ``fn`` and everything it reads, so only block bounds and results are
+    pickled.  A worker's error, or ``BrokenProcessPool`` for a worker that
+    died, is raised in the caller."""
+    workers = min(count, _usable_cpus())
     if workers < 2 or not hasattr(os, "fork"):
-        return [grow(t) for t in range(n_trees)]
-    bounds = [n_trees * w // workers for w in range(workers + 1)]
+        return [fn(i) for i in range(count)]
+    bounds = [count * w // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(workers - 1, multiprocessing.get_context("fork"),
-                             initializer=_set_worker_grow, initargs=(grow,)) as pool:
-        blocks = [pool.submit(_grow_block, range(bounds[w], bounds[w + 1]))
+                             initializer=_set_worker_fn, initargs=(fn,)) as pool:
+        blocks = [pool.submit(_map_block, range(bounds[w], bounds[w + 1]))
                   for w in range(1, workers)]
-        trees = [grow(t) for t in range(bounds[1])]
+        results = [fn(i) for i in range(bounds[1])]
         for block in blocks:
-            trees += block.result()
-    return trees
+            results += block.result()
+    return results
 
 
-_worker_grow = None  # a pool worker's ``grow``, set once as the worker starts
+_worker_fn = None  # a pool worker's ``fn``, set once as the worker starts
 
 
-def _set_worker_grow(grow) -> None:
-    global _worker_grow
-    _worker_grow = grow
+def _set_worker_fn(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
 
 
-def _grow_block(block: range) -> list:
-    return [_worker_grow(t) for t in block]
+def _map_block(block: range) -> list:
+    return [_worker_fn(i) for i in block]
 
 
 @dataclass(eq=False)
@@ -461,12 +463,11 @@ class LinearModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """``1 / (1 + exp(-z))`` for z >= 0 and ``exp(z) / (1 + exp(z))`` below,
+    so no exp overflows; both branches come from one ``exp(-|z|)``."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _logistic_grad(

@@ -25,13 +25,25 @@ keeps that loop as the reference):
   vector-matrix product (one stacked ``np.matmul``; a single gemm over all
   rows rounds differently), and rows that share a simulation step are
   summed in row order.  Nothing of size horizon x neurons is built, so
-  memory grows with the event count, not with the last timestamp; time is
-  still linear in the last timestamp.
+  memory grows with the event count, not with the last timestamp.
 * Each step updates the state in place in the order
   ``((v * decay) + input) + W_rec @ prev_spikes``, leaving out the input
-  term on steps without input.
-* Refractoriness is a per-neuron "silent until step" array: one compare
-  finds the silent neurons and one masked copy clamps them to reset.
+  term on steps without input.  Every operand is an array (``decay``,
+  ``reset`` and ``threshold`` too), and the recurrent term is one
+  ``np.dot`` into a preallocated vector.
+* Refractoriness is a ring of the spikes of the last r + 1 steps
+  (r = refractory_period): step t writes its spikes into row t % (r + 1),
+  and the neurons that spiked in the other r rows are clamped to reset.
+* Quiet runs cost no step each.  On a step without input whose next input
+  is at least ``QUIET_RUN_MIN`` steps away, with no spike left in the
+  ring, the recurrent term is zero and a step only multiplies ``v`` by
+  ``decay``; such steps run in chunks of one ``np.multiply.accumulate``
+  until a neuron would reach threshold (only a threshold <= 0 allows it)
+  or the next input, and once ``v * decay == v`` the rest of the gap is
+  skipped outright.  A long gap therefore costs the chunks that decay the
+  liquid to that fixed point, not one step per millisecond.  Skipping the
+  ``+ 0.0`` recurrent term can leave a potential of -0.0 where the loop
+  has +0.0; the values are equal.
 """
 
 from __future__ import annotations
@@ -42,8 +54,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .forest import LinearModel, LinearParams, train_linear
+from .forest import LinearModel, LinearParams, _map_forked, train_linear
 from .traces import MultiHotMatrix
+
+
+# A run of at least QUIET_RUN_MIN input-free steps with an empty refractory
+# ring decays in chunks of at most QUIET_CHUNK steps (bounding the buffer).
+QUIET_RUN_MIN = 16
+QUIET_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -193,42 +211,105 @@ def simulate_liquid(
         summed = np.zeros((first.size, n))
         np.add.at(summed, np.cumsum(new_step) - 1, injected)
         injected = summed
-    injected_at = dict(zip(row_steps[first].tolist(), injected))
 
-    decay = math.exp(-lif.simulation_step / lif.membrane_time_constant)
-    reset = lif.reset_potential
-    threshold = lif.threshold
-    refractory = lif.refractory_period
-    v = np.full(n, reset)
-    # a neuron that spikes at step t stays clamped through t + refractory
-    silent_until = np.full(n, -1, dtype=np.int64)
-    silent = np.zeros(n, dtype=bool)
-    spikes = np.zeros(n, dtype=bool)
+    # the steps with input, ascending (the last is horizon - 1), then a stop
+    steps_in = row_steps[first].tolist() + [horizon]
+    # every per-step operand is an array: a Python scalar costs each ufunc
+    # call a conversion
+    decay = np.full(n, math.exp(-lif.simulation_step / lif.membrane_time_constant))
+    reset = np.full(n, lif.reset_potential)
+    threshold = np.full(n, lif.threshold)
+    # ring of the spikes of the last r + 1 steps: step t writes row
+    # t % (r + 1), and the other r rows are the steps t - r .. t - 1, whose
+    # spikers stay silent at step t
+    period = lif.refractory_period + 1
+    recent = np.zeros((period, n), dtype=bool)
+    silent_buf = np.empty(n, dtype=bool)
+    phases = []
+    for row in range(period):
+        others = [recent[q] for q in range(period) if q != row]
+        silent = silent_buf if len(others) > 1 else (others[0] if others else None)
+        phases.append((recent[row], others, silent))
+    v = reset.copy()
     prev_spikes = np.zeros(n)
     recurrent = np.zeros(n)
     spike_counts = np.zeros((windows, n))
     potentials = np.zeros((horizon, n)) if record else None
     w_rec = topology.recurrent_weights  # [post, pre]
-    for t in range(horizon):
+    t = 0
+    i = 0
+    next_in = steps_in[0]
+    while t < horizon:
+        if next_in - t >= QUIET_RUN_MIN and not recent.any():
+            t += _decay_quietly(
+                v, decay, threshold, next_in - t,
+                potentials[t:next_in] if record else None,
+            )
         # ((v * decay) + input) + w_rec @ prev_spikes, in that order
         np.multiply(v, decay, out=v)
-        current = injected_at.get(t)
-        if current is not None:
-            np.add(v, current, out=v)
-        np.matmul(w_rec, prev_spikes, out=recurrent)
+        if t == next_in:
+            np.add(v, injected[i], out=v)
+            i += 1
+            next_in = steps_in[i]
+        np.dot(w_rec, prev_spikes, out=recurrent)
         np.add(v, recurrent, out=v)
-        np.greater_equal(silent_until, t, out=silent)
-        np.copyto(v, reset, where=silent)
+        spikes, others, silent = phases[t % period]
+        if len(others) > 1:
+            np.logical_or(others[0], others[1], out=silent)
+            for row in others[2:]:
+                np.logical_or(silent, row, out=silent)
+        if silent is not None:
+            np.copyto(v, reset, where=silent)
         # silent neurons sit at reset, below threshold, so they cannot spike
         np.greater_equal(v, threshold, out=spikes)
         np.copyto(v, reset, where=spikes)
-        np.copyto(silent_until, t + refractory, where=spikes)
         np.copyto(prev_spikes, spikes)
         window = spike_counts[t * windows // horizon]
         np.add(window, prev_spikes, out=window)
         if record:
             potentials[t] = v
+        t += 1
     return spike_counts, potentials
+
+
+def _decay_quietly(
+    v: np.ndarray,
+    decay: np.ndarray,
+    threshold: np.ndarray,
+    steps: int,
+    out: np.ndarray | None,
+) -> int:
+    """Advance ``v`` in place through up to ``steps`` steps without input
+    and without a spike in the refractory ring; returns the steps taken.
+
+    Each such step is ``v * decay`` (the recurrent term adds zero), so a
+    chunk of them is one ``np.multiply.accumulate``, which rounds step by
+    step as the loop does.  The run stops before the first step at which a
+    neuron reaches threshold (possible only for a threshold <= 0); the
+    caller simulates that step in full.  Once ``v * decay == v`` (zero, or a
+    subnormal that rounds back to itself) no further step changes ``v``, so
+    the rest are skipped.  ``out`` receives the potentials after each step.
+    """
+    run = np.empty((min(steps, QUIET_CHUNK) + 1, v.shape[0]))
+    done = 0
+    while done < steps:
+        chunk = run[: min(steps - done, QUIET_CHUNK) + 1]
+        chunk[0] = v
+        chunk[1:] = decay
+        np.multiply.accumulate(chunk, axis=0, out=chunk)
+        reached = np.flatnonzero((chunk[1:] >= threshold).any(axis=1))
+        m = int(reached[0]) if reached.size else chunk.shape[0] - 1
+        if out is not None:
+            out[done : done + m] = chunk[1 : m + 1]
+        v[:] = chunk[m]
+        done += m
+        if reached.size:
+            break
+        if np.array_equal(v * decay, v):
+            if out is not None:
+                out[done:] = v
+            return steps
+    return done
 
 
 def liquid_states(
@@ -423,6 +504,9 @@ def train_readout(
 
     Ties resolve to the earliest grid point.  Every evaluated point and its
     loss lands in ``search_log`` so a search can be audited or reproduced.
+    The grid x fold fits run in one contiguous block per usable CPU
+    (``forest._map_forked``; this process fits the first block and the
+    final refit), and the result is bitwise the same for any CPU count.
     """
     X = np.asarray(states, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -445,18 +529,21 @@ def train_readout(
     std[std == 0] = 1.0
     Xs = (X - mean) / std
     fold_idx = _stratified_folds(y, folds, seed)
+    train_idx = [np.setdiff1d(np.arange(y.shape[0]), test_idx) for test_idx in fold_idx]
+
+    def cv_loss(job: int) -> float:
+        i, f = divmod(job, folds)
+        model = _fit_readout(kind, Xs[train_idx[f]], y[train_idx[f]], grid[i], seed)
+        pred = (model.predict_scores(Xs[fold_idx[f]]) >= 0.5).astype(np.int64)
+        return float((pred != y[fold_idx[f]]).mean())
+
+    # grid-major: the losses of grid point i are losses[i * folds : (i + 1) * folds]
+    losses = _map_forked(cv_loss, len(grid) * folds)
     log: list[tuple[dict, float]] = []
     best_i = 0
     best_loss = math.inf
     for i, point in enumerate(grid):
-        losses = []
-        for f in range(folds):
-            test_idx = fold_idx[f]
-            train_idx = np.setdiff1d(np.arange(y.shape[0]), test_idx)
-            model = _fit_readout(kind, Xs[train_idx], y[train_idx], point, seed)
-            pred = (model.predict_scores(Xs[test_idx]) >= 0.5).astype(np.int64)
-            losses.append(float((pred != y[test_idx]).mean()))
-        mean_loss = float(np.mean(losses))
+        mean_loss = float(np.mean(losses[i * folds : (i + 1) * folds]))
         log.append((dict(point), mean_loss))
         if mean_loss < best_loss:
             best_loss = mean_loss

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -71,8 +73,9 @@ class SyscallVocabulary:
 
     def indices_of(self, names: Iterable[str]) -> np.ndarray:
         """``index_of`` of each name, in order, as an int64 array."""
-        get, oov = self._index.get, self.oov_index
-        return np.array([get(name, oov) for name in names], dtype=np.int64)
+        return np.fromiter(
+            map(self._index.get, names, repeat(self.oov_index)), dtype=np.int64
+        )
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -240,12 +243,12 @@ def encode_multihot(trace: SyscallTrace, vocab: SyscallVocabulary) -> MultiHotMa
             counts=np.zeros((0, vocab.width), dtype=np.int64),
             time_steps=np.zeros(0, dtype=np.int64),
         )
-    steps = np.array([step for step, _ in trace.events], dtype=np.int64)
-    cols = vocab.indices_of(call for _, call in trace.events)
+    steps = np.fromiter(map(itemgetter(0), trace.events), dtype=np.int64)
+    cols = vocab.indices_of(map(itemgetter(1), trace.events))
     uniq_steps, row_idx = np.unique(steps, return_inverse=True)
-    counts = np.zeros((uniq_steps.size, vocab.width), dtype=np.int64)
-    np.add.at(counts, (row_idx, cols), 1)
-    return MultiHotMatrix(counts=counts, time_steps=uniq_steps)
+    width = vocab.width
+    counts = np.bincount(row_idx * width + cols, minlength=uniq_steps.size * width)
+    return MultiHotMatrix(counts=counts.reshape(-1, width), time_steps=uniq_steps)
 
 
 def encode_histogram(
@@ -257,7 +260,7 @@ def encode_histogram(
     An empty trace stays all-zero in both modes.  Normalization defaults on:
     frequency features are comparable across traces of different lengths.
     """
-    idx = vocab.indices_of(call for _, call in trace.events)
+    idx = vocab.indices_of(map(itemgetter(1), trace.events))
     values = np.bincount(idx, minlength=vocab.width).astype(np.float64)
     if normalize:
         total = values.sum()

@@ -591,6 +591,22 @@ def test_linear_training_matches_loss_computing_loop():
     assert np.array_equal(model.weights, w) and model.bias == b
 
 
+def _two_branch_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+def test_sigmoid_is_bitwise_the_two_branch_form(values):
+    z = np.array(values + [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, 36.7, -36.7])
+    assert np.array_equal(_sigmoid(z).view(np.uint64), _two_branch_sigmoid(z).view(np.uint64))
+
+
 def test_linear_below_forest_on_bimodal_corpus():
     from callsift import datagen
     from callsift.evaluation import LabeledDataset, compute_metrics, split_sorted

@@ -1,8 +1,13 @@
 import math
+import os
+import pickle
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from callsift import forest
 from callsift import reservoir as rv
 from callsift.models import LsmClassifier
 from callsift.traces import MultiHotMatrix, SyscallVocabulary
@@ -152,7 +157,20 @@ def test_spike_count_capped_by_refractory_period():
     steps = np.arange(60)
     m = multihot(np.ones((60, 1)), steps)
     counts, _ = rv.simulate_liquid(topo, lif, m, windows=1)
-    assert counts.sum() <= 60 / lif.refractory_period
+    # spikes at steps 0, 3, 6, ...: one spike, then r silent steps
+    assert counts.sum() == math.ceil(60 / (lif.refractory_period + 1))
+
+
+def test_a_late_event_costs_no_step_per_quiet_millisecond():
+    topo = rv.build_liquid(rv.LiquidConfig(input_channels=3), seed=2)
+    lif = rv.LifParams()
+    counts = np.array([[2, 1, 0], [0, 2, 1]])
+    near = rv.simulate_liquid(topo, lif, multihot(counts, [0, 10**5]))[0]
+    start = time.perf_counter()
+    far = rv.simulate_liquid(topo, lif, multihot(counts, [0, 10**8]))[0]
+    assert time.perf_counter() - start < 1.0
+    # both gaps decay the liquid to the same fixed point before the last event
+    assert far.any() and np.array_equal(far, near)
 
 
 def test_window_partition_sums_match_total():
@@ -281,6 +299,31 @@ def test_rbf_svm_readout_separable(rng):
     )
     pred = (readout.predict_scores(X) >= 0.5).astype(int)
     assert (pred == y).mean() == 1.0
+
+
+@pytest.mark.parametrize("kind, grid", [
+    (rv.LINEAR, [{"l2": 1e-4}, {"l2": 1e-2, "epochs": 60}, {"l2": 1.0}]),
+    (rv.RBF_SVM, [{"sigma": s, "box": c} for s in (1.0, 4.0) for c in (0.1, 10.0)]),
+])
+def test_readout_search_is_bitwise_the_same_on_any_cpu_count(rng, kind, grid):
+    X, y = separable_states(rng, n=40, d=6, gap=0.5)
+    pickled = set()  # floats and arrays pickle as their bytes
+    for cpus in (1, 2, 3):
+        with mock.patch.object(forest, "_usable_cpus", lambda: cpus):
+            r = rv.train_readout(X, y, search=grid, folds=5, seed=7, kind=kind)
+        pickled.add(pickle.dumps((r.search_log, r.hyperparams, r.model)))
+    assert len(pickled) == 1
+
+
+def test_a_diverging_grid_point_raises_in_the_caller_and_leaves_no_child(rng, monkeypatch):
+    X, y = separable_states(rng, n=40, d=6)
+    # three blocks of 3 x 5 fits: the diverging point's fits run in a worker
+    grid = [{"l2": 1e-4}, {"l2": 1e-3}, {"learning_rate": 1e300}]
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: 3)
+    with pytest.raises(ValueError, match="linear training diverged"):
+        rv.train_readout(X, y, search=grid, folds=5)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _fitted_lsm(readout):

@@ -84,22 +84,25 @@ def liquids(draw):
         excitatory_fraction=draw(st.floats(0.0, 1.0)),
         spectral_radius=draw(st.floats(0.1, 1.5)),
     )
-    threshold = draw(st.floats(0.3, 1.5))
+    # a threshold <= 0 lets a neuron decaying from a negative reset cross it
+    # without input
+    threshold = draw(st.floats(0.3, 1.5) | st.floats(-0.3, 0.0))
+    resets = [r for r in (0.0, -0.5, -0.2, 0.25 * threshold) if r < threshold]
     lif = rv.LifParams(
         membrane_time_constant=draw(st.floats(1.0, 60.0)),
         threshold=threshold,
-        reset_potential=draw(st.sampled_from([0.0, -0.5, -0.2, 0.25 * threshold])),
-        refractory_period=draw(st.integers(0, 3)),
+        reset_potential=draw(st.sampled_from(resets)),
+        refractory_period=draw(st.integers(0, 4)),
         simulation_step=draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])),
     )
     return rv.build_liquid(config, seed=draw(st.integers(0, 2**16))), lif
 
 
 @st.composite
-def inputs(draw, width):
-    rows = draw(st.integers(0, 30))
-    gaps = draw(st.lists(st.integers(1, 6), min_size=rows, max_size=rows))
-    steps = np.cumsum(np.array(gaps, dtype=np.int64)) - 1 + draw(st.integers(0, 4))
+def inputs(draw, width, max_rows=30, gaps=st.integers(1, 6), first=st.integers(0, 4)):
+    rows = draw(st.integers(0, max_rows))
+    gaps = draw(st.lists(gaps, min_size=rows, max_size=rows))
+    steps = np.cumsum(np.array(gaps, dtype=np.int64)) - 1 + draw(first)
     counts = np.array(
         draw(st.lists(st.lists(st.integers(0, 3), min_size=width, max_size=width),
                       min_size=rows, max_size=rows)),
@@ -117,6 +120,18 @@ def test_simulation_matches_reference(data):
     m = data.draw(inputs(topology.input_channels))
     windows = data.draw(st.integers(1, 40))  # often more windows than steps
     assert_matches_reference(topology, lif, m, windows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_quiet_runs_match_reference(data):
+    # gaps of 16 steps or more without input are where the simulation
+    # decays the liquid a chunk at a time and skips what no longer changes
+    topology, lif = data.draw(liquids())
+    long_gaps = st.integers(1, 6) | st.integers(rv.QUIET_RUN_MIN, 3000)
+    m = data.draw(inputs(topology.input_channels, max_rows=6, gaps=long_gaps,
+                         first=st.integers(0, 4) | st.integers(16, 3000)))
+    assert_matches_reference(topology, lif, m, data.draw(st.integers(1, 8)))
 
 
 def test_negative_rows_are_ignored_like_the_reference():
