@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import sys
 from pathlib import Path
@@ -38,9 +39,15 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _write_json(doc, path: Path) -> None:
+def _write_text(text: str, path: str | Path) -> None:
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
+
+
+def _read_report(path) -> evaluation.EvaluationReport:
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    return persistence.decode(evaluation.EvaluationReport, doc)
 
 
 def _now(reproducible: bool) -> str | None:
@@ -67,15 +74,12 @@ def _factories(base: list[str], args, truncation: int) -> dict:
     encoding = models.EncodingOptions(
         truncation=truncation, normalize=not args.raw_counts
     )
-    out = {}
-    for kind in base:
-        def factory(seed, kind=kind):
-            kwargs = {}
-            if kind == models.LSM:
-                kwargs["folds"] = args.folds
-            return models.make_classifier(kind, seed=seed, encoding=encoding, **kwargs)
-        out[kind] = factory
-    return out
+    return {
+        kind: functools.partial(
+            models.make_classifier, kind, encoding=encoding, folds=args.folds
+        )
+        for kind in base
+    }
 
 
 def _split_train_counts(value: str | None) -> dict | None:
@@ -117,7 +121,7 @@ def _generate(config: datagen.CorpusConfig, out: Path, reproducible: bool) -> in
         "traces": len(corpus),
         "created_at": _now(reproducible),
     }
-    _write_json(meta, Path(str(out) + ".meta.json"))
+    persistence.write_json(meta, str(out) + ".meta.json")
     return len(corpus)
 
 
@@ -207,11 +211,9 @@ def cmd_eval(args) -> int:
             )
     report.length = args.length
     report.config_hash = _run_config_hash(args, "eval")
-    _write_json(report.to_json_dict(), Path(args.out))
+    persistence.write_json(persistence.encode(report), args.out)
     if args.csv:
-        Path(args.csv).write_text(
-            evaluation.rows_to_csv(report.csv_rows()), encoding="utf-8"
-        )
+        _write_text(evaluation.rows_to_csv(report.csv_rows()), args.csv)
     for name, res in report.models.items():
         m = res.metrics
         print(
@@ -234,23 +236,21 @@ def cmd_sweep(args) -> int:
     for report in reports:
         report.config_hash = _run_config_hash(args, "sweep")
         rows.extend(report.csv_rows())
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_text(evaluation.rows_to_csv(rows), encoding="utf-8")
+    _write_text(evaluation.rows_to_csv(rows), args.out)
     if args.report_json:
-        _write_json([r.to_json_dict() for r in reports], Path(args.report_json))
+        persistence.write_json(persistence.encode(reports), args.report_json)
     for row in rows:
         print(f"length={row['length']} {row['model']}: caa={row['caa']:.4f}")
     return 0
 
 
 def cmd_stats(args) -> int:
-    doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    report = evaluation.EvaluationReport.from_json_dict(doc)
+    report = _read_report(args.report)
     if len(report.models) < 2:
         return _fail("significance testing needs at least two models in the report")
     bits, names = report.correctness_matrix()
     matrix = sig.pairwise_significance(bits, names, alpha=args.alpha)
-    _write_json(matrix.to_json_dict(), Path(args.out))
+    persistence.write_json(persistence.encode(matrix), args.out)
     print(sig.render_significance_table(matrix))
     return 0
 
@@ -297,7 +297,7 @@ def cmd_explain(args) -> int:
             }
             for e in explanations
         ]
-        _write_json(doc, out_dir / "explanations.json")
+        persistence.write_json(doc, out_dir / "explanations.json")
         chart_lines = []
         for group in (explain.CORRECT_MALWARE, explain.MISCLASSIFIED_MALWARE):
             members = explain.group_explanations(explanations, pred, dataset.labels, group)
@@ -346,8 +346,7 @@ def _frequency_features(clf, vocab, top_k: int) -> list[str]:
 
 
 def cmd_report(args) -> int:
-    doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    report = evaluation.EvaluationReport.from_json_dict(doc)
+    report = _read_report(args.report)
     print(f"split: {json.dumps(report.split, sort_keys=True)}")
     print(f"seed: {report.seed}   length: {report.length}")
     header = f"{'model':<12} {'acc':>8} {'caa':>8} {'mpr':>8} {'mre':>8}   tp/fp/tn/fn"
@@ -380,54 +379,38 @@ def cmd_pipeline(args) -> int:
     }
     test_malware = datagen.scale_count(45, args.scale)
 
-    base_eval = [
-        "eval", "--corpus", str(corpus_path), "--models", model_spec,
-        "--seed", str(args.seed), "--length", str(args.length),
-        "--folds", str(args.folds),
-        "--train-counts", f"{scaled[GOODWARE]},{scaled[MALWARE]}",
+    corpus = str(corpus_path)
+    counts = ["--train-counts", f"{scaled[GOODWARE]},{scaled[MALWARE]}"]
+
+    def eval_stage(split: str, *extra: str) -> list[str]:
+        return [
+            "eval", "--corpus", corpus, "--models", model_spec, "--seed", str(args.seed),
+            "--length", str(args.length), "--folds", str(args.folds), "--split", split,
+            "--out", str(out_dir / f"report_{split}.json"),
+            "--csv", str(out_dir / f"report_{split}.csv"), *extra,
+        ]
+
+    # each stage re-enters main(), so its config_hash is the one the same
+    # command line gets when run alone
+    stages = [
+        eval_stage("sorted", *counts),
+        eval_stage("cv"),
+        eval_stage("distributed", *counts, "--test-malware", str(test_malware)),
+        ["stats", "--report", str(out_dir / "report_sorted.json"),
+         "--alpha", str(args.alpha), "--out", str(out_dir / "significance.json")],
+        ["train", "--corpus", corpus, "--model", "hist-rf", "--seed", str(args.seed),
+         "--length", str(args.length), *counts,
+         "--out", str(out_dir / "model_hist-rf.json")]
+        + (["--reproducible"] if args.reproducible else []),
+        ["explain", "--corpus", corpus,
+         "--model-archive", str(out_dir / "model_hist-rf.json"),
+         "--out-dir", str(out_dir / "explain"),
+         "--seed", str(args.seed), "--perturbations", str(args.perturbations)],
     ]
-    rc = main(base_eval + ["--split", "sorted",
-                           "--out", str(out_dir / "report_sorted.json"),
-                           "--csv", str(out_dir / "report_sorted.csv")])
-    if rc:
-        return rc
-    rc = main([
-        "eval", "--corpus", str(corpus_path), "--models", model_spec,
-        "--seed", str(args.seed), "--length", str(args.length),
-        "--folds", str(args.folds), "--split", "cv",
-        "--out", str(out_dir / "report_cv.json"),
-        "--csv", str(out_dir / "report_cv.csv"),
-    ])
-    if rc:
-        return rc
-    rc = main(base_eval + ["--split", "distributed",
-                           "--test-malware", str(test_malware),
-                           "--out", str(out_dir / "report_distributed.json"),
-                           "--csv", str(out_dir / "report_distributed.csv")])
-    if rc:
-        return rc
-    rc = main([
-        "stats", "--report", str(out_dir / "report_sorted.json"),
-        "--alpha", str(args.alpha), "--out", str(out_dir / "significance.json"),
-    ])
-    if rc:
-        return rc
-    rc = main([
-        "train", "--corpus", str(corpus_path), "--model", "hist-rf",
-        "--seed", str(args.seed), "--length", str(args.length),
-        "--train-counts", f"{scaled[GOODWARE]},{scaled[MALWARE]}",
-        "--out", str(out_dir / "model_hist-rf.json"),
-    ] + (["--reproducible"] if args.reproducible else []))
-    if rc:
-        return rc
-    rc = main([
-        "explain", "--corpus", str(corpus_path),
-        "--model-archive", str(out_dir / "model_hist-rf.json"),
-        "--out-dir", str(out_dir / "explain"),
-        "--seed", str(args.seed), "--perturbations", str(args.perturbations),
-    ])
-    if rc:
-        return rc
+    for argv in stages:
+        rc = main(argv)
+        if rc:
+            return rc
     print(f"pipeline artifacts in {out_dir}")
     return 0
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 import base64
 import csv
 import io
-import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,9 +81,6 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
-    def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
-
 
 @dataclass(frozen=True)
 class MetricSet:
@@ -91,9 +88,6 @@ class MetricSet:
     caa: float
     mpr: float
     mre: float
-
-    def to_dict(self) -> dict:
-        return {"acc": self.acc, "caa": self.caa, "mpr": self.mpr, "mre": self.mre}
 
 
 def _temporal_order(observed_at: np.ndarray) -> np.ndarray:
@@ -247,23 +241,45 @@ ModelFactory = Callable[[int], "object"]
 
 @dataclass(eq=False)
 class ModelResult:
+    """One model's test metrics and which of its ``n_test`` test samples it
+    got right: ``np.packbits`` of the correctness vector, base64-encoded."""
+
     metrics: MetricSet
     confusion: ConfusionCounts
-    correctness: np.ndarray  # bool, one entry per test sample
-    predictions: np.ndarray  # int64
+    n_test: int
+    correctness_bitmap: str
+
+    def __post_init__(self) -> None:
+        if self.confusion.total != self.n_test:
+            raise ValueError(
+                f"confusion counts total {self.confusion.total}, n_test is {self.n_test}"
+            )
+        size = len(base64.b64decode(self.correctness_bitmap, validate=True))
+        need = math.ceil(self.n_test / 8)
+        if size != need:
+            raise ValueError(
+                f"correctness bitmap has {size} bytes, n_test {self.n_test} needs {need}"
+            )
+
+    @property
+    def correctness(self) -> np.ndarray:
+        """One bool per test sample."""
+        packed = np.frombuffer(base64.b64decode(self.correctness_bitmap), dtype=np.uint8)
+        return np.unpackbits(packed, count=self.n_test).astype(bool)
 
 
 @dataclass(eq=False)
 class EvaluationReport:
-    split: dict
+    split: dict[str, object]
     seed: int
     models: dict[str, ModelResult]
     config_hash: str | None = None
     length: int | None = None
+    format_version: int = 1
 
-    def n_test(self) -> int:
-        first = next(iter(self.models.values()))
-        return int(first.correctness.shape[0])
+    def __post_init__(self) -> None:
+        if self.format_version != 1:
+            raise ValueError(f"unsupported report format_version {self.format_version!r}")
 
     def correctness_matrix(self) -> tuple[np.ndarray, list[str]]:
         names = list(self.models)
@@ -271,47 +287,6 @@ class EvaluationReport:
             np.int64
         )
         return bits, names
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "split": self.split,
-            "seed": self.seed,
-            "length": self.length,
-            "config_hash": self.config_hash,
-            "models": {
-                name: {
-                    "metrics": res.metrics.to_dict(),
-                    "confusion": res.confusion.to_dict(),
-                    "n_test": int(res.correctness.shape[0]),
-                    "correctness_bitmap": _pack_bits(res.correctness),
-                }
-                for name, res in self.models.items()
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "EvaluationReport":
-        if doc.get("format_version") != 1:
-            raise ValueError("unsupported report format_version")
-        models = {}
-        for name, entry in doc["models"].items():
-            correctness = _unpack_bits(entry["correctness_bitmap"], entry["n_test"])
-            m = entry["metrics"]
-            c = entry["confusion"]
-            models[name] = ModelResult(
-                metrics=MetricSet(m["acc"], m["caa"], m["mpr"], m["mre"]),
-                confusion=ConfusionCounts(c["tp"], c["fp"], c["tn"], c["fn"]),
-                correctness=correctness,
-                predictions=np.zeros(entry["n_test"], dtype=np.int64),
-            )
-        return cls(
-            split=doc["split"],
-            seed=doc["seed"],
-            models=models,
-            config_hash=doc.get("config_hash"),
-            length=doc.get("length"),
-        )
 
     def csv_rows(self) -> list[dict]:
         rows = []
@@ -350,17 +325,6 @@ def rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _pack_bits(correct: np.ndarray) -> str:
-    return base64.b64encode(np.packbits(correct.astype(np.uint8)).tobytes()).decode(
-        "ascii"
-    )
-
-
-def _unpack_bits(b64: str, n: int) -> np.ndarray:
-    packed = np.frombuffer(base64.b64decode(b64), dtype=np.uint8)
-    return np.unpackbits(packed)[:n].astype(bool)
-
-
 def model_results(
     predictions: dict[str, np.ndarray],
     labels: np.ndarray,
@@ -376,9 +340,8 @@ def model_results(
     results = {}
     for name, pred in predictions.items():
         metrics, confusion = compute_metrics(pred, labels)
-        results[name] = ModelResult(
-            metrics=metrics, confusion=confusion, correctness=pred == labels, predictions=pred
-        )
+        bitmap = base64.b64encode(np.packbits(pred == labels).tobytes()).decode("ascii")
+        results[name] = ModelResult(metrics, confusion, len(pred), bitmap)
     return results
 
 

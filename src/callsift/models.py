@@ -197,14 +197,19 @@ def make_classifier(
     kind: str,
     seed: int = 0,
     encoding: EncodingOptions | None = None,
+    folds: int = 10,
     **kwargs,
 ):
+    """A classifier of registry ``kind``.  ``folds`` is the LSM readout's
+    cross-validation fold count (an ensemble passes it to its ``lsm``
+    member; the histogram kinds have no use for it)."""
     if kind in (TREE, HIST_RF, LINEAR):
         return HistogramClassifier(kind, seed=seed, encoding=encoding, **kwargs)
     if kind == LSM:
-        return LsmClassifier(seed=seed, encoding=encoding, **kwargs)
+        return LsmClassifier(seed=seed, encoding=encoding, folds=folds, **kwargs)
     if kind == ENSEMBLE:
-        return VotingEnsembleClassifier(
-            {m: make_classifier(m, seed=seed, encoding=encoding) for m in BASE_KINDS}
-        )
+        return VotingEnsembleClassifier({
+            m: make_classifier(m, seed=seed, encoding=encoding, folds=folds)
+            for m in BASE_KINDS
+        })
     raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")

@@ -1,22 +1,29 @@
-"""Versioned JSON model archives.
+"""The one JSON codec of every callsift artifact, and versioned model archives.
 
-An archive is self-describing: format version, model kind (the CLI
-registry name: ``tree``, ``hist-rf``, ``linear``, ``lsm`` or ``ensemble``),
-the model payload, the vocabulary snapshot, the encoding options, and
-training provenance.  The payload of a single model is its model dataclass
-(``DecisionTree``, ``RandomForest``, ``LinearModel`` or ``LsmModel``) as a
-dict of its fields, nested dataclasses likewise and numpy arrays as nested
-lists; an ensemble's payload maps each member name to that member's own
-``{"kind", "payload"}``.  Loading rebuilds every value from the dataclass
-field annotations.  The same codec serves corpus configs
-(``datagen.CorpusConfig``): ``callsift gen --config`` decodes its file with
-it and hashes the config's ``encode`` form into the corpus's
-``.meta.json``.  Decoding is strict: a payload must hold every field of its
+``encode`` turns a dataclass into a dict of its fields (nested dataclasses
+likewise, numpy arrays as nested lists); ``decode`` rebuilds it from the
+field annotations, and ``write_json`` writes any artifact as key-sorted,
+indented JSON.  Decoding is strict: a payload must hold every field of its
 dataclass and no other, and a value of the wrong container type, or an
 array that is not a regular nesting of numbers, is an ``ArchiveError``.
+The codec serves:
 
-A SHA-256 checksum over the canonical payload JSON guards against
-corruption, and loading an archive reproduces the saved model's
+* model archives: format version, model kind (the CLI registry name:
+  ``tree``, ``hist-rf``, ``linear``, ``lsm`` or ``ensemble``), the model
+  payload, the vocabulary snapshot, the encoding options, and training
+  provenance.  The payload of a single model is its model dataclass
+  (``DecisionTree``, ``RandomForest``, ``LinearModel`` or ``LsmModel``); an
+  ensemble's payload maps each member name to that member's own
+  ``{"kind", "payload"}``;
+* corpus configs (``datagen.CorpusConfig``): ``callsift gen --config``
+  decodes its file and hashes the config's ``encode`` form into the
+  corpus's ``.meta.json``;
+* evaluation reports (``evaluation.EvaluationReport``), which ``eval`` and
+  ``sweep`` write and ``stats`` and ``report`` decode, and significance
+  matrices (``significance.SignificanceMatrix``), which ``stats`` writes.
+
+A SHA-256 checksum over the canonical payload JSON guards an archive
+against corruption, and loading an archive reproduces the saved model's
 predictions bit-exactly (floats survive the JSON round-trip unchanged: the
 serializer emits shortest round-tripping representations).
 """
@@ -59,11 +66,18 @@ def config_hash(doc) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
+def write_json(doc, path: str | Path) -> None:
+    """Write ``doc`` as indented, key-sorted JSON, creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 # --- payload codec -----------------------------------------------------------------
 
 
 def encode(value):
-    """JSON-ready form of a model value: a dataclass becomes a dict of its
+    """JSON-ready form of an artifact value: a dataclass becomes a dict of its
     fields, an array nested lists, a tuple a list, a numpy scalar a number."""
     if dataclasses.is_dataclass(value):
         return {f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
@@ -219,7 +233,7 @@ def save_model(
             "created_at": created_at,
         },
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(doc, path)
     return doc
 
 

@@ -168,45 +168,30 @@ class PairResult:
     method: str  # "exact-binomial" or "chi-square"
 
 
+@dataclass(frozen=True)
+class Omnibus:
+    """Cochran's Q over all models (McNemar's test when there are two)."""
+
+    q: float
+    p: float
+    rejected: bool
+
+
 @dataclass(eq=False)
 class SignificanceMatrix:
     models: list[str]
     alpha: float
     corrected_alpha: float
     m_pairs: int
-    omnibus_q: float
-    omnibus_p: float
-    omnibus_rejected: bool
-    pairs: dict[tuple[str, str], PairResult]
+    omnibus: Omnibus
+    pairs: list[PairResult]  # model i before model j, for i < j in ``models``
+    format_version: int = 1
 
     def pair(self, a: str, b: str) -> PairResult:
-        key = (a, b) if (a, b) in self.pairs else (b, a)
-        return self.pairs[key]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "models": self.models,
-            "alpha": self.alpha,
-            "corrected_alpha": self.corrected_alpha,
-            "m_pairs": self.m_pairs,
-            "omnibus": {
-                "q": self.omnibus_q,
-                "p": self.omnibus_p,
-                "rejected": self.omnibus_rejected,
-            },
-            "pairs": [
-                {
-                    "a": r.a,
-                    "b": r.b,
-                    "statistic": r.statistic,
-                    "p": r.p,
-                    "significant": r.significant,
-                    "method": r.method,
-                }
-                for r in self.pairs.values()
-            ],
-        }
+        for r in self.pairs:
+            if (r.a, r.b) in ((a, b), (b, a)):
+                return r
+        raise KeyError((a, b))
 
 
 def pairwise_significance(bits, model_names: list[str], alpha: float = 0.05) -> SignificanceMatrix:
@@ -230,7 +215,7 @@ def pairwise_significance(bits, model_names: list[str], alpha: float = 0.05) -> 
         # with two models the pairwise test is the omnibus test
         q, q_p = mcnemar(m[:, 0], m[:, 1])
         rejected = q_p < alpha
-    pairs: dict[tuple[str, str], PairResult] = {}
+    pairs = []
     for i in range(k):
         for j in range(i + 1, k):
             name_a, name_b = model_names[i], model_names[j]
@@ -241,18 +226,16 @@ def pairwise_significance(bits, model_names: list[str], alpha: float = 0.05) -> 
                 else "chi-square"
             )
             significant = rejected and p < corrected
-            pairs[(name_a, name_b)] = PairResult(
+            pairs.append(PairResult(
                 a=name_a, b=name_b, statistic=stat, p=p,
                 significant=significant, method=method,
-            )
+            ))
     return SignificanceMatrix(
         models=list(model_names),
         alpha=alpha,
         corrected_alpha=corrected,
         m_pairs=n_pairs,
-        omnibus_q=q,
-        omnibus_p=q_p,
-        omnibus_rejected=rejected,
+        omnibus=Omnibus(q=q, p=q_p, rejected=rejected),
         pairs=pairs,
     )
 
@@ -278,9 +261,10 @@ def render_significance_table(matrix: SignificanceMatrix) -> str:
                 )
         lines.append(a.ljust(width) + "".join(cells))
     lines.append("")
+    omnibus = matrix.omnibus
     lines.append(
         f"alpha={matrix.alpha}  corrected_alpha={matrix.corrected_alpha:.6f}  "
-        f"pairs={matrix.m_pairs}  omnibus Q={matrix.omnibus_q:.4f} "
-        f"p={matrix.omnibus_p:.4f} rejected={'yes' if matrix.omnibus_rejected else 'no'}"
+        f"pairs={matrix.m_pairs}  omnibus Q={omnibus.q:.4f} "
+        f"p={omnibus.p:.4f} rejected={'yes' if omnibus.rejected else 'no'}"
     )
     return "\n".join(lines)

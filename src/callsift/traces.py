@@ -80,14 +80,6 @@ class SyscallVocabulary:
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text("".join(f"{n}\n" for n in self.names), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SyscallVocabulary":
-        lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
-        return cls(tuple(lines))
-
 
 @dataclass(frozen=True)
 class SyscallTrace:

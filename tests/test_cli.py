@@ -154,7 +154,7 @@ def test_eval_cv_and_distributed(workspace):
     ])
     assert rc == 0
     doc = json.loads((workspace / "dist.json").read_text())
-    report = EvaluationReport.from_json_dict(doc)
+    report = persistence.decode(EvaluationReport, doc)
     c = report.models["tree"].confusion
     assert c.tp + c.fn == 2  # malware down-selected to the target
 
@@ -410,3 +410,108 @@ def test_unknown_model_kind_message(workspace, capsys):
     ])
     assert rc == 1
     assert "quantum" in capsys.readouterr().err
+
+
+def _break_report(doc, how):
+    tree = doc["models"]["tree"]
+    if how == "list":
+        return [doc]
+    if how == "string-n-test":
+        tree["n_test"] = str(tree["n_test"])
+    elif how == "n-test-past-bitmap":
+        tree["confusion"]["tn"] += 500 - tree["n_test"]
+        tree["n_test"] = 500
+    elif how == "n-test-past-confusion":
+        tree["n_test"] += 1
+    elif how == "unknown-key":
+        doc["notes"] = "hand edited"
+    elif how == "format-version-2":
+        doc["format_version"] = 2
+    return doc
+
+
+@pytest.mark.parametrize("command", ["stats", "report"])
+@pytest.mark.parametrize("how, message", [
+    ("list", "EvaluationReport payload has fields list"),
+    ("string-n-test", "ModelResult.n_test: int payload is a str"),
+    ("n-test-past-bitmap", "n_test 500 needs 63"),
+    ("n-test-past-confusion", "confusion counts total"),
+    ("unknown-key", "'notes'"),
+    ("format-version-2", "unsupported report format_version 2"),
+])
+def test_malformed_report_exits_one(sorted_report, tmp_path, capsys, command, how, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_break_report(json.loads(sorted_report.read_text()), how)))
+    argv = [command, "--report", str(bad)]
+    if command == "stats":
+        argv += ["--out", str(tmp_path / "sig.json")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "sig.json").exists()
+
+
+def test_every_output_path_gets_its_parent(workspace, tmp_path):
+    corpus = str(workspace / "corpus.jsonl")
+    assert cli.main([
+        "eval", "--corpus", corpus, "--split", "sorted", "--models", "tree",
+        "--length", "60", "--out", str(tmp_path / "a" / "r.json"),
+        "--csv", str(tmp_path / "b" / "c" / "r.csv"),
+    ]) == 0
+    assert (tmp_path / "b" / "c" / "r.csv").read_text().startswith("model,")
+    assert cli.main([
+        "train", "--corpus", corpus, "--model", "tree", "--length", "60",
+        "--out", str(tmp_path / "d" / "e" / "tree.json"),
+    ]) == 0
+    assert persistence.load_model(tmp_path / "d" / "e" / "tree.json").kind == "tree"
+
+
+def test_ensemble_lsm_member_honours_folds(tmp_path):
+    # weakly separated, so the readout's cross-validation losses depend on the folds
+    config = datagen.make_config(
+        seed=5, goodware_count=40, malware_count=40,
+        profiles=datagen.default_profiles(separation=0.3, length_min=40, length_max=80),
+        drift=datagen.DriftSchedule(0.2),
+    )
+    write_corpus(datagen.generate_corpus(config), tmp_path / "corpus.jsonl")
+    payloads = {}
+    for model, folds in (("ensemble", "3"), ("lsm", "3"), ("lsm", "10")):
+        out = tmp_path / f"{model}-{folds}.json"
+        assert cli.main([
+            "train", "--corpus", str(tmp_path / "corpus.jsonl"), "--model", model,
+            "--length", "60", "--folds", folds, "--reproducible", "--out", str(out),
+        ]) == 0
+        payloads[model, folds] = json.loads(out.read_text())["payload"]
+    member = payloads["ensemble", "3"]["members"]["lsm"]["payload"]
+    assert member == payloads["lsm", "3"]
+    assert member["readout"]["search_log"] != payloads["lsm", "10"]["readout"]["search_log"]
+
+
+def test_pipeline_stage_hashes_equal_the_commands_run_alone(tmp_path):
+    out = tmp_path / "pipeline"
+    assert cli.main([
+        "pipeline", "--out-dir", str(out), "--scale", "0.01", "--folds", "3",
+        "--perturbations", "4", "--no-with-lsm", "--reproducible", "--seed", "13",
+    ]) == 0
+    corpus = str(out / "corpus.jsonl")
+    counts = "{},{}".format(*(
+        datagen.scale_count(datagen.SORTED_SHAPE["train"][c], 0.01)
+        for c in (GOODWARE, MALWARE)
+    ))
+    common = ["--corpus", corpus, "--seed", "13", "--out", str(tmp_path / "x.json")]
+    evals = ["eval", "--models", "tree,hist-rf,linear,ensemble", "--folds", "3", *common]
+    alone = {
+        "report_sorted.json": evals + ["--split", "sorted", "--train-counts", counts],
+        "report_cv.json": evals + ["--split", "cv"],
+        "report_distributed.json": evals + [
+            "--split", "distributed", "--train-counts", counts,
+            "--test-malware", str(datagen.scale_count(45, 0.01)),
+        ],
+        "model_hist-rf.json": ["train", "--model", "hist-rf", "--train-counts", counts,
+                               *common],
+    }
+    parser = cli.build_parser()
+    for artifact, argv in alone.items():
+        doc = json.loads((out / artifact).read_text())
+        got = doc["provenance"]["config_hash"] if "provenance" in doc else doc["config_hash"]
+        assert got == cli._run_config_hash(parser.parse_args(argv), argv[0]), artifact

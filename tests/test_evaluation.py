@@ -1,15 +1,23 @@
+import base64
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from callsift import datagen
+from callsift import datagen, persistence
 from callsift.evaluation import (
     CSV_FIELDS,
+    ConfusionCounts,
     EvaluationReport,
     LabeledDataset,
+    ModelResult,
     compute_metrics,
     evaluate_cv,
     evaluate_split,
     majority_vote,
+    model_results,
     rows_to_csv,
     split_distributed,
     split_kfold,
@@ -278,8 +286,8 @@ def test_evaluate_split_report_round_trip(tmp_path):
     )
     assert set(report.models) == {"stub", "stub2", "ensemble"}
     assert report.models["stub"].metrics.acc == 1.0
-    doc = report.to_json_dict()
-    back = EvaluationReport.from_json_dict(doc)
+    doc = persistence.encode(report)
+    back = persistence.decode(EvaluationReport, doc)
     assert np.array_equal(
         back.models["stub"].correctness, report.models["stub"].correctness
     )
@@ -305,7 +313,7 @@ def test_ensemble_of_identical_models_equals_model():
         train, test, {"a": StubModel, "b": StubModel, "c": StubModel}, seed=0,
     )
     assert np.array_equal(
-        report.models["ensemble"].predictions, report.models["a"].predictions
+        report.models["ensemble"].correctness, report.models["a"].correctness
     )
 
 
@@ -318,7 +326,7 @@ def test_sweep_single_length_equals_plain_eval():
     train, test = split_sorted(ds, train_fraction=0.8)
     plain = evaluate_split(train, test, {"stub": StubModel}, seed=2, ensemble_name=None)
     assert np.array_equal(
-        reports[0].models["stub"].predictions, plain.models["stub"].predictions
+        reports[0].models["stub"].correctness, plain.models["stub"].correctness
     )
 
 
@@ -335,3 +343,110 @@ def test_sweep_validates_lengths():
 def test_labeled_dataset_rejects_unlabeled():
     with pytest.raises(ValueError, match="unlabeled"):
         LabeledDataset.from_traces([make_trace([(0, "A")], label=None)])
+
+
+# --- report codec ------------------------------------------------------------------
+
+# the bytes the report serializer wrote before reports went through the
+# archive codec; n_test = 11 leaves five pad bits in the last bitmap byte
+GOLDEN_REPORT = """\
+{
+  "config_hash": "0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f",
+  "format_version": 1,
+  "length": 250,
+  "models": {
+    "hist-rf": {
+      "confusion": {
+        "fn": 1,
+        "fp": 1,
+        "tn": 4,
+        "tp": 5
+      },
+      "correctness_bitmap": "6+A=",
+      "metrics": {
+        "acc": 0.8181818181818182,
+        "caa": 0.8166666666666667,
+        "mpr": 0.8333333333333334,
+        "mre": 0.8333333333333334
+      },
+      "n_test": 11
+    },
+    "linear": {
+      "confusion": {
+        "fn": 2,
+        "fp": 1,
+        "tn": 4,
+        "tp": 4
+      },
+      "correctness_bitmap": "d2A=",
+      "metrics": {
+        "acc": 0.7272727272727273,
+        "caa": 0.7333333333333334,
+        "mpr": 0.8,
+        "mre": 0.6666666666666666
+      },
+      "n_test": 11
+    }
+  },
+  "seed": 7,
+  "split": {
+    "kind": "distributed",
+    "test_malware": 6,
+    "train_fraction": 0.8
+  }
+}
+"""
+
+
+def test_report_json_is_byte_identical_to_the_golden_file(tmp_path):
+    labels = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1])
+    preds = {
+        "hist-rf": np.array([1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1]),
+        "linear": np.array([0, 0, 1, 1, 1, 0, 1, 0, 0, 0, 1]),
+    }
+    report = EvaluationReport(
+        split={"kind": "distributed", "test_malware": 6, "train_fraction": 0.8},
+        seed=7, models=model_results(preds, labels),
+        config_hash="0f" * 32, length=250,
+    )
+    path = tmp_path / "report.json"
+    persistence.write_json(persistence.encode(report), path)
+    assert path.read_text(encoding="utf-8") == GOLDEN_REPORT
+    back = persistence.decode(EvaluationReport, json.loads(GOLDEN_REPORT))
+    assert np.array_equal(back.models["linear"].correctness, preds["linear"] == labels)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 300).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 1), min_size=n, max_size=n),
+    st.lists(st.integers(0, 1), min_size=n, max_size=n),
+)))
+def test_report_codec_round_trip(vectors):
+    labels, pred = (np.array(v, dtype=np.int64) for v in vectors)
+    report = EvaluationReport(
+        split={"kind": "sorted", "train_fraction": 0.5}, seed=3,
+        models=model_results({"m": pred}, labels), length=len(labels),
+    )
+    doc = json.loads(json.dumps(persistence.encode(report)))
+    back = persistence.decode(EvaluationReport, doc)
+    got, want = back.models["m"], report.models["m"]
+    assert got.metrics == want.metrics
+    assert got.confusion == want.confusion
+    assert np.array_equal(got.correctness, pred == labels)
+    assert back.csv_rows() == report.csv_rows()
+
+
+def _result(n_test, confusion, nbytes):
+    metrics, _ = compute_metrics(np.zeros(2, dtype=np.int64), np.array([0, 1]))
+    bitmap = base64.b64encode(bytes(nbytes)).decode("ascii")
+    return ModelResult(metrics, ConfusionCounts(*confusion), n_test, bitmap)
+
+
+def test_model_result_checks_bitmap_size_and_confusion_total():
+    assert _result(9, (2, 2, 3, 2), 2).correctness.shape == (9,)
+    with pytest.raises(ValueError, match="bitmap has 7 bytes, n_test 500 needs 63"):
+        _result(500, (100, 100, 200, 100), 7)
+    with pytest.raises(ValueError, match="bitmap has 1 bytes"):
+        _result(9, (2, 2, 3, 2), 1)
+    with pytest.raises(ValueError, match="confusion counts total 9, n_test is 10"):
+        _result(10, (2, 2, 3, 2), 2)

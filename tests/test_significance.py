@@ -1,10 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from callsift import persistence
 from callsift.significance import (
+    PairResult,
+    SignificanceMatrix,
     chi_square_sf,
     cochran_q,
     mcnemar,
@@ -190,7 +194,7 @@ def test_pairwise_identical_pair_not_significant(rng):
     matrix = pairwise_significance(bits, ["a", "a2", "b"], alpha=0.05)
     assert not matrix.pair("a", "a2").significant
     assert matrix.pair("a", "b").significant
-    assert matrix.omnibus_rejected
+    assert matrix.omnibus.rejected
 
 
 def test_pairwise_omnibus_gate_blocks_everything(rng):
@@ -202,8 +206,8 @@ def test_pairwise_omnibus_gate_blocks_everything(rng):
     c[1] ^= 1
     bits = np.column_stack([base, b, c])
     matrix = pairwise_significance(bits, ["m1", "m2", "m3"], alpha=0.05)
-    assert not matrix.omnibus_rejected
-    assert all(not r.significant for r in matrix.pairs.values())
+    assert not matrix.omnibus.rejected
+    assert all(not r.significant for r in matrix.pairs)
 
 
 def test_pairwise_symmetric_lookup_and_structure(rng):
@@ -215,9 +219,9 @@ def test_pairwise_symmetric_lookup_and_structure(rng):
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             assert matrix.pair(a, b) is matrix.pair(b, a)
-    doc = matrix.to_json_dict()
+    doc = persistence.encode(matrix)
     assert len(doc["pairs"]) == 6
-    assert doc["omnibus"]["q"] == matrix.omnibus_q
+    assert doc["omnibus"]["q"] == matrix.omnibus.q
 
 
 def test_pairwise_two_models_uses_mcnemar_as_omnibus(rng):
@@ -241,3 +245,71 @@ def test_render_table_layout(rng):
             cell in {"YES", "NO", "-"} for cell in row.split()[1:]
         )
     assert "corrected_alpha" in text
+
+
+# the bytes the significance serializer wrote before matrices went through
+# the archive codec
+GOLDEN_MATRIX = """\
+{
+  "alpha": 0.15,
+  "corrected_alpha": 0.05273176281409042,
+  "format_version": 1,
+  "m_pairs": 3,
+  "models": [
+    "tree",
+    "hist-rf",
+    "linear"
+  ],
+  "omnibus": {
+    "p": 0.020241911445804388,
+    "q": 7.8,
+    "rejected": true
+  },
+  "pairs": [
+    {
+      "a": "tree",
+      "b": "hist-rf",
+      "method": "exact-binomial",
+      "p": 0.625,
+      "significant": false,
+      "statistic": 1.0
+    },
+    {
+      "a": "tree",
+      "b": "linear",
+      "method": "exact-binomial",
+      "p": 0.0390625,
+      "significant": true,
+      "statistic": 1.0
+    },
+    {
+      "a": "hist-rf",
+      "b": "linear",
+      "method": "exact-binomial",
+      "p": 0.125,
+      "significant": false,
+      "statistic": 1.0
+    }
+  ]
+}
+"""
+
+
+def test_matrix_json_is_byte_identical_to_the_golden_file(tmp_path):
+    bits = np.array([[1, 1, 0], [1, 0, 0], [1, 1, 1], [0, 1, 0], [1, 1, 0], [1, 0, 0],
+                     [1, 1, 0], [1, 1, 1], [1, 0, 0], [1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    matrix = pairwise_significance(bits, ["tree", "hist-rf", "linear"], alpha=0.15)
+    path = tmp_path / "significance.json"
+    persistence.write_json(persistence.encode(matrix), path)
+    assert path.read_text(encoding="utf-8") == GOLDEN_MATRIX
+    back = persistence.decode(SignificanceMatrix, json.loads(GOLDEN_MATRIX))
+    assert back.omnibus == matrix.omnibus
+    assert back.pairs == matrix.pairs
+    assert back.pair("linear", "tree") == PairResult(
+        "tree", "linear", 1.0, 0.0390625, True, "exact-binomial")
+
+
+def test_pair_lookup_of_an_unknown_model_raises_key_error(rng):
+    matrix = pairwise_significance(rng.integers(0, 2, size=(30, 3)), ["a", "b", "c"])
+    with pytest.raises(KeyError):
+        matrix.pair("a", "z")

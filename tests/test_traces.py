@@ -55,14 +55,6 @@ def test_vocabulary_rejects_unsorted():
         SyscallVocabulary(("A", "A"))
 
 
-def test_vocabulary_file_round_trip(tmp_path):
-    vocab = SyscallVocabulary(("NtClose", "NtOpenKey", "NtReadFile"))
-    path = tmp_path / "vocab.txt"
-    vocab.save(path)
-    assert path.read_text().splitlines() == list(vocab.names)
-    assert SyscallVocabulary.load(path).names == vocab.names
-
-
 def test_parse_trace_basic():
     record = {
         "id": "a",
