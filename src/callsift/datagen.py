@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluation import LabeledDataset, compute_metrics, split_sorted
-from .traces import GOODWARE, LABEL_TO_INT, LABELS, MALWARE, SyscallTrace
+from .traces import GOODWARE, LABEL_TO_INT, LABELS, MALWARE, SyscallTrace, TraceEvents
 
 FREQUENCY_SHIFT = "frequency-shift"
 MOTIF_SWAP = "motif-swap"
@@ -218,8 +218,10 @@ def _motif_events(
     motifs: tuple[Motif, ...],
     base_steps: np.ndarray,
     rng: np.random.Generator,
-) -> list[tuple[int, str]]:
-    extra: list[tuple[int, str]] = []
+) -> tuple[list[int], list[str]]:
+    """Steps and calls of the motif events, in the order they are drawn."""
+    steps: list[int] = []
+    calls: list[str] = []
     n = base_steps.shape[0]
     for motif in motifs:
         limit = n if motif.window is None else min(motif.window, n)
@@ -227,14 +229,10 @@ def _motif_events(
             if rng.random() >= motif.probability:
                 continue
             start = int(base_steps[anchor])
-            if motif.style == "burst":
-                extra.extend((start, call) for call in motif.calls)
-            else:
-                extra.extend(
-                    (start + j * motif.spread_gap, call)
-                    for j, call in enumerate(motif.calls)
-                )
-    return extra
+            gap = 0 if motif.style == "burst" else motif.spread_gap
+            steps.extend(start + j * gap for j in range(len(motif.calls)))
+            calls.extend(motif.calls)
+    return steps, calls
 
 
 def _generate_trace(
@@ -279,14 +277,17 @@ def _generate_trace(
             if filled >= length:
                 break
     calls = rng.choice(len(names), size=length, p=freqs)
-    events = [(int(s), names[c]) for s, c in zip(steps_per_event, calls)]
-    events.extend(_motif_events(motifs, steps_per_event, rng))
-    events.sort(key=lambda e: e[0])
+    motif_steps, motif_calls = _motif_events(motifs, steps_per_event, rng)
+    steps = np.concatenate([steps_per_event, np.array(motif_steps, dtype=np.int64)])
+    call_names = list(map(names.__getitem__, calls.tolist())) + motif_calls
+    # stable: the base events, then the motif events as drawn, keep their
+    # order within a step
+    order = np.argsort(steps, kind="stable")
     return SyscallTrace(
         id=f"t{ordinal:06d}",
         label=label,
         observed_at=observed_at,
-        events=tuple(events),
+        events=TraceEvents(steps[order], tuple(map(call_names.__getitem__, order.tolist()))),
     )
 
 
@@ -531,7 +532,7 @@ class ProfileLikelihoodOracle:
 
     def _counts(self, trace: SyscallTrace) -> np.ndarray:
         counts = np.zeros(len(self.names))
-        for _, call in trace.events:
+        for call in trace.events.names:
             i = self._index.get(call)
             if i is not None:
                 counts[i] += 1.0

@@ -188,24 +188,32 @@ def split_distributed(
 def compute_metrics(
     predictions: np.ndarray, labels: np.ndarray
 ) -> tuple[MetricSet, ConfusionCounts]:
-    """Acc, CAA, malware precision, malware recall from 0/1 vectors.
+    """Acc, CAA, malware precision, malware recall from 0/1 vectors, and
+    the confusion counts they are computed from (``confusion_metrics``)."""
+    pred = np.asarray(predictions, dtype=np.int64)
+    lab = np.asarray(labels, dtype=np.int64)
+    if pred.shape != lab.shape or pred.ndim != 1:
+        raise ValueError("predictions and labels must be equal-length vectors")
+    tp = int(((pred == 1) & (lab == 1)).sum())
+    fp = int(((pred == 1) & (lab == 0)).sum())
+    tn = int(((pred == 0) & (lab == 0)).sum())
+    fn = int(((pred == 0) & (lab == 1)).sum())
+    confusion = ConfusionCounts(tp, fp, tn, fn)
+    return confusion_metrics(confusion), confusion
+
+
+def confusion_metrics(confusion: ConfusionCounts) -> MetricSet:
+    """Acc, CAA, malware precision, malware recall of confusion counts.
 
     Zero-denominator conventions (documented because the paper-style skew
     experiments hit them): MPr with no predicted positives is 1.0 when the
     test set also has no malware, else 0.0; MRe with no malware present is
     1.0 (vacuously); CAA averages only over classes present in the test set.
     """
-    pred = np.asarray(predictions, dtype=np.int64)
-    lab = np.asarray(labels, dtype=np.int64)
-    if pred.shape != lab.shape or pred.ndim != 1:
-        raise ValueError("predictions and labels must be equal-length vectors")
-    if pred.size == 0:
+    tp, fp, tn, fn = confusion.tp, confusion.fp, confusion.tn, confusion.fn
+    total = confusion.total
+    if total == 0:
         raise ValueError("cannot compute metrics on an empty set")
-    tp = int(((pred == 1) & (lab == 1)).sum())
-    fp = int(((pred == 1) & (lab == 0)).sum())
-    tn = int(((pred == 0) & (lab == 0)).sum())
-    fn = int(((pred == 0) & (lab == 1)).sum())
-    total = tp + fp + tn + fn
     acc = (tp + tn) / total
     per_class = []
     if tp + fn > 0:
@@ -218,7 +226,7 @@ def compute_metrics(
     else:
         mpr = 1.0 if tp + fn == 0 else 0.0
     mre = tp / (tp + fn) if tp + fn > 0 else 1.0
-    return MetricSet(acc=acc, caa=caa, mpr=mpr, mre=mre), ConfusionCounts(tp, fp, tn, fn)
+    return MetricSet(acc=acc, caa=caa, mpr=mpr, mre=mre)
 
 
 def majority_vote(per_model_predictions: Sequence[np.ndarray]) -> np.ndarray:
@@ -280,6 +288,16 @@ class EvaluationReport:
     def __post_init__(self) -> None:
         if self.format_version != 1:
             raise ValueError(f"unsupported report format_version {self.format_version!r}")
+        n_test = {name: res.n_test for name, res in self.models.items()}
+        if len(set(n_test.values())) > 1:
+            sizes = ", ".join(f"{name} {n}" for name, n in n_test.items())
+            raise ValueError(f"models were tested on different numbers of samples: {sizes}")
+        for name, res in self.models.items():
+            if res.metrics != confusion_metrics(res.confusion):
+                raise ValueError(
+                    f"model {name}: metrics {res.metrics} disagree with its confusion "
+                    f"counts {res.confusion}"
+                )
 
     def correctness_matrix(self) -> tuple[np.ndarray, list[str]]:
         names = list(self.models)

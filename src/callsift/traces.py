@@ -3,7 +3,16 @@ encodings consumed by the learners.
 
 A trace is an ordered sequence of (time_step, call_name) events collected
 while an executable runs; the time step granularity is one millisecond, so
-several calls can share a step.  Two encodings are provided:
+several calls can share a step.  A trace holds its events as two columns
+(``TraceEvents``): a read-only int64 array of steps and a tuple of call
+names.  ``read_corpus`` keeps one ``str`` per distinct call name and shares
+it between every event and trace of the corpus it reads, through a table
+that lives for that one call, so a parsed event costs about 16 bytes (8 for
+its step, 8 for its reference to the shared name) rather than a tuple, an
+int and a string of its own.  ``TraceEvents`` still reads as the tuple of
+``(step, name)`` pairs it holds.
+
+Two encodings are provided:
 
 * multi-hot (``encode_multihot``): a ``MultiHotMatrix`` with one count
   vector per occupied time step (order preserved),
@@ -19,11 +28,12 @@ call names may have appeared.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import itemgetter
+from operator import index, itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -40,8 +50,9 @@ class TraceParseError(ValueError):
     """Raised when an external trace record is malformed."""
 
 
-# encodings store time steps as int64
-_MAX_STEP = np.iinfo(np.int64).max
+# traces and encodings store time steps as int64
+_MIN_STEP = int(np.iinfo(np.int64).min)
+_MAX_STEP = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -81,30 +92,92 @@ class SyscallVocabulary:
         return name in self._index
 
 
+class TraceEvents(Sequence):
+    """A trace's events as two columns: ``steps``, a read-only int64 array,
+    and ``names``, a tuple of call names, one per step.
+
+    It reads as the tuple of ``(step, name)`` pairs it holds: ``len``,
+    truthiness, indexing, iteration, ``==`` and ``hash`` all match that
+    tuple's, a slice is a ``TraceEvents`` of the sliced columns, and every
+    step it yields is a Python ``int``.  The constructor takes ownership of
+    ``steps`` and makes it read-only.
+    """
+
+    __slots__ = ("_steps", "_names")
+
+    def __init__(self, steps: np.ndarray, names: tuple[str, ...]):
+        steps = np.asarray(steps, dtype=np.int64)
+        if steps.ndim != 1 or steps.shape[0] != len(names):
+            raise ValueError("events need one step and one name per event")
+        steps.flags.writeable = False
+        self._steps = steps
+        self._names = names
+
+    @property
+    def steps(self) -> np.ndarray:
+        return self._steps
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return self._names
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TraceEvents(self._steps[i], self._names[i])
+        name = self._names[i]  # the tuple's own IndexError and TypeError
+        return int(self._steps[index(i)]), name
+
+    def __iter__(self):
+        return zip(self._steps.tolist(), self._names)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, TraceEvents):
+            return self._names == other._names and np.array_equal(self._steps, other._steps)
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"TraceEvents({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class SyscallTrace:
     """One executable's call sequence with label and corpus timestamp.
 
     ``observed_at`` orders traces within a corpus (arbitrary integer units);
     ``events`` are (time_step_ms, call_name) pairs ordered by non-decreasing
-    time step.  ``label`` is None for unlabeled scoring input.
+    time step, given as ``TraceEvents`` or as any iterable of pairs.
+    ``label`` is None for unlabeled scoring input.
     """
 
     id: str
     label: str | None
     observed_at: int
-    events: tuple[tuple[int, str], ...]
+    events: TraceEvents
 
     def __post_init__(self) -> None:
         if self.label is not None and self.label not in LABELS:
             raise ValueError(f"unknown label {self.label!r}")
-        prev = -1
-        for step, _ in self.events:
-            if step < 0:
-                raise ValueError("event time_step must be >= 0")
-            if step < prev:
-                raise ValueError("events must be ordered by non-decreasing time_step")
-            prev = step
+        if not isinstance(self.events, TraceEvents):
+            pairs = tuple(self.events)
+            events = TraceEvents(np.fromiter(map(itemgetter(0), pairs), np.int64, len(pairs)),
+                                 tuple(map(itemgetter(1), pairs)))
+            object.__setattr__(self, "events", events)
+        steps = self.events.steps
+        # before the first drop the steps only rise, so the first negative
+        # step is either the first step or the step of the first drop
+        drops = np.flatnonzero(steps[1:] < steps[:-1])
+        if steps.size and steps[0] < 0 or drops.size and steps[drops[0] + 1] < 0:
+            raise ValueError("event time_step must be >= 0")
+        if drops.size:
+            raise ValueError("events must be ordered by non-decreasing time_step")
 
     def __len__(self) -> int:
         return len(self.events)
@@ -127,6 +200,15 @@ class MultiHotMatrix:
         if self.time_steps.size and (np.diff(self.time_steps) <= 0).any():
             raise ValueError("time_steps must be strictly increasing")
 
+    @classmethod
+    def _built(cls, counts: np.ndarray, time_steps: np.ndarray) -> "MultiHotMatrix":
+        """Wrap arrays ``encode_multihot`` built to hold every invariant the
+        constructor checks, without checking them again."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "counts", counts)
+        object.__setattr__(matrix, "time_steps", time_steps)
+        return matrix
+
     @property
     def width(self) -> int:
         return self.counts.shape[1]
@@ -140,15 +222,54 @@ def build_vocabulary(corpus: Iterable[SyscallTrace]) -> SyscallVocabulary:
     """
     names: set[str] = set()
     for trace in corpus:
-        for _, call in trace.events:
-            names.add(call)
+        names.update(trace.events.names)
     if not names:
         raise ValueError("empty vocabulary")
     return SyscallVocabulary(tuple(sorted(names)))
 
 
+def _first_failing(column: Sequence, key: Callable, ok: Callable) -> int:
+    """Index of the first item whose ``key`` fails ``ok``, or ``len(column)``
+    when none does; ``ok`` is asked once per distinct key."""
+    if all(map(ok, set(map(key, column)))):
+        return len(column)
+    return list(map(ok, map(key, column))).index(False)
+
+
+def _event_columns(raw_events: list, names: dict[str, str], where: str) -> TraceEvents:
+    """Split ``[step, name]`` pairs into their two columns, checking each
+    column whole.  Each check runs on the prefix of events the checks before
+    it accepted, so the error names the first malformed event; a name seen
+    before is replaced by the ``str`` ``names`` holds for it."""
+    end = _first_failing(raw_events, type, lambda t: issubclass(t, (list, tuple)))
+    end = _first_failing(raw_events[:end], len, (2).__eq__)
+    steps, calls = zip(*raw_events[:end]) if end else ((), ())
+    end = min(
+        _first_failing(steps, type, lambda t: issubclass(t, int) and not issubclass(t, bool)),
+        _first_failing(calls, type, lambda t: issubclass(t, str)),
+    )
+    steps, calls = steps[:end], calls[:end]
+    try:
+        column = np.fromiter(steps, np.int64, end)
+    except OverflowError:
+        if max(steps) > _MAX_STEP:
+            over = list(map(_MAX_STEP.__lt__, steps)).index(True)
+            raise TraceParseError(f"event time_step {steps[over]} exceeds int64{where}") from None
+        # a step below int64's range is negative, and is rejected as one;
+        # clipping it to the range keeps which error the trace reports
+        column = np.fromiter(map(max, steps, repeat(_MIN_STEP)), np.int64, end)
+    if end < len(raw_events):
+        raise TraceParseError(f"event must be [int_ms, str_name]{where}: {raw_events[end]!r}")
+    return TraceEvents(column, tuple(map(names.setdefault, calls, calls)))
+
+
 def parse_trace(record: str | dict, line_number: int | None = None) -> SyscallTrace:
     """Parse one external trace record (JSON text or already-decoded object)."""
+    return _parse_trace(record, line_number, {})
+
+
+def _parse_trace(record: str | dict, line_number: int | None,
+                 names: dict[str, str]) -> SyscallTrace:
     where = f" (line {line_number})" if line_number is not None else ""
     if isinstance(record, str):
         try:
@@ -172,21 +293,9 @@ def parse_trace(record: str | dict, line_number: int | None = None) -> SyscallTr
         raise TraceParseError(f"label must be goodware, malware, or null{where}")
     if not isinstance(raw_events, (list, tuple)):
         raise TraceParseError(f"events must be a list{where}")
-    events = []
-    for ev in raw_events:
-        if (
-            not isinstance(ev, (list, tuple))
-            or len(ev) != 2
-            or not isinstance(ev[0], int)
-            or isinstance(ev[0], bool)
-            or not isinstance(ev[1], str)
-        ):
-            raise TraceParseError(f"event must be [int_ms, str_name]{where}: {ev!r}")
-        if ev[0] > _MAX_STEP:
-            raise TraceParseError(f"event time_step {ev[0]} exceeds int64{where}")
-        events.append((ev[0], ev[1]))
+    events = _event_columns(raw_events, names, where)
     try:
-        return SyscallTrace(trace_id, label, observed_at, tuple(events))
+        return SyscallTrace(trace_id, label, observed_at, events)
     except ValueError as exc:
         raise TraceParseError(f"{exc}{where}") from exc
 
@@ -196,26 +305,30 @@ def trace_to_record(trace: SyscallTrace) -> dict:
         "id": trace.id,
         "label": trace.label,
         "observed_at": trace.observed_at,
-        "events": [[step, call] for step, call in trace.events],
+        "events": list(trace.events),
     }
 
 
 def read_corpus(path: str | Path) -> list[SyscallTrace]:
-    """Read a JSON Lines trace file (one trace object per line)."""
+    """Read a JSON Lines trace file (one trace object per line).  Every
+    distinct call name in the file becomes one ``str`` that all its events
+    share; the table that shares them lives for this call only."""
+    names: dict[str, str] = {}
     traces = []
     with open(path, "r", encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            traces.append(parse_trace(line, line_number=i))
+            traces.append(_parse_trace(line, i, names))
     return traces
 
 
 def write_corpus(traces: Iterable[SyscallTrace], path: str | Path) -> None:
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
         for trace in traces:
-            fh.write(json.dumps(trace_to_record(trace), sort_keys=True))
+            fh.write(encode(trace_to_record(trace)))
             fh.write("\n")
 
 
@@ -230,17 +343,19 @@ def truncate(trace: SyscallTrace, n: int) -> SyscallTrace:
 
 def encode_multihot(trace: SyscallTrace, vocab: SyscallVocabulary) -> MultiHotMatrix:
     """Count calls per occupied time step; unknown names land in the OOV slot."""
-    if not trace.events:
-        return MultiHotMatrix(
-            counts=np.zeros((0, vocab.width), dtype=np.int64),
-            time_steps=np.zeros(0, dtype=np.int64),
-        )
-    steps = np.fromiter(map(itemgetter(0), trace.events), dtype=np.int64)
-    cols = vocab.indices_of(map(itemgetter(1), trace.events))
-    uniq_steps, row_idx = np.unique(steps, return_inverse=True)
     width = vocab.width
-    counts = np.bincount(row_idx * width + cols, minlength=uniq_steps.size * width)
-    return MultiHotMatrix(counts=counts.reshape(-1, width), time_steps=uniq_steps)
+    steps = trace.events.steps
+    if not steps.size:
+        return MultiHotMatrix._built(np.zeros((0, width), dtype=np.int64),
+                                     np.zeros(0, dtype=np.int64))
+    # the steps never fall, so each run of equal steps is one row
+    opens_row = np.empty(steps.size, dtype=bool)
+    opens_row[0] = True
+    np.not_equal(steps[1:], steps[:-1], out=opens_row[1:])
+    row_idx = np.cumsum(opens_row) - 1
+    cols = vocab.indices_of(trace.events.names)
+    counts = np.bincount(row_idx * width + cols, minlength=(row_idx[-1] + 1) * width)
+    return MultiHotMatrix._built(counts.reshape(-1, width), steps[opens_row])
 
 
 def encode_histogram(
@@ -252,7 +367,7 @@ def encode_histogram(
     An empty trace stays all-zero in both modes.  Normalization defaults on:
     frequency features are comparable across traces of different lengths.
     """
-    idx = vocab.indices_of(map(itemgetter(1), trace.events))
+    idx = vocab.indices_of(trace.events.names)
     values = np.bincount(idx, minlength=vocab.width).astype(np.float64)
     if normalize:
         total = values.sum()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from callsift import cli, datagen, persistence
-from callsift.evaluation import EvaluationReport
+from callsift.evaluation import EvaluationReport, model_results
 from callsift.traces import GOODWARE, MALWARE, write_corpus
 
 
@@ -427,6 +427,12 @@ def _break_report(doc, how):
         doc["notes"] = "hand edited"
     elif how == "format-version-2":
         doc["format_version"] = 2
+    elif how == "hand-edited-acc":
+        tree["metrics"]["acc"] = 0.1
+    elif how == "spliced-model":
+        # a model scored on another split's 3 test traces
+        spliced = model_results({"linear": np.array([1, 0, 1])}, np.array([1, 0, 0]))
+        doc["models"]["linear"] = persistence.encode(spliced["linear"])
     return doc
 
 
@@ -438,6 +444,8 @@ def _break_report(doc, how):
     ("n-test-past-confusion", "confusion counts total"),
     ("unknown-key", "'notes'"),
     ("format-version-2", "unsupported report format_version 2"),
+    ("hand-edited-acc", "model tree: metrics MetricSet(acc=0.1,"),
+    ("spliced-model", "different numbers of samples: ensemble 16, hist-rf 16, linear 3, tree 16"),
 ])
 def test_malformed_report_exits_one(sorted_report, tmp_path, capsys, command, how, message):
     bad = tmp_path / "bad.json"

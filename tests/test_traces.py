@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from callsift.traces import (
+    MultiHotMatrix,
     SyscallTrace,
     SyscallVocabulary,
     TraceParseError,
@@ -223,3 +225,125 @@ def test_corpus_file_round_trip(tmp_path):
     first = json.loads(path.read_text().splitlines()[0])
     assert set(first) == {"id", "label", "observed_at", "events"}
     assert first["events"] == [[0, "A"], [2, "B"]]
+
+
+# --- columnar events ---------------------------------------------------------
+
+_names = st.text(st.characters(codec="utf-8"), max_size=12)
+_pairs = st.lists(st.tuples(st.integers(0, 2**63 - 1), _names), max_size=40).map(
+    lambda pairs: tuple(sorted(pairs, key=lambda p: p[0]))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs, _pairs, st.data())
+def test_events_behave_like_the_tuple_of_pairs(pairs, other_pairs, data):
+    events = make_trace(pairs).events
+    other = make_trace(other_pairs).events
+    n = len(pairs)
+    assert len(events) == n
+    assert bool(events) == bool(pairs)
+    for i in range(-n, n):
+        assert events[i] == pairs[i]
+        assert type(events[i][0]) is int
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            events[i]
+    cut = data.draw(st.slices(n))
+    assert isinstance(events[cut], type(events))
+    assert tuple(events[cut]) == pairs[cut]
+    assert len(events[cut]) == len(pairs[cut])
+    assert list(events) == list(pairs)
+    assert all(type(step) is int for step, _ in events)
+    assert events == pairs and pairs == events
+    assert (events == other) == (pairs == other_pairs)
+    assert (events != other) == (pairs != other_pairs)
+    assert hash(events) == hash(pairs)
+    assert events == make_trace(pairs).events
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs, st.sampled_from(["goodware", "malware", None]), st.integers(-5, 5))
+def test_parse_inverts_trace_to_record(pairs, label, observed_at):
+    trace = make_trace(pairs, label=label, observed_at=observed_at)
+    assert parse_trace(trace_to_record(trace)) == trace
+    assert parse_trace(json.dumps(trace_to_record(trace))) == trace
+
+
+# Each message and line number is the one the per-event parser reported.
+@pytest.mark.parametrize("events, message", [
+    ('[[0, "A"], 5, [1, "B"]]', "event must be [int_ms, str_name] (line 3): 5"),
+    ('[[0, "A"], [1, "B", "C"]]', "event must be [int_ms, str_name] (line 3): [1, 'B', 'C']"),
+    ('[[0, "A"], [true, "B"]]', "event must be [int_ms, str_name] (line 3): [True, 'B']"),
+    ('[[0, "A"], [1.0, "B"]]', "event must be [int_ms, str_name] (line 3): [1.0, 'B']"),
+    ('[[0, "A"], [1, 7]]', "event must be [int_ms, str_name] (line 3): [1, 7]"),
+    ('[[0, "A"], [-1, "B"]]', "event time_step must be >= 0 (line 3)"),
+    ('[[5, "A"], [3, "B"]]', "events must be ordered by non-decreasing time_step (line 3)"),
+    ('[[0, "A"], [9223372036854775808, "B"]]',
+     "event time_step 9223372036854775808 exceeds int64 (line 3)"),
+    # the first malformed event decides the message
+    ('[[9223372036854775808, "A"], [1]]',
+     "event time_step 9223372036854775808 exceeds int64 (line 3)"),
+    ('[[1], [9223372036854775808, "A"]]', "event must be [int_ms, str_name] (line 3): [1]"),
+    ('[[5, "A"], [-3, "B"]]', "event time_step must be >= 0 (line 3)"),
+    ('[[5, "A"], [3, "B"], [-9223372036854775809, "C"]]',
+     "events must be ordered by non-decreasing time_step (line 3)"),
+    ('[[-9223372036854775809, "A"]]', "event time_step must be >= 0 (line 3)"),
+])
+def test_malformed_events_report_their_message_and_line(tmp_path, events, message):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(
+        '{"id": "ok", "observed_at": 0, "events": [[0, "A"]]}\n\n'
+        f'{{"id": "bad", "observed_at": 1, "events": {events}}}\n'
+    )
+    with pytest.raises(TraceParseError) as info:
+        read_corpus(path)
+    assert str(info.value) == message
+
+
+def test_read_corpus_shares_one_string_per_call_name(tmp_path):
+    traces = [make_trace([(0, "NtClose"), (1, "NtOpenKey"), (1, "NtClose")], trace_id=str(i))
+              for i in range(3)]
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(traces, path)
+    names = [name for trace in read_corpus(path) for name in trace.events.names]
+    assert len({id(name) for name in names}) == 2
+
+
+def test_parsed_corpus_costs_at_most_32_bytes_an_event(tmp_path):
+    """About 16 bytes an event: an int64 step and a reference to the shared
+    name (a tuple, an int and a string per event took about 150)."""
+    rng = np.random.default_rng(7)
+    calls = [f"NtQueryInformation{k:02d}" for k in range(40)]
+    path = tmp_path / "corpus.jsonl"
+    traces = []
+    for i in range(100):
+        steps = np.sort(rng.integers(0, 5000, size=1000)).tolist()
+        picks = rng.integers(0, len(calls), size=1000).tolist()
+        traces.append(make_trace(zip(steps, (calls[k] for k in picks)), trace_id=f"t{i}"))
+    write_corpus(traces, path)
+    del traces
+    tracemalloc.start()
+    try:
+        corpus = read_corpus(path)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    events = sum(len(trace) for trace in corpus)
+    assert events == 100_000
+    assert retained / events < 32
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs.map(lambda pairs: [(step % 50, name) for step, name in pairs]).map(sorted))
+def test_encode_multihot_matches_loop_oracle(pairs):
+    vocab = SyscallVocabulary(("", "0", "A"))
+    matrix = encode_multihot(make_trace(pairs), vocab)
+    rows: dict[int, np.ndarray] = {}
+    for step, name in pairs:
+        rows.setdefault(step, np.zeros(vocab.width, dtype=np.int64))[vocab.index_of(name)] += 1
+    assert matrix.time_steps.tolist() == sorted(rows)
+    assert np.array_equal(matrix.counts.reshape(-1, vocab.width),
+                          np.array([rows[s] for s in sorted(rows)]).reshape(-1, vocab.width))
+    checked = MultiHotMatrix(matrix.counts, matrix.time_steps)  # holds every invariant
+    assert checked.width == vocab.width
