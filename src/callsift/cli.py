@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, datagen, evaluation, explain, forest, models, persistence
 from . import significance as sig
-from .traces import GOODWARE, MALWARE, read_corpus, write_corpus
+from .traces import GOODWARE, MALWARE, labels_of, read_corpus, write_corpus
 
 
 def _fail(message: str) -> int:
@@ -45,9 +45,11 @@ def _write_text(text: str, path: str | Path) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _read_report(path) -> evaluation.EvaluationReport:
+def _read_reports(path) -> tuple[list[evaluation.EvaluationReport], bool]:
+    """A file's reports, and whether it holds a list (as ``sweep --report-json`` writes)."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return persistence.decode(evaluation.EvaluationReport, doc)
+    many = isinstance(doc, list) and len(doc) > 0  # an empty list holds no report
+    return persistence.decode(list[evaluation.EvaluationReport], doc if many else [doc]), many
 
 
 def _now(reproducible: bool) -> str | None:
@@ -82,14 +84,16 @@ def _factories(base: list[str], args, truncation: int) -> dict:
     }
 
 
-def _split_train_counts(value: str | None) -> dict | None:
-    if value is None:
-        return None
+def _sorted_split(args) -> tuple[float | None, dict | None]:
+    """``split_sorted``'s (train_fraction, train_counts) from ``--train-fraction``
+    and ``--train-counts``; explicit counts win."""
+    if args.train_counts is None:
+        return args.train_fraction, None
     try:
-        g, m = (int(v) for v in value.split(","))
+        g, m = (int(v) for v in args.train_counts.split(","))
     except ValueError as exc:
         raise ValueError("--train-counts expects 'goodware,malware' integers") from exc
-    return {GOODWARE: g, MALWARE: m}
+    return None, {GOODWARE: g, MALWARE: m}
 
 
 _PATH_ARGS = {
@@ -144,11 +148,7 @@ def cmd_train(args) -> int:
     if args.full:
         train = dataset
     else:
-        train, _ = evaluation.split_sorted(
-            dataset,
-            train_fraction=None if args.train_counts else args.train_fraction,
-            train_counts=_split_train_counts(args.train_counts),
-        )
+        train, _ = evaluation.split_sorted(dataset, *_sorted_split(args))
     clf = _factories([args.model], args, args.length)[args.model](args.seed)
     clf.fit(train.samples, train.labels)
     persistence.save_model(
@@ -164,13 +164,10 @@ def cmd_train(args) -> int:
 
 def _eval_descriptor(args) -> dict:
     desc = {"kind": args.split}
-    if args.split == "cv":
-        desc["folds"] = args.folds
+    if args.train_counts:
+        desc["train_counts"] = args.train_counts
     else:
-        if args.train_counts:
-            desc["train_counts"] = args.train_counts
-        else:
-            desc["train_fraction"] = args.train_fraction
+        desc["train_fraction"] = args.train_fraction
     if args.split == "distributed":
         desc["test_malware"] = args.test_malware
     return desc
@@ -178,8 +175,7 @@ def _eval_descriptor(args) -> dict:
 
 def cmd_eval(args) -> int:
     dataset = _load_dataset(args.corpus)
-    train_counts = _split_train_counts(args.train_counts)
-    train_fraction = None if train_counts else args.train_fraction
+    train_fraction, train_counts = _sorted_split(args)
     if args.split == "cv" and args.model_archive:
         return _fail("--model-archive cannot be evaluated under cv (needs retraining per fold)")
     if args.split == "sorted":
@@ -245,13 +241,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    report = _read_report(args.report)
-    if len(report.models) < 2:
+    """A significance matrix per report; a list of reports gets a list, in order."""
+    reports, many = _read_reports(args.report)
+    if any(len(report.models) < 2 for report in reports):
         return _fail("significance testing needs at least two models in the report")
-    bits, names = report.correctness_matrix()
-    matrix = sig.pairwise_significance(bits, names, alpha=args.alpha)
-    persistence.write_json(persistence.encode(matrix), args.out)
-    print(sig.render_significance_table(matrix))
+    matrices = [sig.pairwise_significance(*r.correctness_matrix(), alpha=args.alpha)
+                for r in reports]
+    persistence.write_json(persistence.encode(matrices if many else matrices[0]), args.out)
+    for i, (report, matrix) in enumerate(zip(reports, matrices)):
+        if many:
+            print(("\n" if i else "") + f"length: {report.length}")
+        print(sig.render_significance_table(matrix))
     return 0
 
 
@@ -266,11 +266,11 @@ def cmd_explain(args) -> int:
         return _fail(f"unknown explain targets: {sorted(unknown)}")
 
     vocab = clf.vocab
-    names = list(vocab.names) + ["<other>"]
+    names = list(vocab.names) + ["<other>"]  # the last is the OOV slot
     hists = models.encode_histograms(dataset.samples, vocab, clf.encoding)
     if isinstance(clf, models.HistogramClassifier):
         # its predict would encode these same histograms again
-        pred = (clf.score_histograms(hists) >= 0.5).astype(np.int64)
+        pred = labels_of(clf.score_histograms(hists))
     else:
         pred, _ = clf.predict(dataset.samples)
 
@@ -292,7 +292,7 @@ def cmd_explain(args) -> int:
             {
                 "sample_id": e.sample_id,
                 "fidelity": e.fidelity,
-                "top": [[names[i], w] for i, w in e.top],
+                "top": e.top_features(names),
                 "notes": list(e.notes),
             }
             for e in explanations
@@ -318,7 +318,7 @@ def cmd_explain(args) -> int:
         )
 
     if "frequency" in what:
-        features = _frequency_features(clf, vocab, args.top_k)
+        features = _frequency_features(clf, names, args.top_k)
         marks = explain.class_frequency_marks(dataset.samples, features, vocab)
         (out_dir / "frequency.txt").write_text(
             explain.render_frequency_table(marks) + "\n", encoding="utf-8"
@@ -336,28 +336,32 @@ def _rules_tree(clf, hists: np.ndarray, pred: np.ndarray, seed: int):
     return forest.train_decision_tree(hists, pred, params)
 
 
-def _frequency_features(clf, vocab, top_k: int) -> list[str]:
-    names = list(vocab.names) + ["<other>"]
+def _frequency_features(clf, names: list[str], top_k: int) -> list[str]:
+    """The calls to mark: by importance for a tree or forest, else in
+    vocabulary order; never the OOV slot, ``names[-1]``."""
+    keep = max(top_k, 20)
     if clf.kind in (models.HIST_RF, models.TREE):
-        importance = forest.gini_importance(clf.model)
-        order = np.argsort(-importance, kind="stable")[: max(top_k, 20)]
-        return [names[i] for i in order if names[i] != "<other>"]
-    return list(vocab.names)[: max(top_k, 20)]
+        order = np.argsort(-forest.gini_importance(clf.model), kind="stable")[:keep]
+        return [names[i] for i in order if i != len(names) - 1]
+    return names[:-1][:keep]
 
 
 def cmd_report(args) -> int:
-    report = _read_report(args.report)
-    print(f"split: {json.dumps(report.split, sort_keys=True)}")
-    print(f"seed: {report.seed}   length: {report.length}")
-    header = f"{'model':<12} {'acc':>8} {'caa':>8} {'mpr':>8} {'mre':>8}   tp/fp/tn/fn"
-    print(header)
-    print("-" * len(header))
-    for name, res in report.models.items():
-        m, c = res.metrics, res.confusion
-        print(
-            f"{name:<12} {m.acc:8.4f} {m.caa:8.4f} {m.mpr:8.4f} {m.mre:8.4f}"
-            f"   {c.tp}/{c.fp}/{c.tn}/{c.fn}"
-        )
+    reports, _ = _read_reports(args.report)
+    for i, report in enumerate(reports):
+        if i:
+            print()
+        print(f"split: {json.dumps(report.split, sort_keys=True)}")
+        print(f"seed: {report.seed}   length: {report.length}")
+        header = f"{'model':<12} {'acc':>8} {'caa':>8} {'mpr':>8} {'mre':>8}   tp/fp/tn/fn"
+        print(header)
+        print("-" * len(header))
+        for name, res in report.models.items():
+            m, c = res.metrics, res.confusion
+            print(
+                f"{name:<12} {m.acc:8.4f} {m.caa:8.4f} {m.mpr:8.4f} {m.mre:8.4f}"
+                f"   {c.tp}/{c.fp}/{c.tn}/{c.fn}"
+            )
     return 0
 
 
@@ -373,14 +377,11 @@ def cmd_pipeline(args) -> int:
     _generate(config, corpus_path, args.reproducible)
 
     model_spec = "tree,hist-rf,linear,lsm,ensemble" if args.with_lsm else "tree,hist-rf,linear,ensemble"
-    scaled = {
-        GOODWARE: datagen.scale_count(datagen.SORTED_SHAPE["train"][GOODWARE], args.scale),
-        MALWARE: datagen.scale_count(datagen.SORTED_SHAPE["train"][MALWARE], args.scale),
-    }
-    test_malware = datagen.scale_count(45, args.scale)
+    test_malware = datagen.scale_count(datagen.DISTRIBUTED_SHAPE["test"][MALWARE], args.scale)
 
     corpus = str(corpus_path)
-    counts = ["--train-counts", f"{scaled[GOODWARE]},{scaled[MALWARE]}"]
+    counts = ["--train-counts",
+              f"{config.train_counts[GOODWARE]},{config.train_counts[MALWARE]}"]
 
     def eval_stage(split: str, *extra: str) -> list[str]:
         return [
@@ -462,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list from {tree,hist-rf,linear,lsm,ensemble}")
     p.add_argument("--model-archive", default=None,
                    help="evaluate a saved archive instead of retraining")
-    p.add_argument("--test-malware", type=int, default=45,
+    p.add_argument("--test-malware", type=int,
+                   default=datagen.DISTRIBUTED_SHAPE["test"][MALWARE],
                    help="down-select target for the distributed split")
     p.add_argument("--out", required=True)
     p.add_argument("--csv", default=None)

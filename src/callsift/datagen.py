@@ -218,21 +218,19 @@ def _motif_events(
     motifs: tuple[Motif, ...],
     base_steps: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[list[int], list[str]]:
+) -> tuple[np.ndarray, list[str]]:
     """Steps and calls of the motif events, in the order they are drawn."""
-    steps: list[int] = []
+    steps = [np.empty(0, dtype=np.int64)]
     calls: list[str] = []
     n = base_steps.shape[0]
     for motif in motifs:
         limit = n if motif.window is None else min(motif.window, n)
-        for anchor in range(0, limit, motif.every):
-            if rng.random() >= motif.probability:
-                continue
-            start = int(base_steps[anchor])
-            gap = 0 if motif.style == "burst" else motif.spread_gap
-            steps.extend(start + j * gap for j in range(len(motif.calls)))
-            calls.extend(motif.calls)
-    return steps, calls
+        anchors = np.arange(0, limit, motif.every)
+        starts = base_steps[anchors[rng.random(anchors.size) < motif.probability]]
+        gap = 0 if motif.style == "burst" else motif.spread_gap
+        steps.append((starts[:, None] + gap * np.arange(len(motif.calls))).ravel())
+        calls.extend(motif.calls * starts.size)
+    return np.concatenate(steps), calls
 
 
 def _generate_trace(
@@ -261,24 +259,19 @@ def _generate_trace(
         freqs = drifted_frequencies(base, u, config.drift.magnitude)
 
     length = _sample_length(profile, rng)
-    # occupy millisecond steps with Poisson burst sizes until length is met
-    steps_per_event = np.empty(length, dtype=np.int64)
-    filled = 0
-    step = 0
-    while filled < length:
-        chunk = max(16, int((length - filled) / profile.burstiness) + 8)
-        bursts = rng.poisson(profile.burstiness, size=chunk)
-        for b in bursts:
-            take = min(int(b), length - filled)
-            if take:
-                steps_per_event[filled : filled + take] = step
-                filled += take
-            step += 1
-            if filled >= length:
-                break
+    # occupy millisecond steps with Poisson burst sizes until length is met:
+    # burst k's events all sit at step k
+    sizes = []
+    drawn = 0
+    while drawn < length:
+        chunk = max(16, int((length - drawn) / profile.burstiness) + 8)
+        sizes.append(rng.poisson(profile.burstiness, size=chunk))
+        drawn += int(sizes[-1].sum())
+    sizes = np.concatenate(sizes)
+    steps_per_event = np.repeat(np.arange(sizes.size), sizes)[:length]
     calls = rng.choice(len(names), size=length, p=freqs)
     motif_steps, motif_calls = _motif_events(motifs, steps_per_event, rng)
-    steps = np.concatenate([steps_per_event, np.array(motif_steps, dtype=np.int64)])
+    steps = np.concatenate([steps_per_event, motif_steps])
     call_names = list(map(names.__getitem__, calls.tolist())) + motif_calls
     # stable: the base events, then the motif events as drawn, keep their
     # order within a step

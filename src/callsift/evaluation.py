@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .traces import INT_TO_LABEL, LABEL_TO_INT, SyscallTrace, truncate
+from .traces import INT_TO_LABEL, LABEL_TO_INT, SyscallTrace, labels_of, truncate
 
 
 @dataclass(eq=False)
@@ -230,14 +230,14 @@ def confusion_metrics(confusion: ConfusionCounts) -> MetricSet:
 
 
 def majority_vote(per_model_predictions: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-sample majority label over models; an even tie goes to malware."""
+    """Per-sample majority label over models: ``labels_of`` the mean vote, so
+    an even tie goes to malware."""
     if len(per_model_predictions) == 0:
         raise ValueError("majority_vote needs at least one model")
     stack = np.vstack([np.asarray(p, dtype=np.int64) for p in per_model_predictions])
     if not (stack.shape[1:] == np.asarray(per_model_predictions[0]).shape):
         raise ValueError("prediction vectors must be aligned")
-    malware_votes = stack.sum(axis=0)
-    return (2 * malware_votes >= stack.shape[0]).astype(np.int64)
+    return labels_of(stack.mean(axis=0))
 
 
 # --- evaluation reports ----------------------------------------------------

@@ -42,12 +42,14 @@ from .traces import (
 )
 
 
+KERNEL_WIDTH_PER_SQRT_D = 0.75  # the surrogate's kernel width over sqrt(d)
+RIDGE = 1e-3  # the surrogate's ridge penalty
+
+
 @dataclass(frozen=True)
 class LimeConfig:
     feature_means: np.ndarray  # corpus means used as the masking baseline
     perturbations: int = 1000
-    kernel_width: float | None = None  # None = 0.75 * sqrt(d)
-    ridge: float = 1e-3
     top_k: int | None = None
     seed: int = 0
 
@@ -81,14 +83,11 @@ class LocalExplanation:
     notes: tuple[str, ...] = ()
 
     def top_features(self, names: list[str] | None = None) -> list[tuple[str, float]]:
-        out = []
-        for idx, w in self.top:
-            out.append((names[idx] if names else f"f{idx}", w))
-        return out
+        return [(names[idx] if names else f"f{idx}", w) for idx, w in self.top]
 
 
 def _weighted_ridge(
-    X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray, ridge: float
+    X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Ridge fit with intercept on weighted, centered data."""
     w = sample_weight / sample_weight.sum()
@@ -96,7 +95,7 @@ def _weighted_ridge(
     y_mean = float(w @ y)
     Xc = X - x_mean
     yc = y - y_mean
-    a = Xc.T @ (Xc * w[:, None]) + ridge * np.eye(X.shape[1])
+    a = Xc.T @ (Xc * w[:, None]) + RIDGE * np.eye(X.shape[1])
     b = Xc.T @ (w * yc)
     coef = np.linalg.solve(a, b)
     intercept = y_mean - float(x_mean @ coef)
@@ -140,9 +139,7 @@ def lime_explain(model, sample: np.ndarray, config: LimeConfig,
     if x.shape != means.shape:
         raise ValueError("sample and feature_means dimensionality mismatch")
     d = x.shape[0]
-    kernel_width = (
-        config.kernel_width if config.kernel_width is not None else 0.75 * math.sqrt(d)
-    )
+    kernel_width = KERNEL_WIDTH_PER_SQRT_D * math.sqrt(d)
     Z = _perturb(x[None, :], config)[0]
     if scores is None:
         scores = _score_fn(model)(Z)
@@ -163,7 +160,7 @@ def lime_explain(model, sample: np.ndarray, config: LimeConfig,
         )
     dist = np.linalg.norm(Z - x, axis=1)
     sample_weight = np.exp(-(dist**2) / kernel_width**2)
-    coef, intercept = _weighted_ridge(Z, scores, sample_weight, config.ridge)
+    coef, intercept = _weighted_ridge(Z, scores, sample_weight)
     fitted = Z @ coef + intercept
     w = sample_weight / sample_weight.sum()
     ss_res = float(w @ (scores - fitted) ** 2)
@@ -368,6 +365,8 @@ def _fmt(x: float) -> str:
 
 # --- class frequency comparison ---------------------------------------------------
 
+FREQUENCY_TIE_TOLERANCE = 0.05  # a relative difference of class means this small ties
+
 
 @dataclass(frozen=True)
 class ClassFrequencyMark:
@@ -379,12 +378,11 @@ def class_frequency_marks(
     traces: list[SyscallTrace],
     features: list[str],
     vocab: SyscallVocabulary,
-    tie_tolerance: float = 0.05,
 ) -> list[ClassFrequencyMark]:
     """Which class uses each call more, by mean normalized frequency.
 
-    A relative difference within ``tie_tolerance`` is a tie.  Raises when a
-    class is absent from the dataset (means would be undefined).
+    A relative difference within ``FREQUENCY_TIE_TOLERANCE`` is a tie.
+    Raises when a class is absent from the dataset (means would be undefined).
     """
     by_class: dict[str, list[np.ndarray]] = {GOODWARE: [], MALWARE: []}
     for t in traces:
@@ -400,7 +398,7 @@ def class_frequency_marks(
         idx = vocab.index_of(name)
         g, m = float(mean_g[idx]), float(mean_m[idx])
         denom = max(g, m)
-        if denom == 0 or abs(g - m) / denom <= tie_tolerance:
+        if denom == 0 or abs(g - m) / denom <= FREQUENCY_TIE_TOLERANCE:
             mark = "tie"
         else:
             mark = GOODWARE if g > m else MALWARE
@@ -430,10 +428,11 @@ class LsmHistogramScorer:
     """Score histograms through an LSM by uniform temporal spreading.
 
     The LSM natively consumes multi-hot sequences; to explain it on the
-    histogram surface, a (possibly fractional, normalized) histogram is
-    scaled to a nominal event count, rounded, and spread one event per
-    millisecond step in vocabulary order.  This is an approximation and is
-    flagged in every explanation produced through it.
+    histogram surface, a histogram in the classifier's own encoding (scaled
+    to a nominal event count when ``encoding.normalize``) is rounded to
+    counts and spread one event per millisecond step in vocabulary order.
+    This is an approximation and is flagged in every explanation produced
+    through it.
     """
 
     explanation_notes = ("approximation: histogram spread uniformly over time for LSM input",)
@@ -446,14 +445,12 @@ class LsmHistogramScorer:
 
     def score_histograms(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
+        if self.classifier.encoding.normalize:
+            X = X * self.nominal_length
         scores = np.empty(X.shape[0])
         lsm = self.classifier.lsm
         for i, hist in enumerate(X):
-            total = hist.sum()
-            counts = hist
-            if 0 < total <= 1.5:  # normalized histogram: rescale to events
-                counts = hist * self.nominal_length
-            counts = np.rint(counts).astype(np.int64)
+            counts = np.rint(hist).astype(np.int64)
             calls = np.repeat(np.arange(counts.size), np.maximum(counts, 0))
             rows = np.zeros((calls.size, counts.size), dtype=np.int64)
             rows[np.arange(calls.size), calls] = 1

@@ -5,9 +5,8 @@ over bootstrap resamples with per-split feature subsampling.  The linear
 model is logistic regression trained by full-batch gradient descent.  All
 learners operate on float feature matrices with integer labels (0 =
 goodware, 1 = malware) and share one scoring convention: score in [0, 1] is
-the malware probability-like output, and the predicted label is malware
-exactly when score >= 0.5 (ties go to malware — the fail-safe direction for
-a detector).
+the malware probability-like output, and the predicted label is
+``traces.labels_of`` of it (an exact 0.5 tie goes to malware).
 
 Determinism: given identical inputs, params, and seed, training produces a
 bit-identical model.  Split ties are broken toward the lowest feature index,
@@ -67,6 +66,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .traces import labels_of
 
 LEAF = -1
 
@@ -364,7 +365,7 @@ class RandomForest:
             raise ValueError(f"expected (n, {self.n_features}) input, got {X.shape}")
         votes = np.zeros(X.shape[0])
         for tree in self.trees:
-            votes += tree.predict_scores(X) >= 0.5
+            votes += labels_of(tree.predict_scores(X))
         return votes / len(self.trees)
 
 
@@ -520,7 +521,7 @@ def train_linear(
 
 
 def predict_labels(model, X: np.ndarray) -> np.ndarray:
-    return (model.predict_scores(X) >= 0.5).astype(np.int64)
+    return labels_of(model.predict_scores(X))
 
 
 def tree_importance(tree: DecisionTree) -> np.ndarray:

@@ -8,8 +8,8 @@ Every classifier here:
 * truncates traces to the configured length before encoding, into one
   histogram matrix (``encode_histograms``) or one liquid-state matrix
   (``reservoir.liquid_states``) per call,
-* predicts (labels_int, scores) with the shared tie rule (score >= 0.5
-  means malware); a trace's score does not depend on which other traces
+* predicts (labels_int, scores), labels by ``traces.labels_of`` (0.5 is
+  malware); a trace's score does not depend on which other traces
   are scored with it,
 * exposes its registry ``kind``, its ``vocab`` and its ``encoding``, which
   is all an archive needs besides the model itself.
@@ -29,6 +29,7 @@ from .traces import (
     build_vocabulary,
     encode_histogram,
     encode_multihot,
+    labels_of,
     truncate,
 )
 
@@ -39,8 +40,10 @@ HIST_RF = "hist-rf"
 LINEAR = "linear"
 LSM = "lsm"
 ENSEMBLE = "ensemble"
+# the kinds a HistogramClassifier learns
+HISTOGRAM_KINDS = (TREE, HIST_RF, LINEAR)
 # the single-model kinds; an ensemble votes over one of each
-BASE_KINDS = (TREE, HIST_RF, LINEAR, LSM)
+BASE_KINDS = HISTOGRAM_KINDS + (LSM,)
 MODEL_KINDS = BASE_KINDS + (ENSEMBLE,)
 
 
@@ -68,7 +71,7 @@ class HistogramClassifier:
 
     def __init__(self, kind: str, seed: int = 0,
                  encoding: EncodingOptions | None = None, params=None):
-        if kind not in (TREE, HIST_RF, LINEAR):
+        if kind not in HISTOGRAM_KINDS:
             raise ValueError(f"not a histogram model kind: {kind!r}")
         self.kind = kind
         self.seed = seed
@@ -103,7 +106,7 @@ class HistogramClassifier:
 
     def predict(self, traces) -> tuple[np.ndarray, np.ndarray]:
         scores = self.score_histograms(self._encode(traces))
-        return (scores >= 0.5).astype(np.int64), scores
+        return labels_of(scores), scores
 
 
 class LsmClassifier:
@@ -161,7 +164,7 @@ class LsmClassifier:
     def predict(self, traces) -> tuple[np.ndarray, np.ndarray]:
         assert self.lsm is not None, "fit first"
         scores = self.lsm.readout.predict_scores(self._states(self.lsm.topology, traces))
-        return (scores >= 0.5).astype(np.int64), scores
+        return labels_of(scores), scores
 
 
 class VotingEnsembleClassifier:
@@ -203,7 +206,7 @@ def make_classifier(
     """A classifier of registry ``kind``.  ``folds`` is the LSM readout's
     cross-validation fold count (an ensemble passes it to its ``lsm``
     member; the histogram kinds have no use for it)."""
-    if kind in (TREE, HIST_RF, LINEAR):
+    if kind in HISTOGRAM_KINDS:
         return HistogramClassifier(kind, seed=seed, encoding=encoding, **kwargs)
     if kind == LSM:
         return LsmClassifier(seed=seed, encoding=encoding, folds=folds, **kwargs)

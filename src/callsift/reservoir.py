@@ -55,7 +55,7 @@ from typing import Iterable
 import numpy as np
 
 from .forest import LinearModel, LinearParams, _map_forked, train_linear
-from .traces import MultiHotMatrix
+from .traces import MultiHotMatrix, labels_of
 
 
 # A run of at least QUIET_RUN_MIN input-free steps with an empty refractory
@@ -362,14 +362,12 @@ def _rbf_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-d2 / (2.0 * sigma**2))
 
 
+SMO_TOL = 1e-3  # SMO's KKT tolerance
+SMO_QUIET_PASSES = 8  # SMO stops after this many unchanging passes in a row, or 200
+
+
 def train_rbf_svm(
-    X: np.ndarray,
-    y01: np.ndarray,
-    sigma: float,
-    box: float,
-    seed: int = 0,
-    tol: float = 1e-3,
-    max_passes: int = 8,
+    X: np.ndarray, y01: np.ndarray, sigma: float, box: float, seed: int = 0
 ) -> RbfSvm:
     """Simplified SMO (random second index, seeded) on the dual problem."""
     if sigma <= 0 or box <= 0:
@@ -383,12 +381,12 @@ def train_rbf_svm(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 23]))
     quiet_passes = 0
     total_passes = 0
-    while quiet_passes < max_passes and total_passes < 200:
+    while quiet_passes < SMO_QUIET_PASSES and total_passes < 200:
         total_passes += 1
         changed = 0
         for i in range(n):
             ei = (alpha * y) @ K[:, i] + b - y[i]
-            if (y[i] * ei < -tol and alpha[i] < box) or (y[i] * ei > tol and alpha[i] > 0):
+            if (y[i] * ei < -SMO_TOL and alpha[i] < box) or (y[i] * ei > SMO_TOL and alpha[i] > 0):
                 j = int(rng.integers(0, n - 1))
                 if j >= i:
                     j += 1
@@ -460,11 +458,13 @@ def default_linear_grid() -> list[dict]:
     return [{"l2": l2} for l2 in (1e-4, 1e-3, 1e-2)]
 
 
-def default_rbf_grid(n_sigma: int = 5, n_box: int = 5) -> list[dict]:
+RBF_GRID_VALUES = np.logspace(-1, 2, 5)  # the default grid's sigmas, and its boxes
+
+
+def default_rbf_grid() -> list[dict]:
     """Exhaustive log-spaced sigma x box grid (deterministic order)."""
-    sigmas = np.logspace(-1, 2, n_sigma)
-    boxes = np.logspace(-1, 2, n_box)
-    return [{"sigma": float(s), "box": float(c)} for s in sigmas for c in boxes]
+    return [{"sigma": float(s), "box": float(c)}
+            for s in RBF_GRID_VALUES for c in RBF_GRID_VALUES]
 
 
 def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
@@ -534,7 +534,7 @@ def train_readout(
     def cv_loss(job: int) -> float:
         i, f = divmod(job, folds)
         model = _fit_readout(kind, Xs[train_idx[f]], y[train_idx[f]], grid[i], seed)
-        pred = (model.predict_scores(Xs[fold_idx[f]]) >= 0.5).astype(np.int64)
+        pred = labels_of(model.predict_scores(Xs[fold_idx[f]]))
         return float((pred != y[fold_idx[f]]).mean())
 
     # grid-major: the losses of grid point i are losses[i * folds : (i + 1) * folds]

@@ -46,6 +46,12 @@ LABEL_TO_INT = {GOODWARE: 0, MALWARE: 1}
 INT_TO_LABEL = {0: GOODWARE, 1: MALWARE}
 
 
+def labels_of(scores) -> np.ndarray:
+    """Integer labels of malware scores: 0.5 or more is malware, so an exact tie
+    goes to malware (the fail-safe direction); the package's one copy of the rule."""
+    return (np.asarray(scores) >= 0.5).astype(np.int64)
+
+
 class TraceParseError(ValueError):
     """Raised when an external trace record is malformed."""
 
@@ -87,9 +93,6 @@ class SyscallVocabulary:
         return np.fromiter(
             map(self._index.get, names, repeat(self.oov_index)), dtype=np.int64
         )
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
 
 
 class TraceEvents(Sequence):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -252,6 +253,63 @@ def test_sweep_lengths_match_eval_at_each_length(long_corpus, tmp_path):
     assert bitmaps[0] != bitmaps[1]
 
 
+def test_report_and_stats_read_a_sweep_file(workspace, tmp_path, capsys):
+    """``report`` and ``stats`` on a ``sweep --report-json`` list equal the
+    same commands on each entry extracted by hand, in order."""
+    sweep_json = tmp_path / "sweep.json"
+    assert cli.main([
+        "sweep", "--corpus", str(workspace / "corpus.jsonl"),
+        "--models", "tree,linear,ensemble", "--lengths", "20,60", "--seed", "2",
+        "--out", str(tmp_path / "sweep.csv"), "--report-json", str(sweep_json),
+    ]) == 0
+    entries = json.loads(sweep_json.read_text())
+    capsys.readouterr()
+
+    def run(command, report, out):
+        argv = [command, "--report", str(report)]
+        assert cli.main(argv + (["--out", str(out)] if command == "stats" else [])) == 0
+        return capsys.readouterr().out
+
+    sig_tables, sig_docs, reports = [], [], []
+    for i, entry in enumerate(entries):
+        alone = tmp_path / f"entry_{i}.json"
+        alone.write_text(json.dumps(entry))
+        out = tmp_path / f"sig_{i}.json"
+        sig_tables.append(f"length: {entry['length']}\n" + run("stats", alone, out))
+        sig_docs.append(json.loads(out.read_text()))
+        reports.append(run("report", alone, None))
+    assert run("stats", sweep_json, tmp_path / "sig.json") == "\n".join(sig_tables)
+    assert json.loads((tmp_path / "sig.json").read_text()) == sig_docs
+    assert run("report", sweep_json, None) == "\n".join(reports)
+
+
+def test_pipeline_passes_its_config_split_shape_to_its_stages(tmp_path, monkeypatch):
+    """The train counts every stage gets are the corpus config's, and the
+    distributed test-malware target is the distributed shape's, scaled."""
+    real = datagen.table1_shape
+
+    def shifted(*args, **kwargs):  # counts that no other table would give
+        config = real(*args, **kwargs)
+        counts = {label: n - 1 for label, n in config.train_counts.items()}
+        return dataclasses.replace(config, train_counts=counts)
+
+    monkeypatch.setattr(datagen, "table1_shape", shifted)
+    stages = []
+    monkeypatch.setattr(cli, "main", lambda argv: stages.append(argv) or 0)
+    args = cli.build_parser().parse_args(
+        ["pipeline", "--out-dir", str(tmp_path), "--scale", "0.01", "--reproducible"])
+    assert cli.cmd_pipeline(args) == 0
+    config = shifted("sorted", scale=0.01)
+    counts = f"{config.train_counts[GOODWARE]},{config.train_counts[MALWARE]}"
+    with_counts = [argv for argv in stages if "--train-counts" in argv]
+    assert [argv[0] for argv in with_counts] == ["eval", "eval", "train"]
+    for argv in with_counts:
+        assert argv[argv.index("--train-counts") + 1] == counts
+    distributed = next(argv for argv in stages if "distributed" in argv)
+    assert distributed[distributed.index("--test-malware") + 1] == str(
+        datagen.scale_count(datagen.DISTRIBUTED_SHAPE["test"][MALWARE], 0.01))
+
+
 def test_sweep_accepts_only_options_it_honours(tmp_path):
     for extra in (["--length", "5"], ["--train-counts", "1,1"]):
         with pytest.raises(SystemExit) as exc:
@@ -414,8 +472,10 @@ def test_unknown_model_kind_message(workspace, capsys):
 
 def _break_report(doc, how):
     tree = doc["models"]["tree"]
-    if how == "list":
-        return [doc]
+    if how == "list":  # a list of reports is a sweep file; a list of lists is not
+        return [[doc]]
+    if how == "empty-list":
+        return []
     if how == "string-n-test":
         tree["n_test"] = str(tree["n_test"])
     elif how == "n-test-past-bitmap":
@@ -439,6 +499,7 @@ def _break_report(doc, how):
 @pytest.mark.parametrize("command", ["stats", "report"])
 @pytest.mark.parametrize("how, message", [
     ("list", "EvaluationReport payload has fields list"),
+    ("empty-list", "EvaluationReport payload has fields list"),
     ("string-n-test", "ModelResult.n_test: int payload is a str"),
     ("n-test-past-bitmap", "n_test 500 needs 63"),
     ("n-test-past-confusion", "confusion counts total"),

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from callsift.datagen import (
     make_config,
     table1_shape,
 )
-from callsift.traces import GOODWARE, MALWARE, parse_trace, trace_to_record
+from callsift.traces import GOODWARE, MALWARE, TraceEvents, parse_trace, trace_to_record
 
 
 def small_config(seed=3, drift=0.0, mode="frequency-shift", counts=(40, 40)):
@@ -379,3 +380,79 @@ def test_config_validation():
         make_config(seed=0, goodware_count=1, malware_count=1,
                     profiles=datagen.default_profiles(),
                     train_counts={GOODWARE: 5, MALWARE: 0})
+
+
+def _loop_generate_trace(ordinal, label, u, observed_at, config):
+    """The per-burst, per-anchor loop generator that the whole-array draws of
+    ``datagen._generate_trace`` replaced: the oracle they must equal."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence([config.seed, datagen._STREAM_TRACE, ordinal])
+    )
+    components = config.profiles[label]
+    profile = components[int(rng.integers(0, len(components)))]
+    motif_list = profile.motifs
+    if config.drift.mode == datagen.MOTIF_SWAP and config.drift.magnitude > 0:
+        if rng.random() < u * config.drift.magnitude:
+            other = MALWARE if label == GOODWARE else GOODWARE
+            motif_list = config.profiles[other][0].motifs
+    names = sorted(profile.call_frequencies)
+    freqs = np.array([profile.call_frequencies[n] for n in names])
+    if config.drift.mode == datagen.FREQUENCY_SHIFT and config.drift.magnitude > 0:
+        freqs = drifted_frequencies(freqs, u, config.drift.magnitude)
+    length = datagen._sample_length(profile, rng)
+    steps_per_event = np.empty(length, dtype=np.int64)
+    filled = 0
+    step = 0
+    while filled < length:
+        chunk = max(16, int((length - filled) / profile.burstiness) + 8)
+        for b in rng.poisson(profile.burstiness, size=chunk):
+            take = min(int(b), length - filled)
+            if take:
+                steps_per_event[filled : filled + take] = step
+                filled += take
+            step += 1
+            if filled >= length:
+                break
+    calls = rng.choice(len(names), size=length, p=freqs)
+    motif_steps, motif_calls = [], []
+    for motif in motif_list:
+        limit = length if motif.window is None else min(motif.window, length)
+        for anchor in range(0, limit, motif.every):
+            if rng.random() >= motif.probability:
+                continue
+            start = int(steps_per_event[anchor])
+            gap = 0 if motif.style == "burst" else motif.spread_gap
+            motif_steps.extend(start + j * gap for j in range(len(motif.calls)))
+            motif_calls.extend(motif.calls)
+    steps = np.concatenate([steps_per_event, np.array(motif_steps, dtype=np.int64)])
+    call_names = [names[c] for c in calls.tolist()] + motif_calls
+    order = np.argsort(steps, kind="stable")
+    return datagen.SyscallTrace(
+        id=f"t{ordinal:06d}", label=label, observed_at=observed_at,
+        events=TraceEvents(steps[order], tuple(call_names[i] for i in order.tolist())),
+    )
+
+
+def assert_generated_as_by_the_loop_oracle(config):
+    with mock.patch.object(datagen, "_generate_trace", _loop_generate_trace):
+        want = [trace_to_record(t) for t in generate_corpus(config)]
+    assert [trace_to_record(t) for t in generate_corpus(config)] == want
+
+
+@settings(deadline=None, max_examples=80)
+@given(corpus_configs())
+def test_whole_array_draws_equal_the_loop_oracle(config):
+    # burstiness, length range and law, motif style, window, every, spread_gap
+    assert_generated_as_by_the_loop_oracle(config)
+
+
+@pytest.mark.parametrize("profiles", [
+    datagen.accumulating_profiles(),  # about 1,050-1,400 events, motifs every 16
+    datagen.bimodal_malware_profiles(),
+    datagen.default_profiles(burstiness=0.3),
+])
+def test_whole_array_draws_equal_the_loop_oracle_on_the_presets(profiles):
+    assert_generated_as_by_the_loop_oracle(make_config(
+        seed=21, goodware_count=4, malware_count=4, profiles=profiles,
+        drift=DriftSchedule(0.9, datagen.MOTIF_SWAP),
+    ))

@@ -348,15 +348,45 @@ def spread(hist):
 
 def test_lsm_scores_match_the_per_row_oracle(lsm_clf, small_corpus):
     lsm, vocab = lsm_clf.lsm, lsm_clf.vocab
-    # the oracle scores each input alone, one readout call on a one-row matrix
-    hists = [encode_histogram(t, vocab, normalize=False) for t in small_corpus]
-    want = [lsm.readout.predict_scores(liquid_row(lsm, spread(h)))[0] for h in hists]
+    # the oracle scores each input alone, one readout call on a one-row
+    # matrix; the histograms are in the classifier's own (normalized)
+    # encoding, which the scorer spreads as 100 (its nominal length) events
+    hists = [encode_histogram(t, vocab) for t in small_corpus]
+    want = [lsm.readout.predict_scores(liquid_row(lsm, spread(np.rint(h * 100))))[0]
+            for h in hists]
     got = explain.LsmHistogramScorer(lsm_clf).score_histograms(np.vstack(hists))
     assert np.array_equal(got, want)
     # predict's one readout call over all stacked rows scores each as alone
     rows = [liquid_row(lsm, encode_multihot(truncate(t, 60), vocab)) for t in small_corpus]
     want = [lsm.readout.predict_scores(row)[0] for row in rows]
     assert np.array_equal(lsm_clf.predict(small_corpus)[1], want)
+
+
+@pytest.fixture(scope="module")
+def raw_lsm_clf(small_corpus, small_labels):
+    clf = LsmClassifier(seed=1, encoding=EncodingOptions(truncation=60, normalize=False),
+                        folds=5)
+    return clf.fit(small_corpus, small_labels)
+
+
+@pytest.mark.parametrize("case", ["normalized-total-1.96", "raw-one-event"])
+def test_lsm_scorer_reads_the_classifier_normalization(request, case):
+    """A histogram is spread as its classifier's encoding says, whatever its
+    total suggests."""
+    if case == "normalized-total-1.96":
+        clf = request.getfixturevalue("lsm_clf")
+        # a LIME perturbation of a one-call trace: every other feature masked
+        # to its mean, 1/width
+        hist = np.full(clf.vocab.width, 1.0 / clf.vocab.width)
+        hist[0] = 1.0
+        events = np.rint(hist * 100)  # the nominal length
+    else:
+        clf = request.getfixturevalue("raw_lsm_clf")
+        hist = np.zeros(clf.vocab.width)
+        hist[0] = 1.0  # a one-event trace, in raw counts
+        events = hist
+    want = clf.lsm.readout.predict_scores(liquid_row(clf.lsm, spread(events)))[0]
+    assert explain.LsmHistogramScorer(clf).score_histograms(hist[None, :])[0] == want
 
 
 # --- batch explanations ------------------------------------------------------------

@@ -1,13 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from callsift import forest, reservoir
+from callsift.evaluation import majority_vote
 from callsift.models import (
+    TREE,
     EncodingOptions,
     HistogramClassifier,
     LsmClassifier,
     VotingEnsembleClassifier,
     make_classifier,
 )
+from callsift.traces import SyscallVocabulary
 from conftest import make_trace
 
 
@@ -67,3 +73,62 @@ def test_lsm_classifier_deterministic(small_corpus, small_labels):
     pa, sa = a.predict(small_corpus[:20])
     pb, sb = b.predict(small_corpus[:20])
     assert np.array_equal(pa, pb) and np.array_equal(sa, sb)
+
+
+class Half:
+    """A stub model whose every score is exactly 0.5."""
+
+    def predict_scores(self, X):
+        return np.full(np.asarray(X).shape[0], 0.5)
+
+
+def _histogram_classifier_label(monkeypatch):
+    clf = HistogramClassifier(TREE)
+    clf.vocab, clf.model = SyscallVocabulary(("NtClose",)), Half()
+    return clf.predict([make_trace([(0, "NtClose")])])[0][0]
+
+
+def _lsm_classifier_label(monkeypatch):
+    clf = LsmClassifier()
+    clf.vocab = SyscallVocabulary(("NtClose",))
+    clf.lsm = SimpleNamespace(topology=None, readout=Half())
+    monkeypatch.setattr(clf, "_states", lambda topology, traces: np.zeros((len(traces), 1)))
+    return clf.predict([make_trace([(0, "NtClose")])])[0][0]
+
+
+def _forest_vote_label(monkeypatch):
+    # one tree, one leaf reached by one goodware and one malware sample
+    leaf = forest.DecisionTree(
+        feature=np.array([forest.LEAF]), threshold=np.array([np.nan]),
+        left=np.array([forest.LEAF]), right=np.array([forest.LEAF]),
+        class_counts=np.array([[1.0, 1.0]]), n_features=1, params=forest.TreeParams(),
+    )
+    model = forest.RandomForest([leaf], 1, forest.ForestParams(n_trees=1))
+    X = np.zeros((1, 1))
+    assert leaf.predict_scores(X)[0] == 0.5
+    # the tree's vote is the forest's whole score
+    assert forest.predict_labels(model, X)[0] == model.predict_scores(X)[0]
+    return model.predict_scores(X)[0]
+
+
+def _majority_vote_label(monkeypatch):
+    return majority_vote([np.array([1]), np.array([0])])[0]
+
+
+def _readout_fold_loss_label(monkeypatch):
+    monkeypatch.setattr(reservoir, "_fit_readout", lambda *args: Half())
+    y = np.array([1, 1, 1, 1, 0, 0])  # each of the 2 folds: 2 malware, 1 goodware
+    readout = reservoir.train_readout(np.zeros((6, 2)), y, folds=2)
+    # a fold's loss is the share of its samples not of the label every 0.5
+    # got: one third if that label is malware, two thirds if goodware
+    thirds = {round(3 * loss, 9) for _, loss in readout.search_log}
+    assert thirds in ({1.0}, {2.0})
+    return int(thirds == {1.0})
+
+
+@pytest.mark.parametrize("label_of_a_half", [
+    _histogram_classifier_label, _lsm_classifier_label, _forest_vote_label,
+    _majority_vote_label, _readout_fold_loss_label,
+])
+def test_a_score_of_exactly_one_half_is_malware(label_of_a_half, monkeypatch):
+    assert label_of_a_half(monkeypatch) == 1
