@@ -268,19 +268,17 @@ def cmd_explain(args) -> int:
     vocab = clf.vocab
     names = list(vocab.names) + ["<other>"]  # the last is the OOV slot
     hists = models.encode_histograms(dataset.samples, vocab, clf.encoding)
-    if isinstance(clf, models.HistogramClassifier):
+    if clf.kind in models.HISTOGRAM_KINDS:
         # its predict would encode these same histograms again
+        scorer = clf
         pred = labels_of(clf.score_histograms(hists))
     else:
+        scorer = explain.LsmHistogramScorer(clf) if clf.kind == models.LSM else None
         pred, _ = clf.predict(dataset.samples)
 
     if "lime" in what:
-        if clf.kind == models.LSM:
-            scorer = explain.LsmHistogramScorer(clf)
-        elif hasattr(clf, "score_histograms"):
-            scorer = clf
-        else:
-            return _fail(f"model kind does not expose a histogram scoring surface")
+        if scorer is None:
+            return _fail(f"model kind {clf.kind!r} does not expose a histogram scoring surface")
         config = explain.LimeConfig(
             feature_means=hists.mean(axis=0),
             perturbations=args.perturbations,

@@ -416,83 +416,60 @@ def default_profiles(
     return {GOODWARE: (good,), MALWARE: (mal,)}
 
 
-def accumulating_profiles(
-    separation: float = 1.30,
-    burst_size: int = 6,
-    motif_rate: float = 0.9,
-    anchor_every: int = 16,
-    spread_gap: int = 6,
-    length_min: int = 1050,
-    length_max: int = 1400,
-    burstiness: float = 1.0,
-) -> dict[str, tuple[ClassProfile, ...]]:
+def accumulating_profiles() -> dict[str, tuple[ClassProfile, ...]]:
     """Weak per-call frequency deltas plus a histogram-neutral count motif.
 
-    The small ``separation`` makes short histograms noisy and long ones
-    informative: frequency evidence accumulates with trace length, so
-    histogram models improve as the truncation grows.  Independently, both
-    classes splice in the same number of extra NtDuplicateObject calls at
-    the same uniform rate — invisible to histograms at every truncation —
-    but malware packs each group into a single time step (a count spike
-    that drives liquid neurons over threshold) while goodware spreads the
-    same calls several steps apart.  Temporal models see that contrast
-    within the first hundred calls, so their accuracy saturates early and
-    stays flat as the truncation grows.
+    The small separation (1.3) makes short histograms noisy and long ones
+    informative: frequency evidence accumulates with trace length (1,050 to
+    1,400 base events at burstiness 1.0), so histogram models improve as
+    the truncation grows.  Independently, both classes splice in the same
+    groups of 6 extra NtDuplicateObject calls, at every 16th base event
+    with probability 0.9, invisible to histograms at every truncation; but
+    malware packs each group into a single time step (a count spike that
+    drives liquid neurons over threshold) while goodware spreads the same
+    calls 6 steps apart.  Temporal models see that contrast within the
+    first hundred calls, so their accuracy saturates early and stays flat
+    as the truncation grows.
     """
-    motif_calls = ("NtDuplicateObject",) * burst_size
-    mal_motif = Motif(calls=motif_calls, probability=motif_rate, style="burst",
-                      every=anchor_every)
-    good_motif = Motif(calls=motif_calls, probability=motif_rate, style="spread",
-                       every=anchor_every, spread_gap=spread_gap)
-    shared = dict(
-        length_min=length_min, length_max=length_max, burstiness=burstiness
-    )
+    motif_calls = ("NtDuplicateObject",) * 6
+    mal_motif = Motif(calls=motif_calls, probability=0.9, style="burst", every=16)
+    good_motif = Motif(calls=motif_calls, probability=0.9, style="spread",
+                       every=16, spread_gap=6)
+    shared = dict(length_min=1050, length_max=1400, burstiness=1.0)
     good = ClassProfile(
-        call_frequencies=_weighted_frequencies(
-            _GOODWARE_LEANING, _MALWARE_LEANING, separation, 1.0
-        ),
-        motifs=(good_motif,),
-        **shared,
-    )
+        call_frequencies=_weighted_frequencies(_GOODWARE_LEANING, _MALWARE_LEANING, 1.3, 1.0),
+        motifs=(good_motif,), **shared)
     mal = ClassProfile(
-        call_frequencies=_weighted_frequencies(
-            _MALWARE_LEANING, _GOODWARE_LEANING, separation, 1.0
-        ),
-        motifs=(mal_motif,),
-        **shared,
-    )
+        call_frequencies=_weighted_frequencies(_MALWARE_LEANING, _GOODWARE_LEANING, 1.3, 1.0),
+        motifs=(mal_motif,), **shared)
     return {GOODWARE: (good,), MALWARE: (mal,)}
 
 
-def bimodal_malware_profiles(
-    separation: float = 5.0,
-    length_min: int = 80,
-    length_max: int = 160,
-) -> dict[str, tuple[ClassProfile, ...]]:
+def bimodal_malware_profiles() -> dict[str, tuple[ClassProfile, ...]]:
     """Goodware sits between two malware modes on the leaning calls.
 
-    One malware family over-uses memory-mapping calls, the other over-uses
-    file-control calls; goodware uses both moderately.  No single hyperplane
-    on those frequencies separates the classes, while axis-aligned splits do
-    — the shape that favors trees over a linear model.
+    One malware family over-uses memory-mapping calls 5 times as often as
+    file-control calls, the other the reverse; goodware uses both
+    moderately (sqrt(5) times the rest).  No single hyperplane on those
+    frequencies separates the classes, while axis-aligned splits do — the
+    shape that favors trees over a linear model.  Traces hold 80 to 160
+    events.
     """
+    separation = 5.0
     mem = ("NtAllocateVirtualMemory", "NtFreeVirtualMemory", "NtMapViewOfSection")
     fsc = ("NtFsControlFile", "NtOpenSection", "NtRequestWaitReplyPort")
-    shared = dict(length_min=length_min, length_max=length_max)
     good = ClassProfile(
         call_frequencies=_weighted_frequencies(mem + fsc, (), math.sqrt(separation), 1.0),
-        **shared,
     )
-    mal_a = ClassProfile(
-        call_frequencies=_weighted_frequencies(mem, fsc, separation, 1.0), **shared
-    )
-    mal_b = ClassProfile(
-        call_frequencies=_weighted_frequencies(fsc, mem, separation, 1.0), **shared
-    )
+    mal_a = ClassProfile(call_frequencies=_weighted_frequencies(mem, fsc, separation, 1.0))
+    mal_b = ClassProfile(call_frequencies=_weighted_frequencies(fsc, mem, separation, 1.0))
     return {GOODWARE: (good,), MALWARE: (mal_a, mal_b)}
 
 
 # --- Profile-likelihood oracle ----------------------------------------------
+
+
+ORACLE_SMOOTHING = 1e-6  # the uniform mass mixed into each profile
 
 
 class ProfileLikelihoodOracle:
@@ -505,7 +482,7 @@ class ProfileLikelihoodOracle:
     probe drift-induced evaluation gaps.
     """
 
-    def __init__(self, config: CorpusConfig, smoothing: float = 1e-6):
+    def __init__(self, config: CorpusConfig):
         self.names: list[str] = sorted(
             {n for comps in config.profiles.values() for c in comps for n in c.call_frequencies}
         )
@@ -519,7 +496,7 @@ class ProfileLikelihoodOracle:
                 p = np.full(v, 0.0)
                 for name, prob in comp.call_frequencies.items():
                     p[index[name]] = prob
-                p = (1.0 - smoothing) * p + smoothing / v
+                p = (1.0 - ORACLE_SMOOTHING) * p + ORACLE_SMOOTHING / v
                 rows.append(np.log(p))
             self._log_probs[label] = np.vstack(rows)
 

@@ -31,14 +31,15 @@ from functools import cached_property
 import numpy as np
 
 from .forest import LEAF, DecisionTree
-from .reservoir import liquid_states
 from .traces import (
     GOODWARE,
+    INT_TO_LABEL,
     MALWARE,
     MultiHotMatrix,
     SyscallTrace,
     SyscallVocabulary,
     encode_histogram,
+    labels_of,
 )
 
 
@@ -76,9 +77,6 @@ class LocalExplanation:
     sample_id: str
     weights: np.ndarray  # signed, negative supports malware
     fidelity: float | None  # weighted R^2 of the surrogate; None if undefined
-    kernel_width: float
-    perturbations: int
-    seed: int
     top: list[tuple[int, float]] = field(default_factory=list)
     notes: tuple[str, ...] = ()
 
@@ -149,13 +147,7 @@ def lime_explain(model, sample: np.ndarray, config: LimeConfig,
     notes = tuple(getattr(model, "explanation_notes", ()))
     if np.allclose(scores, scores[0], atol=1e-12):
         return LocalExplanation(
-            sample_id=sample_id,
-            weights=np.zeros(d),
-            fidelity=None,
-            kernel_width=kernel_width,
-            perturbations=config.perturbations,
-            seed=config.seed,
-            top=[],
+            sample_id, np.zeros(d), fidelity=None,
             notes=notes + ("degenerate: constant model score over perturbations",),
         )
     dist = np.linalg.norm(Z - x, axis=1)
@@ -170,16 +162,7 @@ def lime_explain(model, sample: np.ndarray, config: LimeConfig,
     order = np.argsort(-np.abs(weights), kind="stable")
     k = config.top_k if config.top_k is not None else d
     top = [(int(i), float(weights[i])) for i in order[:k]]
-    return LocalExplanation(
-        sample_id=sample_id,
-        weights=weights,
-        fidelity=fidelity,
-        kernel_width=kernel_width,
-        perturbations=config.perturbations,
-        seed=config.seed,
-        top=top,
-        notes=notes,
-    )
+    return LocalExplanation(sample_id, weights, fidelity, top=top, notes=notes)
 
 
 def lime_explain_batch(model, X: np.ndarray, config: LimeConfig,
@@ -318,14 +301,15 @@ def extract_rules(
     any vector and replaying the rules reproduces the tree's predictions.
     """
     names = feature_names or [f"f{i}" for i in range(tree.n_features)]
+    labels = labels_of(tree.leaf_scores)
     rules: list[DecisionRule] = []
 
     def walk(node: int, conds: tuple[RuleCondition, ...]) -> None:
         f = int(tree.feature[node])
         if f == LEAF:
             g, m = tree.class_counts[node]
-            predicted = MALWARE if (m >= g) else GOODWARE  # score>=0.5 tie rule
-            rules.append(DecisionRule(conditions=conds, predicted=predicted,
+            rules.append(DecisionRule(conditions=conds,
+                                      predicted=INT_TO_LABEL[int(labels[node])],
                                       leaf_counts=(float(g), float(m))))
             return
         thr = float(tree.threshold[node])
@@ -438,7 +422,7 @@ class LsmHistogramScorer:
     explanation_notes = ("approximation: histogram spread uniformly over time for LSM input",)
 
     def __init__(self, lsm_classifier, nominal_length: int = 100):
-        if lsm_classifier.lsm is None or lsm_classifier.vocab is None:
+        if lsm_classifier.model is None or lsm_classifier.vocab is None:
             raise ValueError("LSM classifier must be fitted first")
         self.classifier = lsm_classifier
         self.nominal_length = nominal_length
@@ -447,14 +431,13 @@ class LsmHistogramScorer:
         X = np.asarray(X, dtype=np.float64)
         if self.classifier.encoding.normalize:
             X = X * self.nominal_length
-        scores = np.empty(X.shape[0])
-        lsm = self.classifier.lsm
-        for i, hist in enumerate(X):
-            counts = np.rint(hist).astype(np.int64)
-            calls = np.repeat(np.arange(counts.size), np.maximum(counts, 0))
-            rows = np.zeros((calls.size, counts.size), dtype=np.int64)
-            rows[np.arange(calls.size), calls] = 1
-            matrix = MultiHotMatrix(rows, np.arange(calls.size, dtype=np.int64))
-            state = liquid_states(lsm.topology, lsm.lif, [matrix], lsm.windows)
-            scores[i] = lsm.readout.predict_scores(state)[0]
-        return scores
+        return self.classifier.score_inputs(_spread(hist) for hist in X)
+
+
+def _spread(hist: np.ndarray) -> MultiHotMatrix:
+    """A histogram rounded to counts, one event per step in vocabulary order."""
+    counts = np.rint(hist).astype(np.int64)
+    calls = np.repeat(np.arange(counts.size), np.maximum(counts, 0))
+    rows = np.zeros((calls.size, counts.size), dtype=np.int64)
+    rows[np.arange(calls.size), calls] = 1
+    return MultiHotMatrix(rows, np.arange(calls.size, dtype=np.int64))

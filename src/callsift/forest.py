@@ -148,13 +148,16 @@ class DecisionTree:
             rows = rows[self.feature[at] != LEAF]
         return node
 
-    def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        """Malware fraction of the reached leaf (0.5 on an empty tie)."""
-        leaf = self.apply(X)
+    @property
+    def leaf_scores(self) -> np.ndarray:
+        """Each node's malware fraction, 0.5 for a node no sample reached."""
         total = self.class_counts.sum(axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
-            score = np.where(total > 0, self.class_counts[:, 1] / total, 0.5)
-        return score[leaf]
+            return np.where(total > 0, self.class_counts[:, 1] / total, 0.5)
+
+    def predict_scores(self, X: np.ndarray) -> np.ndarray:
+        """The ``leaf_scores`` of the reached leaf of each row."""
+        return self.leaf_scores[self.apply(X)]
 
 
 def _gini_from_counts(n1: np.ndarray, n: np.ndarray) -> np.ndarray:

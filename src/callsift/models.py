@@ -12,12 +12,13 @@ Every classifier here:
   malware); a trace's score does not depend on which other traces
   are scored with it,
 * exposes its registry ``kind``, its ``vocab`` and its ``encoding``, which
-  is all an archive needs besides the model itself.
+  is all an archive needs besides the trained ``model`` that each
+  single-model classifier holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .traces import (
 )
 
 DEFAULT_TRUNCATION = 1000
+LIQUID_WINDOWS = 4  # time windows an LSM's liquid state is counted over
 
 TREE = "tree"
 HIST_RF = "hist-rf"
@@ -110,7 +112,8 @@ class HistogramClassifier:
 
 
 class LsmClassifier:
-    """Multi-hot encoding into a fixed liquid, then a trained readout."""
+    """Multi-hot encoding into a fixed liquid, then a trained readout; the
+    liquid's settings live only in the trained ``LsmModel``, ``model``."""
 
     kind = LSM
 
@@ -118,36 +121,32 @@ class LsmClassifier:
         self,
         seed: int = 0,
         encoding: EncodingOptions | None = None,
-        lif: reservoir.LifParams | None = None,
-        windows: int = 4,
         readout_kind: str = reservoir.LINEAR,
         readout_grid: list[dict] | None = None,
         folds: int = 10,
     ):
         self.seed = seed
         self.encoding = encoding or EncodingOptions()
-        self.lif = lif or reservoir.LifParams()
-        self.windows = windows
         self.readout_kind = readout_kind
         self.readout_grid = readout_grid
         self.folds = folds
         self.vocab: SyscallVocabulary | None = None
-        self.lsm: reservoir.LsmModel | None = None
+        self.model: reservoir.LsmModel | None = None
 
-    def _states(self, topology: reservoir.LiquidTopology, traces) -> np.ndarray:
-        assert self.vocab is not None
-        inputs = (
+    def _inputs(self, traces):
+        assert self.vocab is not None, "fit before predict"
+        return (
             encode_multihot(truncate(t, self.encoding.truncation), self.vocab)
             for t in traces
         )
-        return reservoir.liquid_states(topology, self.lif, inputs, self.windows)
 
     def fit(self, traces: list[SyscallTrace], labels: np.ndarray) -> "LsmClassifier":
         self.vocab = build_vocabulary(traces)
         topology = reservoir.build_liquid(
             reservoir.LiquidConfig(input_channels=self.vocab.width), seed=self.seed
         )
-        states = self._states(topology, traces)
+        lif = reservoir.LifParams()
+        states = reservoir.liquid_states(topology, lif, self._inputs(traces), LIQUID_WINDOWS)
         y = np.asarray(labels, dtype=np.int64)
         folds = min(self.folds, int(np.bincount(y, minlength=2).min()))
         if folds < 2:
@@ -156,14 +155,21 @@ class LsmClassifier:
             states, y, search=self.readout_grid, folds=folds,
             seed=self.seed, kind=self.readout_kind,
         )
-        self.lsm = reservoir.LsmModel(
-            topology=topology, lif=self.lif, windows=self.windows, readout=readout
+        self.model = reservoir.LsmModel(
+            topology=topology, lif=lif, windows=LIQUID_WINDOWS, readout=readout
         )
         return self
 
+    def score_inputs(self, matrices) -> np.ndarray:
+        """Malware scores of multi-hot matrices (an iterable, consumed one at a
+        time) run through the trained liquid and readout."""
+        assert self.model is not None, "fit first"
+        m = self.model
+        states = reservoir.liquid_states(m.topology, m.lif, matrices, m.windows)
+        return m.readout.predict_scores(states)
+
     def predict(self, traces) -> tuple[np.ndarray, np.ndarray]:
-        assert self.lsm is not None, "fit first"
-        scores = self.lsm.readout.predict_scores(self._states(self.lsm.topology, traces))
+        scores = self.score_inputs(self._inputs(traces))
         return labels_of(scores), scores
 
 

@@ -182,7 +182,7 @@ def _classifier_payload(clf) -> dict:
             name: {"kind": member.kind, "payload": _classifier_payload(member)}
             for name, member in clf.members.items()
         }}
-    return encode(clf.lsm if clf.kind == models.LSM else clf.model)
+    return encode(clf.model)
 
 
 def _classifier_from_payload(kind: str, payload: dict, vocab: SyscallVocabulary,
@@ -194,13 +194,8 @@ def _classifier_from_payload(kind: str, payload: dict, vocab: SyscallVocabulary,
         })
     if kind not in _MODEL_TYPES:
         raise ArchiveError(f"unknown model kind {kind!r} in archive")
-    model = decode(_MODEL_TYPES[kind], payload)
-    if kind == models.LSM:
-        clf = models.LsmClassifier(encoding=encoding, lif=model.lif, windows=model.windows)
-        clf.lsm = model
-    else:
-        clf = models.HistogramClassifier(kind, encoding=encoding)
-        clf.model = model
+    clf = models.make_classifier(kind, encoding=encoding)
+    clf.model = decode(_MODEL_TYPES[kind], payload)
     clf.vocab = vocab
     return clf
 
@@ -250,8 +245,16 @@ def load_model(path: str | Path):
         raise ArchiveError(
             f"unsupported archive format_version {version!r} (expected {FORMAT_VERSION})"
         )
-    if doc.get("payload_sha256") != config_hash(doc["payload"]):
+    # every field read below (provenance is written, never read)
+    missing = [key for key in ("kind", "payload", "payload_sha256", "vocabulary", "encoding")
+               if key not in doc]
+    if missing:
+        raise ArchiveError(f"archive lacks {', '.join(missing)}")
+    if doc["payload_sha256"] != config_hash(doc["payload"]):
         raise ArchiveError("archive payload checksum mismatch (corrupted file)")
-    vocab = SyscallVocabulary(tuple(doc["vocabulary"]))
+    try:
+        vocab = SyscallVocabulary(decode(tuple[str, ...], doc["vocabulary"]))
+    except ArchiveError as exc:
+        raise ArchiveError(f"vocabulary: {exc}") from None
     encoding = decode(models.EncodingOptions, doc["encoding"])
-    return _classifier_from_payload(doc["kind"], doc["payload"], vocab, encoding)
+    return _classifier_from_payload(decode(str, doc["kind"]), doc["payload"], vocab, encoding)

@@ -10,7 +10,7 @@ import pytest
 
 from callsift import cli, datagen, persistence
 from callsift.evaluation import EvaluationReport, model_results
-from callsift.traces import GOODWARE, MALWARE, write_corpus
+from callsift.traces import GOODWARE, MALWARE, SyscallTrace, read_corpus, write_corpus
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +187,34 @@ def test_train_then_archive_eval(workspace, rf_archive):
         "--out", str(workspace / "nope.json"),
     ])
     assert rc == 1
+
+
+def test_train_full_fits_every_trace(workspace, tmp_path, capsys):
+    traces = read_corpus(workspace / "corpus.jsonl")
+    last = traces[-1]  # on the test side of every sorted split
+    traces[-1] = SyscallTrace(last.id, last.label, last.observed_at, ((0, "NtOnlyInTest"),))
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "tree.json"
+    write_corpus(traces, corpus)
+    for extra, trained, sees_it in (([], 64, False), (["--full"], 80, True)):
+        assert cli.main(["train", "--corpus", str(corpus), "--model", "tree",
+                         "--out", str(out), *extra]) == 0
+        assert f"trained tree on {trained} traces" in capsys.readouterr().out
+        vocabulary = json.loads(out.read_text())["vocabulary"]
+        assert ("NtOnlyInTest" in vocabulary) is sees_it
+
+
+@pytest.mark.parametrize("vocabulary", ["integers", "null"])
+def test_archive_with_a_malformed_vocabulary_exits_one(workspace, rf_archive, tmp_path,
+                                                       capsys, vocabulary):
+    doc = json.loads(rf_archive.read_text())
+    doc["vocabulary"] = list(range(len(doc["vocabulary"]))) if vocabulary == "integers" else None
+    archive = tmp_path / "bad.json"
+    archive.write_text(json.dumps(doc))
+    rc = cli.main(["eval", "--corpus", str(workspace / "corpus.jsonl"), "--split", "sorted",
+                   "--model-archive", str(archive), "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: vocabulary: ")
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_sweep_csv(workspace):

@@ -144,9 +144,7 @@ def test_lime_dimension_mismatch():
 def fake_explanation(weights, sample_id="s"):
     w = np.asarray(weights, dtype=float)
     return explain.LocalExplanation(
-        sample_id=sample_id, weights=w, fidelity=1.0, kernel_width=1.0,
-        perturbations=10, seed=0,
-    )
+        sample_id=sample_id, weights=w, fidelity=1.0)
 
 
 def test_summary_single_explanation():
@@ -347,7 +345,7 @@ def spread(hist):
 
 
 def test_lsm_scores_match_the_per_row_oracle(lsm_clf, small_corpus):
-    lsm, vocab = lsm_clf.lsm, lsm_clf.vocab
+    lsm, vocab = lsm_clf.model, lsm_clf.vocab
     # the oracle scores each input alone, one readout call on a one-row
     # matrix; the histograms are in the classifier's own (normalized)
     # encoding, which the scorer spreads as 100 (its nominal length) events
@@ -385,7 +383,7 @@ def test_lsm_scorer_reads_the_classifier_normalization(request, case):
         hist = np.zeros(clf.vocab.width)
         hist[0] = 1.0  # a one-event trace, in raw counts
         events = hist
-    want = clf.lsm.readout.predict_scores(liquid_row(clf.lsm, spread(events)))[0]
+    want = clf.model.readout.predict_scores(liquid_row(clf.model, spread(events)))[0]
     assert explain.LsmHistogramScorer(clf).score_histograms(hist[None, :])[0] == want
 
 

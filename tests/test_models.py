@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from callsift import forest, reservoir
+from callsift import explain, forest, reservoir
 from callsift.evaluation import majority_vote
 from callsift.models import (
     TREE,
@@ -13,7 +13,7 @@ from callsift.models import (
     VotingEnsembleClassifier,
     make_classifier,
 )
-from callsift.traces import SyscallVocabulary
+from callsift.traces import LABEL_TO_INT, SyscallVocabulary
 from conftest import make_trace
 
 
@@ -91,24 +91,35 @@ def _histogram_classifier_label(monkeypatch):
 def _lsm_classifier_label(monkeypatch):
     clf = LsmClassifier()
     clf.vocab = SyscallVocabulary(("NtClose",))
-    clf.lsm = SimpleNamespace(topology=None, readout=Half())
-    monkeypatch.setattr(clf, "_states", lambda topology, traces: np.zeros((len(traces), 1)))
+    clf.model = SimpleNamespace(topology=None, lif=None, windows=1, readout=Half())
+    monkeypatch.setattr(reservoir, "liquid_states",
+                        lambda topology, lif, inputs, windows: np.zeros((len(list(inputs)), 1)))
     return clf.predict([make_trace([(0, "NtClose")])])[0][0]
 
 
-def _forest_vote_label(monkeypatch):
-    # one tree, one leaf reached by one goodware and one malware sample
-    leaf = forest.DecisionTree(
+def _tied_leaf():
+    """A one-leaf tree whose leaf one goodware and one malware sample reached."""
+    return forest.DecisionTree(
         feature=np.array([forest.LEAF]), threshold=np.array([np.nan]),
         left=np.array([forest.LEAF]), right=np.array([forest.LEAF]),
         class_counts=np.array([[1.0, 1.0]]), n_features=1, params=forest.TreeParams(),
     )
+
+
+def _forest_vote_label(monkeypatch):
+    leaf = _tied_leaf()
     model = forest.RandomForest([leaf], 1, forest.ForestParams(n_trees=1))
     X = np.zeros((1, 1))
     assert leaf.predict_scores(X)[0] == 0.5
     # the tree's vote is the forest's whole score
     assert forest.predict_labels(model, X)[0] == model.predict_scores(X)[0]
     return model.predict_scores(X)[0]
+
+
+def _extract_rules_label(monkeypatch):
+    (rule,) = explain.extract_rules(_tied_leaf())
+    assert rule.leaf_counts == (1.0, 1.0)
+    return LABEL_TO_INT[rule.predicted]
 
 
 def _majority_vote_label(monkeypatch):
@@ -128,7 +139,7 @@ def _readout_fold_loss_label(monkeypatch):
 
 @pytest.mark.parametrize("label_of_a_half", [
     _histogram_classifier_label, _lsm_classifier_label, _forest_vote_label,
-    _majority_vote_label, _readout_fold_loss_label,
+    _extract_rules_label, _majority_vote_label, _readout_fold_loss_label,
 ])
 def test_a_score_of_exactly_one_half_is_malware(label_of_a_half, monkeypatch):
     assert label_of_a_half(monkeypatch) == 1

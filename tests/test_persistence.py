@@ -30,8 +30,17 @@ from callsift.persistence import (
     load_model,
     save_model,
 )
-from callsift.reservoir import LINEAR, RBF_SVM, RbfSvm, ReadoutModel
-from callsift.traces import SyscallVocabulary
+from callsift.reservoir import (
+    LINEAR,
+    RBF_SVM,
+    LifParams,
+    LsmModel,
+    RbfSvm,
+    ReadoutModel,
+    liquid_states,
+    train_readout,
+)
+from callsift.traces import SyscallVocabulary, encode_multihot, truncate
 
 
 def fitted(kind, small_corpus, small_labels):
@@ -129,6 +138,48 @@ def test_spelled_out_kind_is_unknown(tmp_path, small_corpus, small_labels):
     (tmp_path / "old.json").write_text(json.dumps(doc))
     with pytest.raises(ArchiveError, match="unknown model kind"):
         load_model(tmp_path / "old.json")
+
+
+def _drop(*keys):
+    def mutate(doc):
+        for key in keys:
+            del doc[key]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    # every call would fall into the OOV slot
+    (lambda doc: doc.update(vocabulary=list(range(len(doc["vocabulary"])))),
+     "^vocabulary: str payload is a int$"),
+    (lambda doc: doc.update(vocabulary=None), "^vocabulary: .* payload is a NoneType$"),
+    (_drop("payload"), "^archive lacks payload$"),
+    (_drop("vocabulary", "encoding"), "^archive lacks vocabulary, encoding$"),
+], ids=["integer-vocabulary", "null-vocabulary", "no-payload", "no-vocabulary-or-encoding"])
+def test_malformed_archive_envelope_is_rejected_naming_the_key(
+    tmp_path, small_corpus, small_labels, mutate, message
+):
+    doc = save_model(fitted("tree", small_corpus, small_labels), tmp_path / "m.json")
+    mutate(doc)
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    with pytest.raises(ArchiveError, match=message):
+        load_model(tmp_path / "bad.json")
+
+
+def test_lsm_archive_keeps_the_model_liquid_settings(tmp_path, small_corpus, small_labels):
+    clf = fitted("lsm", small_corpus, small_labels)
+    lif = LifParams(membrane_time_constant=12.0, threshold=0.6, refractory_period=1)
+    assert lif != LifParams() and clf.model.windows != 2
+    inputs = [encode_multihot(truncate(t, clf.encoding.truncation), clf.vocab)
+              for t in small_corpus]
+    states = liquid_states(clf.model.topology, lif, inputs, windows=2)
+    readout = train_readout(states, small_labels, search=[{"l2": 1e-3}], folds=3)
+    clf.model = LsmModel(topology=clf.model.topology, lif=lif, windows=2, readout=readout)
+    save_model(clf, tmp_path / "lsm.json")
+    loaded = load_model(tmp_path / "lsm.json")
+    assert loaded.model.lif == lif and loaded.model.windows == 2
+    want = readout.predict_scores(states)
+    assert np.array_equal(loaded.predict(small_corpus)[1], want)
+    assert np.array_equal(clf.predict(small_corpus)[1], want)
 
 
 def test_unfitted_model_cannot_be_saved(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from callsift import forest
 from callsift import reservoir as rv
-from callsift.models import LsmClassifier
+from callsift.models import LIQUID_WINDOWS, LsmClassifier
 from callsift.traces import MultiHotMatrix, SyscallVocabulary
 from conftest import make_trace
 
@@ -331,7 +331,8 @@ def _fitted_lsm(readout):
     clf = LsmClassifier()
     clf.vocab = SyscallVocabulary(("A", "B"))
     topo = rv.build_liquid(rv.LiquidConfig(input_channels=clf.vocab.width), seed=0)
-    clf.lsm = rv.LsmModel(topology=topo, lif=clf.lif, windows=clf.windows, readout=readout)
+    clf.model = rv.LsmModel(topology=topo, lif=rv.LifParams(), windows=LIQUID_WINDOWS,
+                            readout=readout)
     return clf
 
 
