@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, datagen, evaluation, explain, forest, models, persistence
 from . import significance as sig
-from .traces import GOODWARE, MALWARE, labels_of, read_corpus, write_corpus
+from .traces import GOODWARE, MALWARE, encode_histogram, labels_of, read_corpus, write_corpus
 
 
 def _fail(message: str) -> int:
@@ -267,7 +267,8 @@ def cmd_explain(args) -> int:
 
     vocab = clf.vocab
     names = list(vocab.names) + ["<other>"]  # the last is the OOV slot
-    hists = models.encode_histograms(dataset.samples, vocab, clf.encoding)
+    hists = encode_histogram(dataset.samples, vocab, clf.encoding.normalize,
+                             clf.encoding.truncation)
     if clf.kind in models.HISTOGRAM_KINDS:
         # its predict would encode these same histograms again
         scorer = clf
@@ -304,23 +305,17 @@ def cmd_explain(args) -> int:
                 continue
             summary = explain.summarize_explanations(members, group, top_k=args.top_k)
             chart_lines.append(explain.render_summary(summary, names))
-        (out_dir / "lime_summary.txt").write_text(
-            "\n\n".join(chart_lines) + "\n", encoding="utf-8"
-        )
+        _write_text("\n\n".join(chart_lines) + "\n", out_dir / "lime_summary.txt")
 
     if "rules" in what:
         tree = _rules_tree(clf, hists, pred, args.seed)
         rules = explain.extract_rules(tree, names)
-        (out_dir / "rules.txt").write_text(
-            explain.render_rules(rules) + "\n", encoding="utf-8"
-        )
+        _write_text(explain.render_rules(rules) + "\n", out_dir / "rules.txt")
 
     if "frequency" in what:
         features = _frequency_features(clf, names, args.top_k)
         marks = explain.class_frequency_marks(dataset.samples, features, vocab)
-        (out_dir / "frequency.txt").write_text(
-            explain.render_frequency_table(marks) + "\n", encoding="utf-8"
-        )
+        _write_text(explain.render_frequency_table(marks) + "\n", out_dir / "frequency.txt")
     print(f"explanation artifacts in {out_dir}")
     return 0
 

@@ -368,19 +368,16 @@ def class_frequency_marks(
     A relative difference within ``FREQUENCY_TIE_TOLERANCE`` is a tie.
     Raises when a class is absent from the dataset (means would be undefined).
     """
-    by_class: dict[str, list[np.ndarray]] = {GOODWARE: [], MALWARE: []}
-    for t in traces:
-        if t.label in by_class:
-            by_class[t.label].append(encode_histogram(t, vocab, normalize=True))
-    for label, rows in by_class.items():
-        if not rows:
+    hists = encode_histogram(traces, vocab)
+    labels = np.array([t.label for t in traces], dtype=object)
+    means = []  # each class's mean frequency of each feature
+    for label in (GOODWARE, MALWARE):
+        rows = hists[labels == label]
+        if not len(rows):
             raise ValueError(f"class {label!r} absent from dataset")
-    mean_g = np.vstack(by_class[GOODWARE]).mean(axis=0)
-    mean_m = np.vstack(by_class[MALWARE]).mean(axis=0)
+        means.append(rows.mean(axis=0)[vocab.indices_of(features)].tolist())
     marks = []
-    for name in features:
-        idx = vocab.index_of(name)
-        g, m = float(mean_g[idx]), float(mean_m[idx])
+    for name, g, m in zip(features, *means):
         denom = max(g, m)
         if denom == 0 or abs(g - m) / denom <= FREQUENCY_TIE_TOLERANCE:
             mark = "tie"

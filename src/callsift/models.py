@@ -5,8 +5,8 @@ Every classifier here:
 
 * builds its vocabulary from the training traces only (later traces may
   contain new call names; those fall into the OOV slot),
-* truncates traces to the configured length before encoding, into one
-  histogram matrix (``encode_histograms``) or one liquid-state matrix
+* encodes each trace's first ``encoding.truncation`` events, into one
+  histogram matrix (``traces.encode_histogram``) or one liquid-state matrix
   (``reservoir.liquid_states``) per call,
 * predicts (labels_int, scores), labels by ``traces.labels_of`` (0.5 is
   malware); a trace's score does not depend on which other traces
@@ -31,7 +31,6 @@ from .traces import (
     encode_histogram,
     encode_multihot,
     labels_of,
-    truncate,
 )
 
 DEFAULT_TRUNCATION = 1000
@@ -59,15 +58,6 @@ class EncodingOptions:
             raise ValueError("truncation must be >= 1")
 
 
-def encode_histograms(traces, vocab: SyscallVocabulary,
-                      encoding: EncodingOptions) -> np.ndarray:
-    """The (len(traces), vocab.width) histogram matrix of the traces, each
-    truncated and encoded as ``encoding`` says."""
-    rows = [encode_histogram(truncate(t, encoding.truncation), vocab,
-                             normalize=encoding.normalize) for t in traces]
-    return np.array(rows).reshape(len(rows), vocab.width)
-
-
 class HistogramClassifier:
     """Histogram encoding in front of a tree, forest, or linear learner."""
 
@@ -84,7 +74,8 @@ class HistogramClassifier:
 
     def _encode(self, traces) -> np.ndarray:
         assert self.vocab is not None, "fit before predict"
-        return encode_histograms(traces, self.vocab, self.encoding)
+        return encode_histogram(traces, self.vocab, self.encoding.normalize,
+                                self.encoding.truncation)
 
     def fit(self, traces: list[SyscallTrace], labels: np.ndarray) -> "HistogramClassifier":
         self.vocab = build_vocabulary(traces)
@@ -135,10 +126,7 @@ class LsmClassifier:
 
     def _inputs(self, traces):
         assert self.vocab is not None, "fit before predict"
-        return (
-            encode_multihot(truncate(t, self.encoding.truncation), self.vocab)
-            for t in traces
-        )
+        return (encode_multihot(t, self.vocab, self.encoding.truncation) for t in traces)
 
     def fit(self, traces: list[SyscallTrace], labels: np.ndarray) -> "LsmClassifier":
         self.vocab = build_vocabulary(traces)

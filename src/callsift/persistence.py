@@ -13,8 +13,8 @@ The codec serves:
   payload, the vocabulary snapshot, the encoding options, and training
   provenance.  The payload of a single model is its model dataclass
   (``DecisionTree``, ``RandomForest``, ``LinearModel`` or ``LsmModel``); an
-  ensemble's payload maps each member name to that member's own
-  ``{"kind", "payload"}``;
+  ensemble's is an ``EnsemblePayload``, which maps each member name to an
+  ``EnsembleMember``: that member's kind and own payload;
 * corpus configs (``datagen.CorpusConfig``): ``callsift gen --config``
   decodes its file and hashes the config's ``encode`` form into the
   corpus's ``.meta.json``;
@@ -176,21 +176,37 @@ def decode(tp, value):
     return value
 
 
+@dataclasses.dataclass(frozen=True)
+class EnsembleMember:
+    """An ensemble member in an archive: its registry kind and its own payload."""
+
+    kind: str
+    payload: dict[str, object]
+
+
+@dataclasses.dataclass(frozen=True)
+class EnsemblePayload:
+    members: dict[str, EnsembleMember]
+
+
 def _classifier_payload(clf) -> dict:
     if clf.kind == models.ENSEMBLE:
-        return {"members": {
-            name: {"kind": member.kind, "payload": _classifier_payload(member)}
+        return encode(EnsemblePayload({
+            name: EnsembleMember(member.kind, _classifier_payload(member))
             for name, member in clf.members.items()
-        }}
+        }))
     return encode(clf.model)
 
 
-def _classifier_from_payload(kind: str, payload: dict, vocab: SyscallVocabulary,
+def _classifier_from_payload(kind: str, payload, vocab: SyscallVocabulary,
                              encoding: models.EncodingOptions):
     if kind == models.ENSEMBLE:
+        members = decode(EnsemblePayload, payload).members
+        if not members:
+            raise ArchiveError("ensemble archive has no members")
         return models.VotingEnsembleClassifier({
-            name: _classifier_from_payload(entry["kind"], entry["payload"], vocab, encoding)
-            for name, entry in payload["members"].items()
+            name: _classifier_from_payload(m.kind, m.payload, vocab, encoding)
+            for name, m in members.items()
         })
     if kind not in _MODEL_TYPES:
         raise ArchiveError(f"unknown model kind {kind!r} in archive")

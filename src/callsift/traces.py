@@ -16,9 +16,9 @@ Two encodings are provided:
 
 * multi-hot (``encode_multihot``): a ``MultiHotMatrix`` with one count
   vector per occupied time step (order preserved),
-* histogram (``encode_histogram``): one float64 count vector per trace
-  (order discarded), optionally normalized to frequencies;
-  ``models.encode_histograms`` stacks them into a corpus matrix.
+* histogram (``encode_histogram``): one float64 matrix for a set of traces,
+  a count vector per trace (order discarded), optionally normalized to
+  frequencies; both encoders read only a trace's first ``truncation`` events.
 
 Both encodings reserve one extra out-of-vocabulary slot so that models
 trained against one vocabulary can score traces collected later, when new
@@ -65,7 +65,7 @@ _MAX_STEP = int(np.iinfo(np.int64).max)
 class SyscallVocabulary:
     """Sorted, deduplicated call-name universe plus one OOV slot.
 
-    ``index(names[i]) == i``; unknown names map to ``oov_index == len(names)``.
+    ``indices_of`` maps ``names[i]`` to ``i``, an unknown name to ``oov_index == len(names)``.
     """
 
     names: tuple[str, ...]
@@ -85,11 +85,8 @@ class SyscallVocabulary:
         """Vector width of every encoding: known names plus the OOV slot."""
         return len(self.names) + 1
 
-    def index_of(self, name: str) -> int:
-        return self._index.get(name, self.oov_index)
-
     def indices_of(self, names: Iterable[str]) -> np.ndarray:
-        """``index_of`` of each name, in order, as an int64 array."""
+        """The index of each name, in order, as an int64 array."""
         return np.fromiter(
             map(self._index.get, names, repeat(self.oov_index)), dtype=np.int64
         )
@@ -344,10 +341,12 @@ def truncate(trace: SyscallTrace, n: int) -> SyscallTrace:
     return SyscallTrace(trace.id, trace.label, trace.observed_at, trace.events[:n])
 
 
-def encode_multihot(trace: SyscallTrace, vocab: SyscallVocabulary) -> MultiHotMatrix:
-    """Count calls per occupied time step; unknown names land in the OOV slot."""
+def encode_multihot(trace: SyscallTrace, vocab: SyscallVocabulary,
+                    truncation: int | None = None) -> MultiHotMatrix:
+    """Count calls per occupied time step of the events ``truncate(trace,
+    truncation)`` keeps (all for None); unknown names land in the OOV slot."""
     width = vocab.width
-    steps = trace.events.steps
+    steps = trace.events.steps[:truncation]
     if not steps.size:
         return MultiHotMatrix._built(np.zeros((0, width), dtype=np.int64),
                                      np.zeros(0, dtype=np.int64))
@@ -356,24 +355,27 @@ def encode_multihot(trace: SyscallTrace, vocab: SyscallVocabulary) -> MultiHotMa
     opens_row[0] = True
     np.not_equal(steps[1:], steps[:-1], out=opens_row[1:])
     row_idx = np.cumsum(opens_row) - 1
-    cols = vocab.indices_of(trace.events.names)
+    cols = vocab.indices_of(trace.events.names[:truncation])
     counts = np.bincount(row_idx * width + cols, minlength=(row_idx[-1] + 1) * width)
     return MultiHotMatrix._built(counts.reshape(-1, width), steps[opens_row])
 
 
 def encode_histogram(
-    trace: SyscallTrace, vocab: SyscallVocabulary, normalize: bool = True
+    traces: Sequence[SyscallTrace], vocab: SyscallVocabulary, normalize: bool = True,
+    truncation: int | None = None,
 ) -> np.ndarray:
-    """Count calls over the whole trace as a float64 (width,) vector;
-    optionally divide by the total.
+    """The float64 (len(traces), vocab.width) matrix of each trace's call
+    counts over the events ``truncate(trace, truncation)`` keeps (all for
+    None); optionally each row divided by its total.
 
     An empty trace stays all-zero in both modes.  Normalization defaults on:
     frequency features are comparable across traces of different lengths.
     """
-    idx = vocab.indices_of(trace.events.names)
-    values = np.bincount(idx, minlength=vocab.width).astype(np.float64)
+    width = vocab.width
+    out = np.empty((len(traces), width), dtype=np.float64)
+    for row, trace in zip(out, traces):
+        row[:] = np.bincount(vocab.indices_of(trace.events.names[:truncation]), minlength=width)
     if normalize:
-        total = values.sum()
-        if total > 0:
-            values = values / total
-    return values
+        totals = out.sum(axis=1, keepdims=True)
+        np.divide(out, totals, out=out, where=totals > 0)
+    return out

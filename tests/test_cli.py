@@ -217,6 +217,20 @@ def test_archive_with_a_malformed_vocabulary_exits_one(workspace, rf_archive, tm
     assert not (tmp_path / "r.json").exists()
 
 
+def test_ensemble_archive_with_a_malformed_member_list_exits_one(workspace, rf_archive,
+                                                                tmp_path, capsys):
+    doc = json.loads(rf_archive.read_text())
+    doc["kind"], doc["payload"] = "ensemble", {"members": []}
+    doc["payload_sha256"] = persistence.config_hash(doc["payload"])
+    archive = tmp_path / "bad.json"
+    archive.write_text(json.dumps(doc))
+    rc = cli.main(["eval", "--corpus", str(workspace / "corpus.jsonl"), "--split", "sorted",
+                   "--model-archive", str(archive), "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: EnsemblePayload.members: ")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_sweep_csv(workspace):
     out = workspace / "sweep.csv"
     rc = cli.main([

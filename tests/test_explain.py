@@ -25,7 +25,6 @@ from callsift.traces import (
     SyscallVocabulary,
     encode_histogram,
     encode_multihot,
-    truncate,
 )
 from conftest import make_trace
 
@@ -275,8 +274,14 @@ def freq_traces():
     return traces
 
 
+def unlabeled_traces():
+    # these flip a mark wherever they are counted: NtEvilish's in goodware's mean,
+    # NtShared's in malware's, NtEvilish's to a tie in both
+    return [make_trace([(0, "NtEvilish")], label=None, trace_id=f"u{i}") for i in range(100)]
+
+
 def test_class_frequency_marks_basic():
-    traces = freq_traces()
+    traces = unlabeled_traces() + freq_traces()
     vocab = SyscallVocabulary(("NtEvilish", "NtGoodish", "NtShared"))
     marks = {
         m.feature: m.mark
@@ -288,10 +293,11 @@ def test_class_frequency_marks_basic():
 
 
 def test_class_frequency_marks_requires_both_classes():
-    traces = [t for t in freq_traces() if t.label == "goodware"]
-    vocab = SyscallVocabulary(("NtGoodish", "NtShared"))
-    with pytest.raises(ValueError, match="absent"):
-        class_frequency_marks(traces, ["NtShared"], vocab)
+    vocab = SyscallVocabulary(("NtEvilish", "NtGoodish", "NtShared"))
+    for kept, absent in (("goodware", "malware"), ("malware", "goodware")):
+        traces = [t for t in freq_traces() if t.label == kept] + unlabeled_traces()
+        with pytest.raises(ValueError, match=f"class '{absent}' absent"):
+            class_frequency_marks(traces, ["NtShared"], vocab)
 
 
 def test_frequency_table_rendering():
@@ -349,13 +355,13 @@ def test_lsm_scores_match_the_per_row_oracle(lsm_clf, small_corpus):
     # the oracle scores each input alone, one readout call on a one-row
     # matrix; the histograms are in the classifier's own (normalized)
     # encoding, which the scorer spreads as 100 (its nominal length) events
-    hists = [encode_histogram(t, vocab) for t in small_corpus]
+    hists = encode_histogram(small_corpus, vocab)
     want = [lsm.readout.predict_scores(liquid_row(lsm, spread(np.rint(h * 100))))[0]
             for h in hists]
-    got = explain.LsmHistogramScorer(lsm_clf).score_histograms(np.vstack(hists))
+    got = explain.LsmHistogramScorer(lsm_clf).score_histograms(hists)
     assert np.array_equal(got, want)
     # predict's one readout call over all stacked rows scores each as alone
-    rows = [liquid_row(lsm, encode_multihot(truncate(t, 60), vocab)) for t in small_corpus]
+    rows = [liquid_row(lsm, encode_multihot(t, vocab, 60)) for t in small_corpus]
     want = [lsm.readout.predict_scores(row)[0] for row in rows]
     assert np.array_equal(lsm_clf.predict(small_corpus)[1], want)
 
@@ -475,7 +481,7 @@ def test_batch_lsm_scorer_equals_one_by_one(lsm_clf, small_corpus):
     clf = lsm_clf
     scorer = explain.LsmHistogramScorer(clf, nominal_length=60)
     rows = small_corpus[:5] + small_corpus[-4:]
-    X = np.vstack([encode_histogram(t, clf.vocab) for t in rows])
+    X = encode_histogram(rows, clf.vocab)
     cfg = LimeConfig(feature_means=X.mean(axis=0), perturbations=11, seed=2)
     ids = [t.id for t in rows]
     batch = explain.lime_explain_batch(scorer, X, cfg, ids)

@@ -298,7 +298,7 @@ def encoded_corpus():
     )
     traces = datagen.generate_corpus(config)
     vocab = build_vocabulary(traces)
-    X = np.vstack([encode_histogram(t, vocab) for t in traces])
+    X = encode_histogram(traces, vocab)
     y = np.array([int(t.label == "malware") for t in traces])
     return X, y
 

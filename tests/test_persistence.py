@@ -40,7 +40,7 @@ from callsift.reservoir import (
     liquid_states,
     train_readout,
 )
-from callsift.traces import SyscallVocabulary, encode_multihot, truncate
+from callsift.traces import SyscallVocabulary, encode_multihot
 
 
 def fitted(kind, small_corpus, small_labels):
@@ -165,12 +165,45 @@ def test_malformed_archive_envelope_is_rejected_naming_the_key(
         load_model(tmp_path / "bad.json")
 
 
+def _set_payload(mutate):
+    def set_payload(doc):
+        mutate(doc["payload"])
+        doc["payload_sha256"] = persistence.config_hash(doc["payload"])
+    return set_payload
+
+
+def _edit_member(edit):
+    return _set_payload(lambda payload: edit(payload["members"]["tree"]))
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set_payload(lambda p: p.update(members=[])),
+     r"^EnsemblePayload\.members: dict\[.*\] payload is a list$"),
+    (_set_payload(lambda p: p.update(members={})), "^ensemble archive has no members$"),
+    (_set_payload(lambda p: p.pop("members")),
+     r"^EnsemblePayload payload has fields \[\], expected \['members'\]$"),
+    (_edit_member(lambda m: m.pop("kind")),
+     r"^EnsemblePayload\.members: EnsembleMember payload has fields \['payload'\]"),
+    (_edit_member(lambda m: m.update(seed=2)), r"EnsembleMember payload has fields \['kind', "),
+    (_edit_member(lambda m: m.update(payload=[])),
+     r"^EnsemblePayload\.members: EnsembleMember\.payload: .* payload is a list$"),
+], ids=["members-list", "no-member", "no-members-key", "member-without-kind",
+        "member-with-extra-field", "member-payload-list"])
+def test_malformed_ensemble_archive_is_rejected(
+    tmp_path, small_corpus, small_labels, mutate, message
+):
+    doc = save_model(fitted("ensemble", small_corpus, small_labels), tmp_path / "m.json")
+    mutate(doc)
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    with pytest.raises(ArchiveError, match=message):
+        load_model(tmp_path / "bad.json")
+
+
 def test_lsm_archive_keeps_the_model_liquid_settings(tmp_path, small_corpus, small_labels):
     clf = fitted("lsm", small_corpus, small_labels)
     lif = LifParams(membrane_time_constant=12.0, threshold=0.6, refractory_period=1)
     assert lif != LifParams() and clf.model.windows != 2
-    inputs = [encode_multihot(truncate(t, clf.encoding.truncation), clf.vocab)
-              for t in small_corpus]
+    inputs = [encode_multihot(t, clf.vocab, clf.encoding.truncation) for t in small_corpus]
     states = liquid_states(clf.model.topology, lif, inputs, windows=2)
     readout = train_readout(states, small_labels, search=[{"l2": 1e-3}], folds=3)
     clf.model = LsmModel(topology=clf.model.topology, lif=lif, windows=2, readout=readout)

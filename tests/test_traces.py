@@ -46,8 +46,8 @@ def test_build_vocabulary_empty_corpus_rejected():
 
 def test_vocabulary_oov_lookup():
     vocab = SyscallVocabulary(("A", "B"))
-    assert vocab.index_of("A") == 0
-    assert vocab.index_of("NotThere") == vocab.oov_index == 2
+    assert vocab.indices_of(["A", "NotThere", "B"]).tolist() == [0, vocab.oov_index, 1]
+    assert vocab.oov_index == 2
 
 
 def test_vocabulary_rejects_unsorted():
@@ -144,24 +144,28 @@ def test_encode_multihot_oov():
 def test_encode_histogram_raw_and_normalized():
     vocab = SyscallVocabulary(("A", "B", "C"))
     trace = make_trace([(0, "A"), (1, "B"), (2, "A"), (3, "C"), (4, "A")])
-    raw = encode_histogram(trace, vocab, normalize=False)
+    raw = encode_histogram([trace], vocab, normalize=False)[0]
     assert raw.tolist() == [3, 1, 1, 0]
-    norm = encode_histogram(trace, vocab, normalize=True)
+    norm = encode_histogram([trace], vocab, normalize=True)[0]
     assert norm.tolist() == pytest.approx([0.6, 0.2, 0.2, 0.0])
     assert norm.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_encode_histogram_empty_stays_zero():
     vocab = SyscallVocabulary(("A",))
-    h = encode_histogram(make_trace([]), vocab, normalize=True)
+    h = encode_histogram([make_trace([])], vocab, normalize=True)[0]
     assert not h.any()
+
+
+def _loop_index(vocab, name):
+    return vocab.names.index(name) if name in vocab.names else vocab.oov_index
 
 
 def loop_histogram(trace, vocab, normalize):
     """The per-event accumulation encode_histogram replaced, kept as an oracle."""
     values = np.zeros(vocab.width, dtype=np.float64)
     for _, call in trace.events:
-        values[vocab.index_of(call)] += 1.0
+        values[_loop_index(vocab, call)] += 1.0
     if normalize:
         total = values.sum()
         if total > 0:
@@ -171,16 +175,20 @@ def loop_histogram(trace, vocab, normalize):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.sampled_from(["A", "B", "C", "D", "Oov1", "Oov2"]), max_size=300),
+    st.lists(st.lists(st.sampled_from(["A", "B", "C", "D", "Oov1", "Oov2"]), max_size=300),
+             max_size=6),
     st.booleans(),
+    st.none() | st.integers(1, 320),
 )
-def test_encode_histogram_matches_loop_oracle(calls, normalize):
+def test_encode_histogram_matches_loop_oracle(call_lists, normalize, truncation):
     vocab = SyscallVocabulary(("A", "B", "C", "D"))
-    trace = make_trace(list(enumerate(calls)))
-    hist = encode_histogram(trace, vocab, normalize=normalize)
-    expected = loop_histogram(trace, vocab, normalize)
-    assert hist.dtype == np.float64
-    assert np.array_equal(hist, expected)
+    traces = [make_trace(list(enumerate(calls))) for calls in call_lists]
+    hists = encode_histogram(traces, vocab, normalize=normalize, truncation=truncation)
+    assert hists.dtype == np.float64
+    assert hists.shape == (len(traces), vocab.width)
+    for trace, hist in zip(traces, hists):
+        cut = trace if truncation is None else truncate(trace, truncation)
+        assert np.array_equal(hist, loop_histogram(cut, vocab, normalize))
 
 
 def _random_trace(rng, names, max_events=60):
@@ -195,7 +203,7 @@ def test_histogram_equals_multihot_column_sums(rng):
     vocab = SyscallVocabulary(("A", "B", "C", "D"))
     for _ in range(100):
         trace = _random_trace(rng, names)
-        hist = encode_histogram(trace, vocab, normalize=False)
+        hist = encode_histogram([trace], vocab, normalize=False)[0]
         multi = encode_multihot(trace, vocab)
         assert np.array_equal(hist, multi.counts.sum(axis=0))
         assert multi.counts.sum() == len(trace)
@@ -206,9 +214,12 @@ def test_truncated_encodings_count_min_n(rng):
     for _ in range(50):
         trace = _random_trace(rng, ["A", "B"], max_events=40)
         n = int(rng.integers(1, 50))
-        cut = truncate(trace, n)
-        hist = encode_histogram(cut, vocab, normalize=False)
+        hist = encode_histogram([trace], vocab, normalize=False, truncation=n)[0]
         assert hist.sum() == min(n, len(trace))
+        multi = encode_multihot(trace, vocab, n)
+        oracle = encode_multihot(truncate(trace, n), vocab)
+        assert np.array_equal(multi.counts, oracle.counts)
+        assert np.array_equal(multi.time_steps, oracle.time_steps)
 
 
 def test_corpus_file_round_trip(tmp_path):
@@ -341,7 +352,7 @@ def test_encode_multihot_matches_loop_oracle(pairs):
     matrix = encode_multihot(make_trace(pairs), vocab)
     rows: dict[int, np.ndarray] = {}
     for step, name in pairs:
-        rows.setdefault(step, np.zeros(vocab.width, dtype=np.int64))[vocab.index_of(name)] += 1
+        rows.setdefault(step, np.zeros(vocab.width, dtype=np.int64))[_loop_index(vocab, name)] += 1
     assert matrix.time_steps.tolist() == sorted(rows)
     assert np.array_equal(matrix.counts.reshape(-1, vocab.width),
                           np.array([rows[s] for s in sorted(rows)]).reshape(-1, vocab.width))
