@@ -96,6 +96,10 @@ def _sorted_split(args) -> tuple[float | None, dict | None]:
     return None, {GOODWARE: g, MALWARE: m}
 
 
+# the distributed split's test malware at full scale: ``eval``'s down-select
+# target unless --test-malware is given
+FULL_SCALE_TEST_MALWARE = datagen.DISTRIBUTED_SHAPE["test"][MALWARE]
+
 _PATH_ARGS = {
     "func", "out", "csv", "corpus", "config", "model_archive", "out_dir",
     "report", "report_json", "reproducible",
@@ -106,6 +110,10 @@ def _run_config_hash(args, command: str) -> str:
     """Hash of the semantic run parameters (paths excluded, so moving the
     artifacts does not change their identity)."""
     doc = {k: v for k, v in sorted(vars(args).items()) if k not in _PATH_ARGS}
+    if "test_malware" in doc and doc["test_malware"] is None:
+        # an unset --test-malware hashes as the target it stands for, so a
+        # command's hash does not depend on the corpus it reads
+        doc["test_malware"] = FULL_SCALE_TEST_MALWARE
     doc["command"] = command
     return persistence.config_hash(doc)
 
@@ -168,8 +176,6 @@ def _eval_descriptor(args) -> dict:
         desc["train_counts"] = args.train_counts
     else:
         desc["train_fraction"] = args.train_fraction
-    if args.split == "distributed":
-        desc["test_malware"] = args.test_malware
     return desc
 
 
@@ -178,17 +184,24 @@ def cmd_eval(args) -> int:
     train_fraction, train_counts = _sorted_split(args)
     if args.split == "cv" and args.model_archive:
         return _fail("--model-archive cannot be evaluated under cv (needs retraining per fold)")
+    split = _eval_descriptor(args)
     if args.split == "sorted":
         train, test = evaluation.split_sorted(dataset, train_fraction, train_counts)
     elif args.split == "distributed":
+        test_malware = args.test_malware
+        if test_malware is None:
+            # the full-scale target, or every test malware of the temporal split if fewer
+            _, test = evaluation.split_sorted(dataset, train_fraction, train_counts)
+            test_malware = min(FULL_SCALE_TEST_MALWARE, int(test.labels.sum()))
+        split["test_malware"] = test_malware
         train, test = evaluation.split_distributed(
-            dataset, args.test_malware, train_fraction, train_counts, seed=args.seed
+            dataset, test_malware, train_fraction, train_counts, seed=args.seed
         )
 
     if args.model_archive:
         pred, _ = persistence.load_model(args.model_archive).predict(test.samples)
         report = evaluation.EvaluationReport(
-            split=_eval_descriptor(args), seed=args.seed,
+            split=split, seed=args.seed,
             models=evaluation.model_results({"archived": pred}, test.labels),
         )
     else:
@@ -203,7 +216,7 @@ def cmd_eval(args) -> int:
         else:
             report = evaluation.evaluate_split(
                 train, test, factories, seed=args.seed,
-                split_descriptor=_eval_descriptor(args), ensemble_name=ensemble_name,
+                split_descriptor=split, ensemble_name=ensemble_name,
             )
     report.length = args.length
     report.config_hash = _run_config_hash(args, "eval")
@@ -370,7 +383,7 @@ def cmd_pipeline(args) -> int:
     _generate(config, corpus_path, args.reproducible)
 
     model_spec = "tree,hist-rf,linear,lsm,ensemble" if args.with_lsm else "tree,hist-rf,linear,ensemble"
-    test_malware = datagen.scale_count(datagen.DISTRIBUTED_SHAPE["test"][MALWARE], args.scale)
+    test_malware = datagen.scale_count(FULL_SCALE_TEST_MALWARE, args.scale)
 
     corpus = str(corpus_path)
     counts = ["--train-counts",
@@ -456,9 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list from {tree,hist-rf,linear,lsm,ensemble}")
     p.add_argument("--model-archive", default=None,
                    help="evaluate a saved archive instead of retraining")
-    p.add_argument("--test-malware", type=int,
-                   default=datagen.DISTRIBUTED_SHAPE["test"][MALWARE],
-                   help="down-select target for the distributed split")
+    p.add_argument("--test-malware", type=int, default=None,
+                   help="down-select target for the distributed split (default: "
+                        f"{FULL_SCALE_TEST_MALWARE}, or every test malware the split "
+                        "holds if fewer)")
     p.add_argument("--out", required=True)
     p.add_argument("--csv", default=None)
     add_common_eval(p)

@@ -112,14 +112,10 @@ class LsmClassifier:
         self,
         seed: int = 0,
         encoding: EncodingOptions | None = None,
-        readout_kind: str = reservoir.LINEAR,
-        readout_grid: list[dict] | None = None,
         folds: int = 10,
     ):
         self.seed = seed
         self.encoding = encoding or EncodingOptions()
-        self.readout_kind = readout_kind
-        self.readout_grid = readout_grid
         self.folds = folds
         self.vocab: SyscallVocabulary | None = None
         self.model: reservoir.LsmModel | None = None
@@ -139,10 +135,7 @@ class LsmClassifier:
         folds = min(self.folds, int(np.bincount(y, minlength=2).min()))
         if folds < 2:
             raise ValueError("LSM readout needs at least 2 samples of each class")
-        readout = reservoir.train_readout(
-            states, y, search=self.readout_grid, folds=folds,
-            seed=self.seed, kind=self.readout_kind,
-        )
+        readout = reservoir.train_readout(states, y, folds=folds, seed=self.seed)
         self.model = reservoir.LsmModel(
             topology=topology, lif=lif, windows=LIQUID_WINDOWS, readout=readout
         )
@@ -199,11 +192,12 @@ def make_classifier(
 ):
     """A classifier of registry ``kind``.  ``folds`` is the LSM readout's
     cross-validation fold count (an ensemble passes it to its ``lsm``
-    member; the histogram kinds have no use for it)."""
+    member; the histogram kinds have no use for it).  Other keyword
+    arguments (``params``) go to a histogram kind's ``HistogramClassifier``."""
     if kind in HISTOGRAM_KINDS:
         return HistogramClassifier(kind, seed=seed, encoding=encoding, **kwargs)
     if kind == LSM:
-        return LsmClassifier(seed=seed, encoding=encoding, folds=folds, **kwargs)
+        return LsmClassifier(seed=seed, encoding=encoding, folds=folds)
     if kind == ENSEMBLE:
         return VotingEnsembleClassifier({
             m: make_classifier(m, seed=seed, encoding=encoding, folds=folds)

@@ -99,22 +99,6 @@ def _field_types(cls) -> dict:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def _union_member(union, value):
-    """The member of ``X | Y`` to decode ``value`` as: ``object`` (kept as
-    is) for null, ``X`` for any other value of ``X | None``, and otherwise
-    the dataclass whose field names equal the payload's keys."""
-    members = [t for t in typing.get_args(union) if t is not type(None)]
-    if value is None:
-        return object
-    if len(members) == 1:
-        return members[0]
-    keys = sorted(value) if isinstance(value, dict) else type(value).__name__
-    for cls in members:
-        if dataclasses.is_dataclass(cls) and keys == sorted(_field_types(cls)):
-            return cls
-    raise ArchiveError(f"payload fields {keys} match no member of {union}")
-
-
 # JSON values a scalar field accepts: bool is an int subclass in Python but
 # not a number here, and a float field keeps an integer as given, so the
 # hash of a config that spells 2.0 as 2 does not move
@@ -156,7 +140,12 @@ def decode(tp, value):
             raise ArchiveError(f"array payload has {array.dtype} items, not numbers")
         return array
     if isinstance(tp, types.UnionType):
-        return decode(_union_member(tp, value), value)
+        # every union in an artifact is ``X | None``: null stays None, any
+        # other value decodes as X
+        if value is None:
+            return None
+        (member,) = (t for t in typing.get_args(tp) if t is not type(None))
+        return decode(member, value)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (dict, list, tuple) and not isinstance(
             value, dict if origin is dict else list):

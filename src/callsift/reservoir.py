@@ -1,6 +1,6 @@
 """Liquid state machine: a randomly wired pool of leaky integrate-and-fire
 neurons driven by multi-hot call sequences, a windowed spike-count state
-extractor, and a trainable readout.
+extractor, and a grid-searched linear readout.
 
 The liquid is fixed after construction (only the readout trains) and acts
 as a temporal kernel: per-time-step call counts inject current into a
@@ -331,104 +331,7 @@ def liquid_states(
 # --- readout ------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class RbfSvm:
-    """RBF-kernel SVM trained by simplified SMO on the dual."""
-
-    support_vectors: np.ndarray
-    dual_coef: np.ndarray  # alpha_i * y_i, y in {-1, +1}
-    bias: float
-    sigma: float
-    box: float
-
-    def decision(self, X: np.ndarray) -> np.ndarray:
-        k = _rbf_kernel(X, self.support_vectors, self.sigma)
-        return (k * self.dual_coef).sum(axis=1) + self.bias
-
-    def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        # squash the margin to the shared [0, 1] score convention
-        return 1.0 / (1.0 + np.exp(-self.decision(np.asarray(X, dtype=np.float64))))
-
-
-def _rbf_kernel(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian kernel matrix; entry (i, j) depends on rows a[i] and b[j]
-    alone (einsum, unlike a BLAS product, never regroups by row count)."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    # an empty support set reloads from JSON as shape (0,), not (0, d)
-    b = np.ascontiguousarray(b, dtype=np.float64).reshape(-1, a.shape[1])
-    aa = (a**2).sum(axis=1)[:, None]
-    bb = (b**2).sum(axis=1)[None, :]
-    d2 = np.maximum(aa + bb - 2.0 * np.einsum("ik,jk->ij", a, b), 0.0)
-    return np.exp(-d2 / (2.0 * sigma**2))
-
-
-SMO_TOL = 1e-3  # SMO's KKT tolerance
-SMO_QUIET_PASSES = 8  # SMO stops after this many unchanging passes in a row, or 200
-
-
-def train_rbf_svm(
-    X: np.ndarray, y01: np.ndarray, sigma: float, box: float, seed: int = 0
-) -> RbfSvm:
-    """Simplified SMO (random second index, seeded) on the dual problem."""
-    if sigma <= 0 or box <= 0:
-        raise ValueError("sigma and box must be positive")
-    X = np.asarray(X, dtype=np.float64)
-    y = np.where(np.asarray(y01) > 0, 1.0, -1.0)
-    n = X.shape[0]
-    K = _rbf_kernel(X, X, sigma)
-    alpha = np.zeros(n)
-    b = 0.0
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 23]))
-    quiet_passes = 0
-    total_passes = 0
-    while quiet_passes < SMO_QUIET_PASSES and total_passes < 200:
-        total_passes += 1
-        changed = 0
-        for i in range(n):
-            ei = (alpha * y) @ K[:, i] + b - y[i]
-            if (y[i] * ei < -SMO_TOL and alpha[i] < box) or (y[i] * ei > SMO_TOL and alpha[i] > 0):
-                j = int(rng.integers(0, n - 1))
-                if j >= i:
-                    j += 1
-                ej = (alpha * y) @ K[:, j] + b - y[j]
-                ai_old, aj_old = alpha[i], alpha[j]
-                if y[i] != y[j]:
-                    lo, hi = max(0.0, aj_old - ai_old), min(box, box + aj_old - ai_old)
-                else:
-                    lo, hi = max(0.0, ai_old + aj_old - box), min(box, ai_old + aj_old)
-                if lo >= hi:
-                    continue
-                eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-                if eta >= 0:
-                    continue
-                aj = aj_old - y[j] * (ei - ej) / eta
-                aj = min(hi, max(lo, aj))
-                if abs(aj - aj_old) < 1e-7:
-                    continue
-                ai = ai_old + y[i] * y[j] * (aj_old - aj)
-                alpha[i], alpha[j] = ai, aj
-                b1 = b - ei - y[i] * (ai - ai_old) * K[i, i] - y[j] * (aj - aj_old) * K[i, j]
-                b2 = b - ej - y[i] * (ai - ai_old) * K[i, j] - y[j] * (aj - aj_old) * K[j, j]
-                if 0 < ai < box:
-                    b = b1
-                elif 0 < aj < box:
-                    b = b2
-                else:
-                    b = (b1 + b2) / 2.0
-                changed += 1
-        quiet_passes = quiet_passes + 1 if changed == 0 else 0
-    sv = alpha > 1e-9
-    return RbfSvm(
-        support_vectors=X[sv],
-        dual_coef=(alpha * y)[sv],
-        bias=b,
-        sigma=sigma,
-        box=box,
-    )
-
-
 LINEAR = "linear"
-RBF_SVM = "rbf-svm"
 
 
 @dataclass(eq=False)
@@ -437,11 +340,11 @@ class ReadoutModel:
 
     Spike counts scale with the simulated horizon, so the readout always
     standardizes features with the training-set mean and spread before the
-    inner model sees them.
+    inner model sees them.  ``kind`` is always ``LINEAR``; archives record it.
     """
 
     kind: str
-    model: LinearModel | RbfSvm
+    model: LinearModel
     hyperparams: dict
     feature_mean: np.ndarray
     feature_std: np.ndarray
@@ -458,15 +361,6 @@ def default_linear_grid() -> list[dict]:
     return [{"l2": l2} for l2 in (1e-4, 1e-3, 1e-2)]
 
 
-RBF_GRID_VALUES = np.logspace(-1, 2, 5)  # the default grid's sigmas, and its boxes
-
-
-def default_rbf_grid() -> list[dict]:
-    """Exhaustive log-spaced sigma x box grid (deterministic order)."""
-    return [{"sigma": float(s), "box": float(c)}
-            for s in RBF_GRID_VALUES for c in RBF_GRID_VALUES]
-
-
 def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
     """Seeded stratified fold assignment; keeps both classes in every fold."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 29]))
@@ -478,18 +372,14 @@ def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
     return [np.flatnonzero(assignment == f) for f in range(folds)]
 
 
-def _fit_readout(kind: str, X: np.ndarray, y: np.ndarray, point: dict, seed: int):
-    if kind == LINEAR:
-        params = LinearParams(
-            learning_rate=point.get("learning_rate", 0.3),
-            epochs=point.get("epochs", 300),
-            l2=point.get("l2", 1e-3),
-            seed=seed,
-        )
-        return train_linear(X, y, params)
-    if kind == RBF_SVM:
-        return train_rbf_svm(X, y, sigma=point["sigma"], box=point["box"], seed=seed)
-    raise ValueError(f"unknown readout kind {kind!r}")
+def _fit_readout(X: np.ndarray, y: np.ndarray, point: dict, seed: int) -> LinearModel:
+    params = LinearParams(
+        learning_rate=point.get("learning_rate", 0.3),
+        epochs=point.get("epochs", 300),
+        l2=point.get("l2", 1e-3),
+        seed=seed,
+    )
+    return train_linear(X, y, params)
 
 
 def train_readout(
@@ -498,7 +388,6 @@ def train_readout(
     search: list[dict] | None = None,
     folds: int = 10,
     seed: int = 0,
-    kind: str = LINEAR,
 ) -> ReadoutModel:
     """Pick the grid point with minimal mean CV 0-1 loss, refit on all data.
 
@@ -506,7 +395,10 @@ def train_readout(
     loss lands in ``search_log`` so a search can be audited or reproduced.
     The grid x fold fits run in one contiguous block per usable CPU
     (``forest._map_forked``; this process fits the first block and the
-    final refit), and the result is bitwise the same for any CPU count.
+    final refit), so the result does not depend on the number of
+    processes.  It can depend on the BLAS thread count: ``train_linear``'s
+    matrix-vector products split their sums by thread once the state
+    matrix is large enough, which moves the last bits of the weights.
     """
     X = np.asarray(states, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -519,9 +411,7 @@ def train_readout(
         raise ValueError("readout training needs both classes present")
     if counts.min() < folds:
         raise ValueError(f"need at least {folds} samples per class for {folds}-fold CV")
-    grid = search if search is not None else (
-        default_linear_grid() if kind == LINEAR else default_rbf_grid()
-    )
+    grid = search if search is not None else default_linear_grid()
     if not grid:
         raise ValueError("empty hyperparameter grid")
     mean = X.mean(axis=0)
@@ -533,7 +423,7 @@ def train_readout(
 
     def cv_loss(job: int) -> float:
         i, f = divmod(job, folds)
-        model = _fit_readout(kind, Xs[train_idx[f]], y[train_idx[f]], grid[i], seed)
+        model = _fit_readout(Xs[train_idx[f]], y[train_idx[f]], grid[i], seed)
         pred = labels_of(model.predict_scores(Xs[fold_idx[f]]))
         return float((pred != y[fold_idx[f]]).mean())
 
@@ -548,9 +438,9 @@ def train_readout(
         if mean_loss < best_loss:
             best_loss = mean_loss
             best_i = i
-    final = _fit_readout(kind, Xs, y, grid[best_i], seed)
+    final = _fit_readout(Xs, y, grid[best_i], seed)
     return ReadoutModel(
-        kind=kind,
+        kind=LINEAR,
         model=final,
         hyperparams=dict(grid[best_i]),
         feature_mean=mean,

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from callsift import cli, datagen, persistence
-from callsift.evaluation import EvaluationReport, model_results
+from callsift.evaluation import EvaluationReport, LabeledDataset, model_results, split_sorted
 from callsift.traces import GOODWARE, MALWARE, SyscallTrace, read_corpus, write_corpus
 
 
@@ -160,6 +161,26 @@ def test_eval_cv_and_distributed(workspace):
     assert c.tp + c.fn == 2  # malware down-selected to the target
 
 
+def test_eval_distributed_defaults_to_the_test_malware_available(workspace, tmp_path,
+                                                                  capsys):
+    corpus = str(workspace / "corpus.jsonl")
+    _, test = split_sorted(LabeledDataset.from_traces(read_corpus(corpus)), 0.8)
+    available = int(test.labels.sum())
+    assert available < datagen.DISTRIBUTED_SHAPE["test"][MALWARE]
+    argv = ["eval", "--corpus", corpus, "--split", "distributed", "--models", "tree",
+            "--length", "100", "--out", str(tmp_path / "dist.json")]
+    assert cli.main(argv) == 0
+    report = persistence.decode(EvaluationReport, json.loads((tmp_path / "dist.json").read_text()))
+    assert report.split["test_malware"] == available
+    c = report.models["tree"].confusion
+    assert c.tp + c.fn == available
+    # an explicit target above what the split holds is still an error
+    assert cli.main(argv + ["--test-malware", str(available + 1)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: requested {available + 1} test malware, only {available} available\n"
+    )
+
+
 def test_eval_report_byte_identical_across_runs(workspace, tmp_path):
     args = [
         "eval", "--corpus", str(workspace / "corpus.jsonl"), "--split", "sorted",
@@ -228,6 +249,31 @@ def test_ensemble_archive_with_a_malformed_member_list_exits_one(workspace, rf_a
                    "--model-archive", str(archive), "--out", str(tmp_path / "r.json")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: EnsemblePayload.members: ")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_lsm_archive_whose_readout_holds_svm_fields_exits_one(workspace, tmp_path, capsys):
+    corpus = str(workspace / "corpus.jsonl")
+    archive = tmp_path / "lsm.json"
+    assert cli.main(["train", "--corpus", corpus, "--model", "lsm", "--length", "60",
+                     "--folds", "3", "--reproducible", "--out", str(archive)]) == 0
+    doc = json.loads(archive.read_text())
+    # the fields of a kernel SVM: the LSM's one readout is a LinearModel
+    doc["payload"]["readout"]["model"] = {
+        "support_vectors": [[0.0, 1.0]], "dual_coef": [1.0], "bias": 0.0, "sigma": 1.0,
+        "box": 1.0,
+    }
+    doc["payload_sha256"] = persistence.config_hash(doc["payload"])
+    archive.write_text(json.dumps(doc))
+    message = (r"LsmModel\.readout: ReadoutModel\.model: LinearModel payload has fields "
+               r"\['bias', 'box', 'dual_coef', 'sigma', 'support_vectors'\]")
+    with pytest.raises(persistence.ArchiveError, match=f"^{message}"):
+        persistence.load_model(archive)
+    capsys.readouterr()
+    rc = cli.main(["eval", "--corpus", corpus, "--split", "sorted", "--length", "60",
+                   "--model-archive", str(archive), "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert re.match(f"^error: {message}", capsys.readouterr().err)
     assert not (tmp_path / "r.json").exists()
 
 

@@ -18,7 +18,6 @@ from callsift.forest import (
 )
 from callsift.models import (
     EncodingOptions,
-    LsmClassifier,
     VotingEnsembleClassifier,
     make_classifier,
 )
@@ -32,10 +31,8 @@ from callsift.persistence import (
 )
 from callsift.reservoir import (
     LINEAR,
-    RBF_SVM,
     LifParams,
     LsmModel,
-    RbfSvm,
     ReadoutModel,
     liquid_states,
     train_readout,
@@ -50,9 +47,6 @@ def fitted(kind, small_corpus, small_labels):
                               params=ForestParams(n_trees=8, seed=2))
     elif kind == "lsm":
         clf = make_classifier(kind, seed=2, encoding=enc, folds=5)
-    elif kind == "lsm-rbf":
-        clf = LsmClassifier(seed=2, encoding=enc, folds=5, readout_kind=RBF_SVM,
-                            readout_grid=[{"sigma": 10.0, "box": 1.0}])
     elif kind == "ensemble":
         clf = VotingEnsembleClassifier({
             "tree": make_classifier("tree", seed=2, encoding=enc),
@@ -63,7 +57,7 @@ def fitted(kind, small_corpus, small_labels):
     return clf.fit(small_corpus, small_labels)
 
 
-@pytest.mark.parametrize("kind", ["tree", "hist-rf", "linear", "lsm", "lsm-rbf", "ensemble"])
+@pytest.mark.parametrize("kind", ["tree", "hist-rf", "linear", "lsm", "ensemble"])
 def test_round_trip_preserves_predictions_bit_exactly(
     kind, tmp_path, small_corpus, small_labels
 ):
@@ -285,16 +279,6 @@ def test_golden_payloads():
     assert tree.predict_scores(np.array([[0.0, 0.5]]))[0] == 1.0
 
 
-def test_rbf_svm_without_support_vectors_round_trips():
-    svm = RbfSvm(support_vectors=np.empty((0, 3)), dual_coef=np.empty(0),
-                 bias=0.3, sigma=1.0, box=1.0)
-    X = np.arange(6, dtype=np.float64).reshape(2, 3)
-    expected = np.full(2, 1.0 / (1.0 + np.exp(-0.3)))  # sigmoid(bias)
-    assert np.array_equal(svm.predict_scores(X), expected)
-    loaded = decode(RbfSvm, json.loads(json.dumps(encode(svm))))
-    assert np.array_equal(loaded.predict_scores(X), expected)
-
-
 floats = st.floats(allow_nan=True, allow_infinity=True)
 finite = st.floats(allow_nan=False, allow_infinity=False)
 small_int = st.integers(min_value=0, max_value=2**31)
@@ -333,22 +317,11 @@ def linear_models(draw, d=None):
 
 
 @st.composite
-def rbf_svms(draw, d=None):
-    d = d or draw(st.integers(1, 6))
-    k = draw(st.integers(0, 4))  # 0: a readout with no support vectors
-    return RbfSvm(support_vectors=draw(float_array((k, d))),
-                  dual_coef=draw(float_array(k)), bias=draw(floats),
-                  sigma=draw(finite), box=draw(finite))
-
-
-@st.composite
 def readouts(draw):
     d = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from([LINEAR, RBF_SVM]))
-    model = draw(linear_models(d) if kind == LINEAR else rbf_svms(d))
-    point = st.dictionaries(st.sampled_from(["l2", "sigma", "box"]), finite, min_size=1)
+    point = st.dictionaries(st.sampled_from(["l2", "learning_rate"]), finite, min_size=1)
     return ReadoutModel(
-        kind=kind, model=model, hyperparams=draw(point),
+        kind=LINEAR, model=draw(linear_models(d)), hyperparams=draw(point),
         feature_mean=draw(float_array(d)), feature_std=draw(float_array(d)),
         search_log=draw(st.lists(st.tuples(point, finite), max_size=3)),
     )
@@ -373,7 +346,7 @@ def _assert_same(a, b):
 
 
 @settings(deadline=None)
-@given(st.one_of(trees(), linear_models(), rbf_svms(), readouts()))
+@given(st.one_of(trees(), linear_models(), readouts()))
 def test_codec_round_trip(model):
     payload = encode(model)
     loaded = decode(type(model), json.loads(json.dumps(payload)))
@@ -395,10 +368,11 @@ def test_scalar_of_the_wrong_json_type_names_the_field(tp, payload, message):
 
 
 def test_nested_scalar_error_names_every_field_on_the_way():
-    doc = encode(RbfSvm(np.zeros((1, 2)), np.ones(1), 0.0, 1.0, 1.0))
-    readout = {"kind": RBF_SVM, "model": {**doc, "box": "big"}, "hyperparams": {},
+    doc = encode(LinearModel(np.zeros(2), 0.0, LinearParams()))
+    readout = {"kind": LINEAR, "model": {**doc, "bias": "big"}, "hyperparams": {},
                "feature_mean": [0.0, 0.0], "feature_std": [1.0, 1.0], "search_log": []}
-    with pytest.raises(ArchiveError, match=r"^ReadoutModel\.model: RbfSvm\.box: float "):
+    with pytest.raises(ArchiveError,
+                       match=r"^ReadoutModel\.model: LinearModel\.bias: float payload is a str$"):
         decode(ReadoutModel, readout)
 
 

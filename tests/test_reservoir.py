@@ -292,25 +292,21 @@ def test_readout_default_folds_is_ten(rng):
     assert inspect.signature(rv.train_readout).parameters["folds"].default == 10
 
 
-def test_rbf_svm_readout_separable(rng):
-    X, y = separable_states(rng, n=40, d=6)
-    readout = rv.train_readout(
-        X, y, search=[{"sigma": 3.0, "box": 1.0}], folds=5, seed=1, kind=rv.RBF_SVM
-    )
-    pred = (readout.predict_scores(X) >= 0.5).astype(int)
-    assert (pred == y).mean() == 1.0
+def test_readout_parameters_keep_folds_fourth():
+    import inspect
+
+    # bench/tracer.py reads a positional folds as the fourth argument
+    assert list(inspect.signature(rv.train_readout).parameters) == [
+        "states", "labels", "search", "folds", "seed"]
 
 
-@pytest.mark.parametrize("kind, grid", [
-    (rv.LINEAR, [{"l2": 1e-4}, {"l2": 1e-2, "epochs": 60}, {"l2": 1.0}]),
-    (rv.RBF_SVM, [{"sigma": s, "box": c} for s in (1.0, 4.0) for c in (0.1, 10.0)]),
-])
-def test_readout_search_is_bitwise_the_same_on_any_cpu_count(rng, kind, grid):
+def test_readout_search_is_bitwise_the_same_on_any_process_count(rng):
     X, y = separable_states(rng, n=40, d=6, gap=0.5)
+    grid = [{"l2": 1e-4}, {"l2": 1e-2, "epochs": 60}, {"l2": 1.0}]
     pickled = set()  # floats and arrays pickle as their bytes
     for cpus in (1, 2, 3):
         with mock.patch.object(forest, "_usable_cpus", lambda: cpus):
-            r = rv.train_readout(X, y, search=grid, folds=5, seed=7, kind=kind)
+            r = rv.train_readout(X, y, search=grid, folds=5, seed=7)
         pickled.add(pickle.dumps((r.search_log, r.hyperparams, r.model)))
     assert len(pickled) == 1
 
