@@ -269,30 +269,32 @@ def cmd_stats(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    dataset = _load_dataset(args.corpus)
-    clf = persistence.load_model(args.model_archive)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     what = set(args.what.split(","))
     unknown = what - {"lime", "rules", "frequency"}
     if unknown:
         return _fail(f"unknown explain targets: {sorted(unknown)}")
+    clf = persistence.load_model(args.model_archive)
+    if clf.kind in models.HISTOGRAM_KINDS:
+        scorer = clf
+    else:
+        scorer = explain.LsmHistogramScorer(clf) if clf.kind == models.LSM else None
+    if "lime" in what and scorer is None:
+        return _fail(f"model kind {clf.kind!r} does not expose a histogram scoring surface")
 
+    # every artifact writer creates out_dir, so a failed check leaves none behind
+    out_dir = Path(args.out_dir)
+    dataset = _load_dataset(args.corpus)
     vocab = clf.vocab
     names = list(vocab.names) + ["<other>"]  # the last is the OOV slot
     hists = encode_histogram(dataset.samples, vocab, clf.encoding.normalize,
                              clf.encoding.truncation)
-    if clf.kind in models.HISTOGRAM_KINDS:
+    if scorer is clf:
         # its predict would encode these same histograms again
-        scorer = clf
         pred = labels_of(clf.score_histograms(hists))
     else:
-        scorer = explain.LsmHistogramScorer(clf) if clf.kind == models.LSM else None
         pred, _ = clf.predict(dataset.samples)
 
     if "lime" in what:
-        if scorer is None:
-            return _fail(f"model kind {clf.kind!r} does not expose a histogram scoring surface")
         config = explain.LimeConfig(
             feature_means=hists.mean(axis=0),
             perturbations=args.perturbations,

@@ -137,9 +137,6 @@ class CorpusConfig:
                     "timestamp_range too narrow for strictly increasing stamps"
                 )
 
-    def total(self) -> int:
-        return self.goodware_count + self.malware_count
-
 
 def _normalize_profiles(
     profiles: dict[str, ClassProfile | tuple[ClassProfile, ...] | list],

@@ -120,6 +120,9 @@ def split_sorted(
         quota = {
             LABEL_TO_INT[name]: int(count) for name, count in train_counts.items()
         }
+        for lab, want in quota.items():
+            if want < 0:
+                raise ValueError(f"{INT_TO_LABEL[lab]} train count must be >= 0, got {want}")
         taken = {k: 0 for k in quota}
         train_mask = np.zeros(len(dataset), dtype=bool)
         for i in order:
@@ -173,6 +176,8 @@ def split_distributed(
     would break the temporal boundary).  A target equal to the available
     count degenerates to split_sorted.
     """
+    if test_malware < 0:
+        raise ValueError(f"test malware target must be >= 0, got {test_malware}")
     train, test = split_sorted(dataset, train_fraction, train_counts)
     mal_pos = np.flatnonzero(test.labels == 1)
     if test_malware > mal_pos.size:

@@ -404,13 +404,15 @@ def render_frequency_table(marks: list[ClassFrequencyMark]) -> str:
 
 # --- adapting sequence models to histogram explanations -----------------------------
 
+NOMINAL_LENGTH = 100  # events a normalized histogram is scaled to before spreading
+
 
 class LsmHistogramScorer:
     """Score histograms through an LSM by uniform temporal spreading.
 
     The LSM natively consumes multi-hot sequences; to explain it on the
     histogram surface, a histogram in the classifier's own encoding (scaled
-    to a nominal event count when ``encoding.normalize``) is rounded to
+    to ``NOMINAL_LENGTH`` events when ``encoding.normalize``) is rounded to
     counts and spread one event per millisecond step in vocabulary order.
     This is an approximation and is flagged in every explanation produced
     through it.
@@ -418,16 +420,15 @@ class LsmHistogramScorer:
 
     explanation_notes = ("approximation: histogram spread uniformly over time for LSM input",)
 
-    def __init__(self, lsm_classifier, nominal_length: int = 100):
+    def __init__(self, lsm_classifier):
         if lsm_classifier.model is None or lsm_classifier.vocab is None:
             raise ValueError("LSM classifier must be fitted first")
         self.classifier = lsm_classifier
-        self.nominal_length = nominal_length
 
     def score_histograms(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if self.classifier.encoding.normalize:
-            X = X * self.nominal_length
+            X = X * NOMINAL_LENGTH
         return self.classifier.score_inputs(_spread(hist) for hist in X)
 
 

@@ -34,7 +34,6 @@ from .traces import (
 )
 
 DEFAULT_TRUNCATION = 1000
-LIQUID_WINDOWS = 4  # time windows an LSM's liquid state is counted over
 
 TREE = "tree"
 HIST_RF = "hist-rf"
@@ -125,19 +124,20 @@ class LsmClassifier:
         return (encode_multihot(t, self.vocab, self.encoding.truncation) for t in traces)
 
     def fit(self, traces: list[SyscallTrace], labels: np.ndarray) -> "LsmClassifier":
+        if self.folds < 2:
+            raise ValueError(f"LSM readout folds must be >= 2, got {self.folds}")
         self.vocab = build_vocabulary(traces)
-        topology = reservoir.build_liquid(
-            reservoir.LiquidConfig(input_channels=self.vocab.width), seed=self.seed
-        )
+        topology = reservoir.build_liquid(self.vocab.width, seed=self.seed)
         lif = reservoir.LifParams()
-        states = reservoir.liquid_states(topology, lif, self._inputs(traces), LIQUID_WINDOWS)
+        windows = reservoir.LIQUID_WINDOWS
+        states = reservoir.liquid_states(topology, lif, self._inputs(traces), windows)
         y = np.asarray(labels, dtype=np.int64)
         folds = min(self.folds, int(np.bincount(y, minlength=2).min()))
         if folds < 2:
             raise ValueError("LSM readout needs at least 2 samples of each class")
         readout = reservoir.train_readout(states, y, folds=folds, seed=self.seed)
         self.model = reservoir.LsmModel(
-            topology=topology, lif=lif, windows=LIQUID_WINDOWS, readout=readout
+            topology=topology, lif=lif, windows=windows, readout=readout
         )
         return self
 

@@ -63,6 +63,15 @@ from .traces import MultiHotMatrix, labels_of
 QUIET_RUN_MIN = 16
 QUIET_CHUNK = 1024
 
+# The liquid's fixed wiring; only the readout trains.
+NEURON_COUNT = 135
+INPUT_FANOUT = 40  # neurons each input channel drives: floor(0.3 * NEURON_COUNT)
+INPUT_WEIGHT_RANGE = (0.2, 0.5)  # uniform input weights
+RECURRENT_SPARSITY = 0.1  # chance of each (post, pre) connection, no self-loops
+EXCITATORY_FRACTION = 0.8  # share of presynaptic neurons with positive weights
+SPECTRAL_RADIUS = 0.9  # of the recurrent weights, below one
+LIQUID_WINDOWS = 4  # time windows a liquid state counts spikes over
+
 
 @dataclass(frozen=True)
 class LifParams:
@@ -79,37 +88,6 @@ class LifParams:
             raise ValueError("refractory_period must be >= 0")
         if self.reset_potential >= self.threshold:
             raise ValueError("reset_potential must be below threshold")
-
-
-@dataclass(frozen=True)
-class LiquidConfig:
-    input_channels: int
-    neuron_count: int = 135
-    input_fanout_fraction: float = 0.3
-    input_weight_low: float = 0.2
-    input_weight_high: float = 0.5
-    recurrent: bool = True
-    recurrent_sparsity: float = 0.1
-    excitatory_fraction: float = 0.8
-    spectral_radius: float = 0.9
-
-    def __post_init__(self) -> None:
-        if self.neuron_count < 1:
-            raise ValueError("neuron_count must be >= 1")
-        if self.input_channels < 1:
-            raise ValueError("input_channels must be >= 1")
-        if not 0.0 < self.input_fanout_fraction <= 1.0:
-            raise ValueError("input_fanout_fraction must be in (0, 1]")
-        if self.input_weight_low < 0 or self.input_weight_high < self.input_weight_low:
-            raise ValueError("need 0 <= input_weight_low <= input_weight_high")
-        if not 0.0 <= self.recurrent_sparsity <= 1.0:
-            raise ValueError("recurrent_sparsity must be in [0, 1]")
-        if not 0.0 <= self.excitatory_fraction <= 1.0:
-            raise ValueError("excitatory_fraction must be in [0, 1]")
-
-    @property
-    def fanout(self) -> int:
-        return max(1, int(self.input_fanout_fraction * self.neuron_count))
 
 
 @dataclass(eq=False)
@@ -129,36 +107,26 @@ class LiquidTopology:
         return int((self.input_weights[channel] != 0).sum())
 
 
-def build_liquid(config: LiquidConfig, seed: int = 0) -> LiquidTopology:
-    """Wire a liquid deterministically from the seed.
+def build_liquid(input_channels: int, seed: int = 0) -> LiquidTopology:
+    """Wire a liquid of ``NEURON_COUNT`` neurons deterministically from the seed.
 
-    Every input channel drives exactly ``floor(fraction * neuron_count)``
-    distinct neurons (at least one).  Recurrent connections are sparse with
-    an excitatory/inhibitory sign split and are rescaled so the spectral
-    radius stays below one (keeps the liquid from self-exciting forever).
+    Every input channel drives ``INPUT_FANOUT`` distinct neurons with weights
+    drawn uniformly from ``INPUT_WEIGHT_RANGE``.  Recurrent connections are
+    sparse with an excitatory/inhibitory sign split and are rescaled to
+    ``SPECTRAL_RADIUS`` (keeps the liquid from self-exciting forever).
     """
-    n = config.neuron_count
-    if config.recurrent and n < 2 and config.recurrent_sparsity > 0:
-        raise ValueError("recurrence needs at least 2 neurons (no self-connections)")
+    n = NEURON_COUNT
     rng = np.random.default_rng(np.random.SeedSequence([seed, 17]))
-    w_in = np.zeros((config.input_channels, n))
-    for ch in range(config.input_channels):
-        targets = rng.choice(n, size=config.fanout, replace=False)
-        w_in[ch, targets] = rng.uniform(
-            config.input_weight_low, config.input_weight_high, size=config.fanout
-        )
-    w_rec = np.zeros((n, n))
-    if config.recurrent and config.recurrent_sparsity > 0 and n >= 2:
-        mask = rng.random((n, n)) < config.recurrent_sparsity
-        np.fill_diagonal(mask, False)
-        weights = rng.uniform(0.1, 1.0, size=(n, n))
-        sign = np.where(
-            rng.random(n) < config.excitatory_fraction, 1.0, -1.0
-        )  # sign per presynaptic neuron
-        w_rec = mask * weights * sign[np.newaxis, :]
-        radius = float(np.max(np.abs(np.linalg.eigvals(w_rec))))
-        if radius > 0:
-            w_rec *= config.spectral_radius / radius
+    w_in = np.zeros((input_channels, n))
+    for ch in range(input_channels):
+        targets = rng.choice(n, size=INPUT_FANOUT, replace=False)
+        w_in[ch, targets] = rng.uniform(*INPUT_WEIGHT_RANGE, size=INPUT_FANOUT)
+    mask = rng.random((n, n)) < RECURRENT_SPARSITY
+    np.fill_diagonal(mask, False)
+    weights = rng.uniform(0.1, 1.0, size=(n, n))
+    sign = np.where(rng.random(n) < EXCITATORY_FRACTION, 1.0, -1.0)  # per presynaptic neuron
+    w_rec = mask * weights * sign[np.newaxis, :]
+    w_rec *= SPECTRAL_RADIUS / float(np.max(np.abs(np.linalg.eigvals(w_rec))))
     return LiquidTopology(
         neuron_count=n, input_weights=w_in, recurrent_weights=w_rec, seed=seed
     )
@@ -168,7 +136,7 @@ def simulate_liquid(
     topology: LiquidTopology,
     lif: LifParams,
     input_matrix: MultiHotMatrix,
-    windows: int = 4,
+    windows: int = LIQUID_WINDOWS,
     record: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Run the LIF dynamics; returns (windowed spike counts, potentials).
@@ -316,7 +284,7 @@ def liquid_states(
     topology: LiquidTopology,
     lif: LifParams,
     inputs: Iterable[MultiHotMatrix],
-    windows: int = 4,
+    windows: int = LIQUID_WINDOWS,
 ) -> np.ndarray:
     """The liquid state of each input: its windowed spike counts flattened
     window-major into one row of an (n_inputs, neurons * windows) matrix.

@@ -210,7 +210,7 @@ def test_08_explanation_fidelity():
 
 def test_09_lsm_structural_and_dynamical():
     with _Gate(9, "default liquid structure and LIF dynamics", 10):
-        topo = rv.build_liquid(rv.LiquidConfig(input_channels=25), seed=4)
+        topo = rv.build_liquid(25, seed=4)
         assert topo.neuron_count == 135
         assert all(topo.fanout_of(ch) == 40 for ch in range(25))
 
@@ -240,7 +240,7 @@ def test_09_lsm_structural_and_dynamical():
             rng.integers(0, 3, size=(30, 25)).astype(np.int64),
             np.arange(30, dtype=np.int64),
         )
-        again = rv.build_liquid(rv.LiquidConfig(input_channels=25), seed=4)
+        again = rv.build_liquid(25, seed=4)
         a = rv.simulate_liquid(topo, lif, m)[0]
         b = rv.simulate_liquid(again, lif, m)[0]
         assert np.array_equal(a, b)

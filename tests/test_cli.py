@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from callsift import cli, datagen, persistence
+from callsift import cli, datagen, models, persistence
 from callsift.evaluation import EvaluationReport, LabeledDataset, model_results, split_sorted
 from callsift.traces import GOODWARE, MALWARE, SyscallTrace, read_corpus, write_corpus
 
@@ -547,6 +547,50 @@ def test_explain_rejects_out_of_range_lime_settings(workspace, tmp_path, capsys,
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--model", "lsm", "--folds", "1"], "LSM readout folds must be >= 2, got 1"),
+    (["eval", "--split", "distributed", "--test-malware", "-1"],
+     "test malware target must be >= 0, got -1"),
+    (["eval", "--split", "sorted", "--train-counts=-3,5"],
+     "goodware train count must be >= 0, got -3"),
+], ids=["train-folds", "eval-test-malware", "eval-train-counts"])
+def test_out_of_range_counts_exit_one_naming_the_value(workspace, tmp_path, capsys,
+                                                        argv, message):
+    out = tmp_path / "out.json"
+    rc = cli.main(argv + ["--corpus", str(workspace / "corpus.jsonl"), "--out", str(out)]
+                  + (["--models", "tree"] if argv[0] == "eval" else []))
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_explain_checks_its_arguments_before_any_work(workspace, rf_archive, tmp_path,
+                                                      capsys, monkeypatch):
+    corpus = str(workspace / "corpus.jsonl")
+    traces = read_corpus(corpus)
+    labels = np.array([t.label == MALWARE for t in traces], dtype=np.int64)
+    ensemble = models.VotingEnsembleClassifier(
+        {"tree": models.HistogramClassifier("tree").fit(traces, labels)}
+    )
+    archive = tmp_path / "ensemble.json"
+    persistence.save_model(ensemble, archive)
+
+    def refuse(self, traces):
+        raise AssertionError("explain predicted before checking --what")
+
+    monkeypatch.setattr(models.VotingEnsembleClassifier, "predict", refuse)
+    out_dir = tmp_path / "explain"
+    for model_archive, extra, message in (
+        (archive, [], "model kind 'ensemble' does not expose a histogram scoring surface"),
+        (rf_archive, ["--what", "lime,bogus"], "unknown explain targets: ['bogus']"),
+    ):
+        rc = cli.main(["explain", "--corpus", corpus, "--model-archive", str(model_archive),
+                       "--out-dir", str(out_dir), *extra])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
 
 
 def test_unknown_model_kind_message(workspace, capsys):

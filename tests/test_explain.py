@@ -322,7 +322,7 @@ def lsm_clf(small_corpus, small_labels):
 
 def test_lsm_histogram_scorer_flags_approximation(lsm_clf):
     clf = lsm_clf
-    scorer = explain.LsmHistogramScorer(clf, nominal_length=60)
+    scorer = explain.LsmHistogramScorer(clf)
     hist = np.zeros(clf.vocab.width)
     hist[0] = 1.0
     scores = scorer.score_histograms(np.vstack([hist, hist]))
@@ -479,7 +479,7 @@ def test_batch_constant_model_is_degenerate_everywhere(rng):
 
 def test_batch_lsm_scorer_equals_one_by_one(lsm_clf, small_corpus):
     clf = lsm_clf
-    scorer = explain.LsmHistogramScorer(clf, nominal_length=60)
+    scorer = explain.LsmHistogramScorer(clf)
     rows = small_corpus[:5] + small_corpus[-4:]
     X = encode_histogram(rows, clf.vocab)
     cfg = LimeConfig(feature_means=X.mean(axis=0), perturbations=11, seed=2)

@@ -9,7 +9,7 @@ import pytest
 
 from callsift import forest
 from callsift import reservoir as rv
-from callsift.models import LIQUID_WINDOWS, LsmClassifier
+from callsift.models import LsmClassifier
 from callsift.traces import MultiHotMatrix, SyscallVocabulary
 from conftest import make_trace
 
@@ -33,40 +33,29 @@ def single_neuron_topology(weight):
 
 
 def test_default_liquid_structure():
-    topo = rv.build_liquid(rv.LiquidConfig(input_channels=25), seed=1)
+    topo = rv.build_liquid(25, seed=1)
     assert topo.neuron_count == 135
     assert all(topo.fanout_of(ch) == 40 for ch in range(25))  # floor(0.3 * 135)
     assert np.diagonal(topo.recurrent_weights).sum() == 0.0
 
 
 def test_build_liquid_deterministic_bit_equal():
-    cfg = rv.LiquidConfig(input_channels=10)
-    a = rv.build_liquid(cfg, seed=9)
-    b = rv.build_liquid(cfg, seed=9)
+    a = rv.build_liquid(10, seed=9)
+    b = rv.build_liquid(10, seed=9)
     assert np.array_equal(a.input_weights, b.input_weights)
     assert np.array_equal(a.recurrent_weights, b.recurrent_weights)
-    c = rv.build_liquid(cfg, seed=10)
+    c = rv.build_liquid(10, seed=10)
     assert not np.array_equal(a.input_weights, c.input_weights)
 
 
-def test_single_neuron_with_recurrence_rejected():
-    with pytest.raises(ValueError, match="self-connections"):
-        rv.build_liquid(rv.LiquidConfig(input_channels=3, neuron_count=1), seed=0)
-    # without recurrence one neuron is fine
-    topo = rv.build_liquid(
-        rv.LiquidConfig(input_channels=3, neuron_count=1, recurrent=False), seed=0
-    )
-    assert topo.neuron_count == 1
-
-
 def test_spectral_radius_bounded():
-    topo = rv.build_liquid(rv.LiquidConfig(input_channels=8), seed=3)
+    topo = rv.build_liquid(8, seed=3)
     radius = np.max(np.abs(np.linalg.eigvals(topo.recurrent_weights)))
     assert radius <= 0.9 + 1e-9
 
 
 def test_excitatory_inhibitory_split():
-    topo = rv.build_liquid(rv.LiquidConfig(input_channels=4), seed=5)
+    topo = rv.build_liquid(4, seed=5)
     col_sign = np.sign(topo.recurrent_weights).sum(axis=0)
     # a presynaptic neuron is all-excitatory or all-inhibitory
     nonzero_cols = np.abs(topo.recurrent_weights).sum(axis=0) > 0
@@ -79,7 +68,7 @@ def test_excitatory_inhibitory_split():
 
 
 def test_zero_input_zero_state():
-    topo = rv.build_liquid(rv.LiquidConfig(input_channels=6), seed=2)
+    topo = rv.build_liquid(6, seed=2)
     lif = rv.LifParams()
     empty = multihot(np.zeros((0, 6)), [])
     assert not rv.simulate_liquid(topo, lif, empty)[0].any()
@@ -115,7 +104,7 @@ def test_subthreshold_decay_matches_exponential():
 
 
 def test_identical_runs_identical_states():
-    topo = rv.build_liquid(rv.LiquidConfig(input_channels=5), seed=7)
+    topo = rv.build_liquid(5, seed=7)
     lif = rv.LifParams()
     rng = np.random.default_rng(0)
     m = multihot(rng.integers(0, 3, size=(20, 5)), np.arange(0, 40, 2))
@@ -125,7 +114,7 @@ def test_identical_runs_identical_states():
 
 
 def test_zero_padded_input_same_state():
-    topo = rv.build_liquid(rv.LiquidConfig(input_channels=5), seed=8)
+    topo = rv.build_liquid(5, seed=8)
     lif = rv.LifParams()
     rng = np.random.default_rng(1)
     counts = rng.integers(0, 3, size=(15, 5))
@@ -143,7 +132,7 @@ def test_zero_padded_input_same_state():
 
 
 def test_membrane_never_at_or_above_threshold_after_step():
-    topo = rv.build_liquid(rv.LiquidConfig(input_channels=6), seed=4)
+    topo = rv.build_liquid(6, seed=4)
     lif = rv.LifParams()
     rng = np.random.default_rng(3)
     m = multihot(rng.integers(0, 4, size=(50, 6)), np.arange(50))
@@ -162,7 +151,7 @@ def test_spike_count_capped_by_refractory_period():
 
 
 def test_a_late_event_costs_no_step_per_quiet_millisecond():
-    topo = rv.build_liquid(rv.LiquidConfig(input_channels=3), seed=2)
+    topo = rv.build_liquid(3, seed=2)
     lif = rv.LifParams()
     counts = np.array([[2, 1, 0], [0, 2, 1]])
     near = rv.simulate_liquid(topo, lif, multihot(counts, [0, 10**5]))[0]
@@ -174,7 +163,7 @@ def test_a_late_event_costs_no_step_per_quiet_millisecond():
 
 
 def test_window_partition_sums_match_total():
-    topo = rv.build_liquid(rv.LiquidConfig(input_channels=4), seed=6)
+    topo = rv.build_liquid(4, seed=6)
     lif = rv.LifParams()
     rng = np.random.default_rng(5)
     m = multihot(rng.integers(0, 4, size=(40, 4)), np.arange(40))
@@ -184,7 +173,7 @@ def test_window_partition_sums_match_total():
 
 
 def test_separation_of_distinct_inputs():
-    topo = rv.build_liquid(rv.LiquidConfig(input_channels=8), seed=11)
+    topo = rv.build_liquid(8, seed=11)
     lif = rv.LifParams()
     rng = np.random.default_rng(9)
     collisions = 0
@@ -205,7 +194,7 @@ def test_separation_of_distinct_inputs():
 
 
 def test_liquid_states_stacks_flattened_spike_counts():
-    topo = rv.build_liquid(rv.LiquidConfig(input_channels=4), seed=3)
+    topo = rv.build_liquid(4, seed=3)
     lif = rv.LifParams()
     rng = np.random.default_rng(4)
     inputs = [multihot(rng.integers(0, 3, size=(n, 4)), np.arange(n)) for n in (0, 5, 20)]
@@ -216,7 +205,7 @@ def test_liquid_states_stacks_flattened_spike_counts():
 
 
 def test_channel_mismatch_rejected():
-    topo = rv.build_liquid(rv.LiquidConfig(input_channels=5), seed=1)
+    topo = rv.build_liquid(5, seed=1)
     with pytest.raises(ValueError, match="channels"):
         rv.simulate_liquid(topo, rv.LifParams(), multihot(np.ones((2, 4)), [0, 1]))
 
@@ -326,8 +315,8 @@ def _fitted_lsm(readout):
     """An LsmClassifier over a default 3-channel liquid with the given readout."""
     clf = LsmClassifier()
     clf.vocab = SyscallVocabulary(("A", "B"))
-    topo = rv.build_liquid(rv.LiquidConfig(input_channels=clf.vocab.width), seed=0)
-    clf.model = rv.LsmModel(topology=topo, lif=rv.LifParams(), windows=LIQUID_WINDOWS,
+    topo = rv.build_liquid(clf.vocab.width, seed=0)
+    clf.model = rv.LsmModel(topology=topo, lif=rv.LifParams(), windows=rv.LIQUID_WINDOWS,
                             readout=readout)
     return clf
 
@@ -335,7 +324,7 @@ def _fitted_lsm(readout):
 def test_lsm_predict_tie_goes_to_malware():
     from callsift.forest import LinearModel, LinearParams
 
-    width = rv.LiquidConfig(input_channels=3).neuron_count * 4
+    width = rv.NEURON_COUNT * rv.LIQUID_WINDOWS
     zero = rv.ReadoutModel(
         kind=rv.LINEAR,
         model=LinearModel(weights=np.zeros(width), bias=0.0, params=LinearParams()),
@@ -348,7 +337,7 @@ def test_lsm_predict_tie_goes_to_malware():
 
 
 def test_lsm_predict_deterministic():
-    width = rv.LiquidConfig(input_channels=3).neuron_count * 4
+    width = rv.NEURON_COUNT * rv.LIQUID_WINDOWS
     rng = np.random.default_rng(2)
     states = rng.normal(size=(30, width))
     y = (states[:, 0] > 0).astype(int)

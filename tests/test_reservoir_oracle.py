@@ -6,12 +6,17 @@ dense ``(horizon, neurons)`` injected-current matrix filled one row product
 at a time, and per step a ``np.where`` update, boolean-index resets and a
 refractory countdown.  The current code must reproduce its spike counts and
 membrane potentials exactly.
+
+``reference_build_liquid`` is the knob-driven wiring that ``build_liquid``'s
+constants fixed: at its defaults it must give ``build_liquid``'s liquid bit
+for bit, and the randomized cases draw liquids of other shapes from it.
 """
 
 import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +25,40 @@ from callsift import reservoir as rv
 from callsift.traces import MultiHotMatrix, build_vocabulary, encode_multihot, truncate
 
 # --- reference implementation -------------------------------------------------
+
+
+def reference_build_liquid(
+    input_channels,
+    seed,
+    neuron_count=135,
+    input_fanout_fraction=0.3,
+    input_weight_low=0.2,
+    input_weight_high=0.5,
+    recurrent=True,
+    recurrent_sparsity=0.1,
+    excitatory_fraction=0.8,
+    spectral_radius=0.9,
+):
+    n = neuron_count
+    fanout = max(1, int(input_fanout_fraction * n))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 17]))
+    w_in = np.zeros((input_channels, n))
+    for ch in range(input_channels):
+        targets = rng.choice(n, size=fanout, replace=False)
+        w_in[ch, targets] = rng.uniform(input_weight_low, input_weight_high, size=fanout)
+    w_rec = np.zeros((n, n))
+    if recurrent and recurrent_sparsity > 0 and n >= 2:
+        mask = rng.random((n, n)) < recurrent_sparsity
+        np.fill_diagonal(mask, False)
+        weights = rng.uniform(0.1, 1.0, size=(n, n))
+        sign = np.where(rng.random(n) < excitatory_fraction, 1.0, -1.0)
+        w_rec = mask * weights * sign[np.newaxis, :]
+        radius = float(np.max(np.abs(np.linalg.eigvals(w_rec))))
+        if radius > 0:
+            w_rec *= spectral_radius / radius
+    return rv.LiquidTopology(
+        neuron_count=n, input_weights=w_in, recurrent_weights=w_rec, seed=seed
+    )
 
 
 def reference_simulate_liquid(topology, lif, input_matrix, windows=4, record=False):
@@ -66,6 +105,20 @@ def assert_matches_reference(topology, lif, m, windows):
     assert np.array_equal(rv.simulate_liquid(topology, lif, m, windows=windows)[0], want)
 
 
+# --- fixed wiring ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("channels", [1, 2, 25, 26, 40])
+@pytest.mark.parametrize("seed", [0, 4, 13])
+def test_fixed_wiring_matches_reference_defaults(channels, seed):
+    got = rv.build_liquid(channels, seed)
+    want = reference_build_liquid(channels, seed)
+    assert got.neuron_count == want.neuron_count == rv.NEURON_COUNT
+    assert got.seed == seed
+    assert np.array_equal(got.input_weights, want.input_weights)
+    assert np.array_equal(got.recurrent_weights, want.recurrent_weights)
+
+
 # --- randomized cases -----------------------------------------------------------
 
 
@@ -73,7 +126,7 @@ def assert_matches_reference(topology, lif, m, windows):
 def liquids(draw):
     n = draw(st.integers(1, 24))
     recurrent = n >= 2 and draw(st.booleans())
-    config = rv.LiquidConfig(
+    wiring = dict(
         input_channels=draw(st.integers(1, 5)),
         neuron_count=n,
         input_fanout_fraction=draw(st.floats(0.05, 1.0)),
@@ -95,7 +148,7 @@ def liquids(draw):
         refractory_period=draw(st.integers(0, 4)),
         simulation_step=draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])),
     )
-    return rv.build_liquid(config, seed=draw(st.integers(0, 2**16))), lif
+    return reference_build_liquid(seed=draw(st.integers(0, 2**16)), **wiring), lif
 
 
 @st.composite
@@ -135,7 +188,7 @@ def test_quiet_runs_match_reference(data):
 
 
 def test_negative_rows_are_ignored_like_the_reference():
-    topology = rv.build_liquid(rv.LiquidConfig(input_channels=3, neuron_count=12), seed=5)
+    topology = reference_build_liquid(input_channels=3, seed=5, neuron_count=12)
     counts = np.array([[3, 1, 0], [2, 2, 2], [0, 3, 1], [1, 0, 3]], dtype=np.int64)
     m = MultiHotMatrix(counts=counts, time_steps=np.array([-4, -1, 0, 5], dtype=np.int64))
     for dt in (0.5, 1.0, 3.0):
@@ -150,8 +203,8 @@ def test_rows_sharing_a_step_sum_in_row_order():
     # up to eight rows land on each simulated step; a pairwise or reordered
     # sum of their currents differs in the last bits, which the potentials
     # of a liquid that never reaches threshold carry forward
-    topology = rv.build_liquid(
-        rv.LiquidConfig(input_channels=4, neuron_count=30, input_fanout_fraction=1.0), seed=3
+    topology = reference_build_liquid(
+        input_channels=4, seed=3, neuron_count=30, input_fanout_fraction=1.0
     )
     counts = np.random.default_rng(6).integers(0, 4, size=(64, 4))
     m = MultiHotMatrix(counts=counts, time_steps=np.arange(64, dtype=np.int64))
@@ -161,7 +214,7 @@ def test_rows_sharing_a_step_sum_in_row_order():
 
 
 def test_empty_and_all_zero_inputs():
-    topology = rv.build_liquid(rv.LiquidConfig(input_channels=4, neuron_count=9), seed=1)
+    topology = reference_build_liquid(input_channels=4, seed=1, neuron_count=9)
     lif = rv.LifParams()
     empty = MultiHotMatrix(np.zeros((0, 4), dtype=np.int64), np.zeros(0, dtype=np.int64))
     zeros = MultiHotMatrix(np.zeros((3, 4), dtype=np.int64), np.array([0, 2, 7]))
@@ -174,7 +227,7 @@ def test_length_1000_corpus_matches_reference():
                                  profiles=datagen.accumulating_profiles())
     corpus = datagen.generate_corpus(config)
     vocab = build_vocabulary(corpus)
-    topology = rv.build_liquid(rv.LiquidConfig(input_channels=vocab.width), seed=0)
+    topology = rv.build_liquid(vocab.width, seed=0)
     lif = rv.LifParams()
     for trace in corpus:
         m = encode_multihot(truncate(trace, 1000), vocab)
@@ -188,7 +241,7 @@ def test_length_1000_corpus_matches_reference():
 def test_late_event_memory_is_bounded_by_events():
     # the reference allocates a dense (horizon, neurons) current matrix:
     # 50,001 x 135 float64, about 54 MB, for two events
-    topology = rv.build_liquid(rv.LiquidConfig(input_channels=3), seed=2)
+    topology = rv.build_liquid(3, seed=2)
     m = MultiHotMatrix(np.array([[1, 0, 0], [0, 2, 1]], dtype=np.int64),
                        np.array([0, 50_000], dtype=np.int64))
     tracemalloc.start()

@@ -96,8 +96,9 @@ def test_classifier_predict_is_row_independent(classifiers, small_corpus, kind, 
 def test_lsm_histogram_scorer_is_row_independent(classifiers, data):
     lsm_clf = classifiers["lsm"]
     width = lsm_clf.vocab.width
+    # the scorer spreads k / 5 of a normalized histogram as 20 * k events
     X = data.draw(hnp.arrays(np.float64, st.tuples(st.integers(0, 5), st.just(width)),
-                             elements=st.integers(0, 3).map(float)), label="X")
-    score = explain.LsmHistogramScorer(lsm_clf, nominal_length=20).score_histograms
+                             elements=st.integers(0, 3).map(lambda k: k / 5)), label="X")
+    score = explain.LsmHistogramScorer(lsm_clf).score_histograms
     whole = assert_row_independent(score, X, data)
     assert_layout_free(score, X, whole)
