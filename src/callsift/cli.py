@@ -47,7 +47,7 @@ def _write_text(text: str, path: str | Path) -> None:
 
 def _read_reports(path) -> tuple[list[evaluation.EvaluationReport], bool]:
     """A file's reports, and whether it holds a list (as ``sweep --report-json`` writes)."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = persistence.read_json(path)
     many = isinstance(doc, list) and len(doc) > 0  # an empty list holds no report
     return persistence.decode(list[evaluation.EvaluationReport], doc if many else [doc]), many
 
@@ -138,8 +138,7 @@ def _generate(config: datagen.CorpusConfig, out: Path, reproducible: bool) -> in
 
 
 def cmd_gen(args) -> int:
-    doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    config = persistence.decode(datagen.CorpusConfig, doc)
+    config = persistence.decode(datagen.CorpusConfig, persistence.read_json(args.config))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     out = Path(args.out)

@@ -22,7 +22,7 @@ import base64
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,42 +32,31 @@ from .traces import INT_TO_LABEL, LABEL_TO_INT, SyscallTrace, labels_of, truncat
 
 @dataclass(eq=False)
 class LabeledDataset:
-    """Parallel arrays of samples, integer labels, and observation times."""
+    """Labeled traces, with their integer labels, observation times and ids
+    read from the traces into parallel arrays."""
 
-    samples: list
-    labels: np.ndarray  # int64, 0/1
-    observed_at: np.ndarray  # int64
-    ids: list[str] | None = None
+    samples: list[SyscallTrace]
+    labels: np.ndarray = field(init=False)  # int64, 0/1
+    observed_at: np.ndarray = field(init=False)  # int64
+    ids: list[str] = field(init=False)
 
     def __post_init__(self) -> None:
-        n = len(self.samples)
-        if self.labels.shape[0] != n or self.observed_at.shape[0] != n:
-            raise ValueError("samples, labels, observed_at must have equal length")
-        if self.ids is not None and len(self.ids) != n:
-            raise ValueError("ids must match sample count")
+        unlabeled = [t.id for t in self.samples if t.label is None]
+        if unlabeled:
+            raise ValueError(f"dataset requires labels; unlabeled: {unlabeled[:3]}")
+        self.labels = np.array([LABEL_TO_INT[t.label] for t in self.samples], dtype=np.int64)
+        self.observed_at = np.array([t.observed_at for t in self.samples], dtype=np.int64)
+        self.ids = [t.id for t in self.samples]
 
     def __len__(self) -> int:
         return len(self.samples)
 
     def subset(self, idx: np.ndarray) -> "LabeledDataset":
-        return LabeledDataset(
-            samples=[self.samples[i] for i in idx],
-            labels=self.labels[idx],
-            observed_at=self.observed_at[idx],
-            ids=[self.ids[i] for i in idx] if self.ids is not None else None,
-        )
+        return LabeledDataset([self.samples[i] for i in idx])
 
     @classmethod
     def from_traces(cls, traces: Sequence[SyscallTrace]) -> "LabeledDataset":
-        unlabeled = [t.id for t in traces if t.label is None]
-        if unlabeled:
-            raise ValueError(f"dataset requires labels; unlabeled: {unlabeled[:3]}")
-        return cls(
-            samples=list(traces),
-            labels=np.array([LABEL_TO_INT[t.label] for t in traces], dtype=np.int64),
-            observed_at=np.array([t.observed_at for t in traces], dtype=np.int64),
-            ids=[t.id for t in traces],
-        )
+        return cls(list(traces))
 
 
 @dataclass(frozen=True)
@@ -445,12 +434,7 @@ def sweep_sequence_length(
         raise ValueError("lengths must be ascending")
     reports = []
     for n in lengths:
-        truncated = LabeledDataset(
-            samples=[truncate(t, n) for t in dataset.samples],
-            labels=dataset.labels,
-            observed_at=dataset.observed_at,
-            ids=dataset.ids,
-        )
+        truncated = LabeledDataset([truncate(t, n) for t in dataset.samples])
         train, test = split_sorted(truncated, train_fraction=train_fraction)
         report = evaluate_split(
             train,

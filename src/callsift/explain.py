@@ -197,8 +197,6 @@ def lime_explain_batch(model, X: np.ndarray, config: LimeConfig,
 
 CORRECT_MALWARE = "correct-malware"
 MISCLASSIFIED_MALWARE = "misclassified-malware"
-CORRECT_GOODWARE = "correct-goodware"
-MISCLASSIFIED_GOODWARE = "misclassified-goodware"
 
 
 @dataclass(eq=False)
@@ -235,18 +233,13 @@ def group_explanations(
     labels: np.ndarray,
     group: str,
 ) -> list[LocalExplanation]:
-    """Select the explanations belonging to one prediction-outcome group."""
-    pred = np.asarray(predictions)
-    lab = np.asarray(labels)
-    masks = {
-        CORRECT_MALWARE: (lab == 1) & (pred == 1),
-        MISCLASSIFIED_MALWARE: (lab == 1) & (pred == 0),
-        CORRECT_GOODWARE: (lab == 0) & (pred == 0),
-        MISCLASSIFIED_GOODWARE: (lab == 0) & (pred == 1),
-    }
-    if group not in masks:
+    """Select the explanations of one group of malware samples: those
+    predicted malware (``CORRECT_MALWARE``) or goodware (``MISCLASSIFIED_MALWARE``)."""
+    predicted = {CORRECT_MALWARE: 1, MISCLASSIFIED_MALWARE: 0}
+    if group not in predicted:
         raise ValueError(f"unknown group {group!r}")
-    return [e for e, keep in zip(explanations, masks[group]) if keep]
+    keep = (np.asarray(labels) == 1) & (np.asarray(predictions) == predicted[group])
+    return [e for e, k in zip(explanations, keep) if k]
 
 
 def render_summary(summary: ExplanationSummary, names: list[str]) -> str:
@@ -303,20 +296,21 @@ def extract_rules(
     names = feature_names or [f"f{i}" for i in range(tree.n_features)]
     labels = labels_of(tree.leaf_scores)
     rules: list[DecisionRule] = []
-
-    def walk(node: int, conds: tuple[RuleCondition, ...]) -> None:
+    # an explicit stack reaches any depth the grower makes; pushing the right
+    # child first visits the left subtree first (pre-order)
+    stack: list[tuple[int, tuple[RuleCondition, ...]]] = [(0, ())]
+    while stack:
+        node, conds = stack.pop()
         f = int(tree.feature[node])
         if f == LEAF:
             g, m = tree.class_counts[node]
             rules.append(DecisionRule(conditions=conds,
                                       predicted=INT_TO_LABEL[int(labels[node])],
                                       leaf_counts=(float(g), float(m))))
-            return
+            continue
         thr = float(tree.threshold[node])
-        walk(int(tree.left[node]), conds + (RuleCondition(f, names[f], "<=", thr),))
-        walk(int(tree.right[node]), conds + (RuleCondition(f, names[f], ">", thr),))
-
-    walk(0, ())
+        stack.append((int(tree.right[node]), conds + (RuleCondition(f, names[f], ">", thr),)))
+        stack.append((int(tree.left[node]), conds + (RuleCondition(f, names[f], "<=", thr),)))
     return rules
 
 

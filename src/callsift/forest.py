@@ -523,10 +523,6 @@ def train_linear(
     return LinearModel(weights=w, bias=b, params=params)
 
 
-def predict_labels(model, X: np.ndarray) -> np.ndarray:
-    return labels_of(model.predict_scores(X))
-
-
 def tree_importance(tree: DecisionTree) -> np.ndarray:
     """Unnormalized per-feature impurity decrease, weighted by node fraction."""
     imp = np.zeros(tree.n_features)

@@ -66,6 +66,17 @@ def config_hash(doc) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
+def read_json(path: str | Path):
+    """The JSON document in a file; text that is not JSON, or JSON nested
+    deeper than the decoder's recursion limit, is an ``ArchiveError``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ArchiveError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ArchiveError(f"{path} nests deeper than the JSON decoder allows") from None
+
+
 def write_json(doc, path: str | Path) -> None:
     """Write ``doc`` as indented, key-sorted JSON, creating the parent directory."""
     path = Path(path)
@@ -239,10 +250,7 @@ def save_model(
 
 def load_model(path: str | Path):
     """Load an archive back into a ready-to-predict classifier."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ArchiveError(f"archive is not valid JSON: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ArchiveError(f"archive must be a JSON object, not {type(doc).__name__}")
     version = doc.get("format_version")

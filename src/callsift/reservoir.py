@@ -72,6 +72,11 @@ EXCITATORY_FRACTION = 0.8  # share of presynaptic neurons with positive weights
 SPECTRAL_RADIUS = 0.9  # of the recurrent weights, below one
 LIQUID_WINDOWS = 4  # time windows a liquid state counts spikes over
 
+# The readout's fixed recipe: CV picks one l2 penalty of the grid.
+READOUT_L2_GRID = (1e-4, 1e-3, 1e-2)
+READOUT_LEARNING_RATE = 0.3
+READOUT_EPOCHS = 300
+
 
 @dataclass(frozen=True)
 class LifParams:
@@ -102,9 +107,6 @@ class LiquidTopology:
     @property
     def input_channels(self) -> int:
         return self.input_weights.shape[0]
-
-    def fanout_of(self, channel: int) -> int:
-        return int((self.input_weights[channel] != 0).sum())
 
 
 def build_liquid(input_channels: int, seed: int = 0) -> LiquidTopology:
@@ -325,10 +327,6 @@ class ReadoutModel:
         return self.model.predict_scores(self._transform(X))
 
 
-def default_linear_grid() -> list[dict]:
-    return [{"l2": l2} for l2 in (1e-4, 1e-3, 1e-2)]
-
-
 def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
     """Seeded stratified fold assignment; keeps both classes in every fold."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 29]))
@@ -340,28 +338,22 @@ def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
     return [np.flatnonzero(assignment == f) for f in range(folds)]
 
 
-def _fit_readout(X: np.ndarray, y: np.ndarray, point: dict, seed: int) -> LinearModel:
+def _fit_readout(X: np.ndarray, y: np.ndarray, l2: float, seed: int) -> LinearModel:
     params = LinearParams(
-        learning_rate=point.get("learning_rate", 0.3),
-        epochs=point.get("epochs", 300),
-        l2=point.get("l2", 1e-3),
-        seed=seed,
+        learning_rate=READOUT_LEARNING_RATE, epochs=READOUT_EPOCHS, l2=l2, seed=seed
     )
     return train_linear(X, y, params)
 
 
 def train_readout(
-    states: np.ndarray,
-    labels: np.ndarray,
-    search: list[dict] | None = None,
-    folds: int = 10,
-    seed: int = 0,
+    states: np.ndarray, labels: np.ndarray, *, folds: int = 10, seed: int = 0
 ) -> ReadoutModel:
-    """Pick the grid point with minimal mean CV 0-1 loss, refit on all data.
+    """Pick the ``READOUT_L2_GRID`` penalty with minimal mean CV 0-1 loss,
+    refit on all data.
 
-    Ties resolve to the earliest grid point.  Every evaluated point and its
-    loss lands in ``search_log`` so a search can be audited or reproduced.
-    The grid x fold fits run in one contiguous block per usable CPU
+    Ties resolve to the earliest penalty.  Every evaluated ``{"l2": x}`` and
+    its loss lands in ``search_log`` so a search can be audited or reproduced.
+    The penalty x fold fits run in one contiguous block per usable CPU
     (``forest._map_forked``; this process fits the first block and the
     final refit), so the result does not depend on the number of
     processes.  It can depend on the BLAS thread count: ``train_linear``'s
@@ -379,9 +371,7 @@ def train_readout(
         raise ValueError("readout training needs both classes present")
     if counts.min() < folds:
         raise ValueError(f"need at least {folds} samples per class for {folds}-fold CV")
-    grid = search if search is not None else default_linear_grid()
-    if not grid:
-        raise ValueError("empty hyperparameter grid")
+    grid = READOUT_L2_GRID
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std[std == 0] = 1.0
@@ -395,22 +385,15 @@ def train_readout(
         pred = labels_of(model.predict_scores(Xs[fold_idx[f]]))
         return float((pred != y[fold_idx[f]]).mean())
 
-    # grid-major: the losses of grid point i are losses[i * folds : (i + 1) * folds]
+    # penalty-major: penalty i's fold losses are losses[i * folds : (i + 1) * folds]
     losses = _map_forked(cv_loss, len(grid) * folds)
-    log: list[tuple[dict, float]] = []
-    best_i = 0
-    best_loss = math.inf
-    for i, point in enumerate(grid):
-        mean_loss = float(np.mean(losses[i * folds : (i + 1) * folds]))
-        log.append((dict(point), mean_loss))
-        if mean_loss < best_loss:
-            best_loss = mean_loss
-            best_i = i
-    final = _fit_readout(Xs, y, grid[best_i], seed)
+    log = [({"l2": l2}, float(np.mean(losses[i * folds : (i + 1) * folds])))
+           for i, l2 in enumerate(grid)]
+    best = min(log, key=lambda entry: entry[1])[0]  # min keeps the earliest tie
     return ReadoutModel(
         kind=LINEAR,
-        model=final,
-        hyperparams=dict(grid[best_i]),
+        model=_fit_readout(Xs, y, best["l2"], seed),
+        hyperparams=dict(best),
         feature_mean=mean,
         feature_std=std,
         search_log=log,

@@ -276,6 +276,8 @@ def _parse_trace(record: str | dict, line_number: int | None,
             record = json.loads(record)
         except json.JSONDecodeError as exc:
             raise TraceParseError(f"invalid JSON{where}: {exc}") from exc
+        except RecursionError:
+            raise TraceParseError(f"JSON nested deeper than the decoder allows{where}") from None
     if not isinstance(record, dict):
         raise TraceParseError(f"trace record must be an object{where}")
     try:

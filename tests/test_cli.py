@@ -50,6 +50,10 @@ def test_gen_seed_override_changes_output(workspace, tmp_path):
     assert out.read_bytes() != (workspace / "corpus.jsonl").read_bytes()
 
 
+# JSON text nested deeper than the decoder's recursion limit allows
+NESTED_TOO_DEEP = "[" * 200_000 + "]" * 200_000
+
+
 def _typo(key, wrong, where):
     def mutate(doc):
         target = where(doc)
@@ -85,8 +89,9 @@ def _set(key, value):
     (_set("goodware_count", "3"), "CorpusConfig.goodware_count: int payload is a str"),
     (_set("seed", "13"), "CorpusConfig.seed: int payload is a str"),
     (_set("seed", True), "CorpusConfig.seed: int payload is a bool"),
+    (lambda doc: NESTED_TOO_DEEP, "config.json nests deeper than the JSON decoder allows"),
 ], ids=["not-an-object", "profile-typo", "motif-typo", "missing-field", "frequencies-list",
-        "count-as-string", "seed-as-string", "seed-as-bool"])
+        "count-as-string", "seed-as-string", "seed-as-bool", "nested-too-deep"])
 def test_gen_rejects_malformed_config(tmp_path, capsys, mutate, type_name):
     doc = persistence.encode(datagen.make_config(
         seed=1, goodware_count=3, malware_count=3,
@@ -94,7 +99,7 @@ def test_gen_rejects_malformed_config(tmp_path, capsys, mutate, type_name):
     ))
     doc = mutate(doc)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc))
+    config.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     out = tmp_path / "corpus.jsonl"
     assert cli.main(["gen", "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -501,7 +506,10 @@ def test_data_errors_exit_one(tmp_path, capsys):
     assert rc == 1
 
 
-@pytest.mark.parametrize("events", ["null", "3", "[[100000000000000000000000, \"A\"]]"])
+@pytest.mark.parametrize("events", [
+    "null", "3", "[[100000000000000000000000, \"A\"]]",
+    pytest.param(NESTED_TOO_DEEP, id="nested-too-deep"),
+])
 def test_malformed_events_exit_one_naming_the_line(tmp_path, capsys, events):
     corpus = tmp_path / "bad.jsonl"
     corpus.write_text(
@@ -517,17 +525,19 @@ def test_malformed_events_exit_one_naming_the_line(tmp_path, capsys, events):
 
 def test_non_object_archive_exits_one(workspace, tmp_path, capsys):
     archive = tmp_path / "list.json"
-    archive.write_text("[]\n")
     corpus = str(workspace / "corpus.jsonl")
-    for argv in (
-        ["eval", "--corpus", corpus, "--split", "sorted", "--model-archive",
-         str(archive), "--out", str(tmp_path / "r.json")],
-        ["explain", "--corpus", corpus, "--model-archive", str(archive),
-         "--out-dir", str(tmp_path / "explain")],
-    ):
-        assert cli.main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "JSON object" in err
+    for text, message in (("[]\n", "JSON object"),
+                          (NESTED_TOO_DEEP, "list.json nests deeper than the JSON decoder allows")):
+        archive.write_text(text)
+        for argv in (
+            ["eval", "--corpus", corpus, "--split", "sorted", "--model-archive",
+             str(archive), "--out", str(tmp_path / "r.json")],
+            ["explain", "--corpus", corpus, "--model-archive", str(archive),
+             "--out-dir", str(tmp_path / "explain")],
+        ):
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err
 
 
 @pytest.mark.parametrize(
@@ -608,6 +618,8 @@ def _break_report(doc, how):
         return [[doc]]
     if how == "empty-list":
         return []
+    if how == "nested-too-deep":
+        return NESTED_TOO_DEEP
     if how == "string-n-test":
         tree["n_test"] = str(tree["n_test"])
     elif how == "n-test-past-bitmap":
@@ -639,10 +651,12 @@ def _break_report(doc, how):
     ("format-version-2", "unsupported report format_version 2"),
     ("hand-edited-acc", "model tree: metrics MetricSet(acc=0.1,"),
     ("spliced-model", "different numbers of samples: ensemble 16, hist-rf 16, linear 3, tree 16"),
+    ("nested-too-deep", "bad.json nests deeper than the JSON decoder allows"),
 ])
 def test_malformed_report_exits_one(sorted_report, tmp_path, capsys, command, how, message):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(_break_report(json.loads(sorted_report.read_text()), how)))
+    doc = _break_report(json.loads(sorted_report.read_text()), how)
+    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     argv = [command, "--report", str(bad)]
     if command == "stats":
         argv += ["--out", str(tmp_path / "sig.json")]

@@ -1,4 +1,5 @@
 import base64
+import inspect
 import json
 
 import numpy as np
@@ -343,6 +344,16 @@ def test_sweep_validates_lengths():
 def test_labeled_dataset_rejects_unlabeled():
     with pytest.raises(ValueError, match="unlabeled"):
         LabeledDataset.from_traces([make_trace([(0, "A")], label=None)])
+
+
+def test_labeled_dataset_reads_its_arrays_from_its_traces():
+    assert list(inspect.signature(LabeledDataset).parameters) == ["samples"]
+    ds = toy_dataset([5, 3, 9], [1, 0, 1])
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0, 1]
+    assert ds.observed_at.dtype == np.int64 and ds.observed_at.tolist() == [5, 3, 9]
+    assert ds.ids == ["t0", "t1", "t2"]
+    sub = ds.subset(np.array([2, 0]))
+    assert (sub.labels.tolist(), sub.observed_at.tolist(), sub.ids) == ([1, 1], [9, 5], ["t2", "t0"])
 
 
 # --- report codec ------------------------------------------------------------------

@@ -18,13 +18,14 @@ from callsift.explain import (
     rules_predict,
     summarize_explanations,
 )
-from callsift.forest import predict_labels, train_decision_tree
+from callsift.forest import train_decision_tree
 from callsift.models import EncodingOptions, LsmClassifier
 from callsift.traces import (
     MultiHotMatrix,
     SyscallVocabulary,
     encode_histogram,
     encode_multihot,
+    labels_of,
 )
 from conftest import make_trace
 
@@ -239,7 +240,22 @@ def test_rules_replay_tree_exactly(rng):
     tree = train_decision_tree(X, y)
     rules = extract_rules(tree)
     probe = rng.uniform(-0.2, 1.2, size=(10_000, 6))
-    assert np.array_equal(rules_predict(rules, probe), predict_labels(tree, probe))
+    assert np.array_equal(rules_predict(rules, probe), labels_of(tree.predict_scores(probe)))
+
+
+def test_rules_reach_a_chain_deeper_than_the_recursion_limit():
+    # alternating labels along one feature grow a chain that peels off one
+    # row per split: 1,299 splits deep
+    n = 1300
+    X = np.arange(n, dtype=np.float64)[:, None]
+    tree = train_decision_tree(X, np.arange(n) % 2)
+    leaves = int((tree.feature == -1).sum())
+    assert leaves == n and tree.feature.size == 2 * n - 1
+    rules = extract_rules(tree)
+    assert len(rules) == leaves
+    assert max(len(r.conditions) for r in rules) == n - 1
+    probe = X[[0, 1, 2, n // 2, n - 2, n - 1]]
+    assert np.array_equal(rules_predict(rules, probe), labels_of(tree.predict_scores(probe)))
 
 
 def test_rule_rendering_style():

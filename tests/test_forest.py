@@ -20,11 +20,11 @@ from callsift.forest import (
     _sigmoid,
     gini_importance,
     logistic_loss_and_grad,
-    predict_labels,
     train_decision_tree,
     train_linear,
     train_random_forest,
 )
+from callsift.traces import labels_of
 from test_forest_oracle import assert_same_tree, datasets, encoded_corpus  # noqa: F401
 
 
@@ -39,7 +39,7 @@ def test_single_class_gives_single_leaf():
     tree = train_decision_tree(np.array([[1.0], [2.0], [3.0]]), np.array([1, 1, 1]))
     assert tree.n_nodes == 1
     X = np.array([[9.0]])
-    label, score = predict_labels(tree, X)[0], tree.predict_scores(X)[0]
+    label, score = labels_of(tree.predict_scores(X))[0], tree.predict_scores(X)[0]
     assert (label, score) == (1, 1.0)
 
 
@@ -58,7 +58,7 @@ def test_xor_needs_depth_two_and_gets_it():
     assert all(stump_accuracy(f, t) < 1.0 for f in (0, 1) for t in thresholds)
 
     tree = train_decision_tree(X, y)
-    assert np.array_equal(predict_labels(tree, X), y)
+    assert np.array_equal(labels_of(tree.predict_scores(X)), y)
     # depth 2 = exactly 3 internal nodes for the XOR layout
     assert sum(1 for i in range(tree.n_nodes) if tree.feature[i] != -1) == 3
 
@@ -160,7 +160,7 @@ def test_label_flip_symmetry_tree_and_forest():
     s = fo.predict_scores(Xt)
     sf = fo_flipped.predict_scores(Xt)
     assert np.allclose(s, 1 - sf)
-    assert np.array_equal(predict_labels(fo, Xt), 1 - predict_labels(fo_flipped, Xt))
+    assert np.array_equal(labels_of(fo.predict_scores(Xt)), 1 - labels_of(fo_flipped.predict_scores(Xt)))
 
 
 # --- random forest --------------------------------------------------------------
@@ -202,7 +202,7 @@ def test_forest_vote_fraction_and_tie_to_malware():
     for t in fake.trees[:2]:
         t.class_counts[:] = t.class_counts[:, ::-1]
     X = np.array([[0.0]])
-    label, score = predict_labels(fake, X)[0], fake.predict_scores(X)[0]
+    label, score = labels_of(fake.predict_scores(X))[0], fake.predict_scores(X)[0]
     assert score == 0.5 and label == 1
 
 
@@ -526,7 +526,7 @@ def test_linear_separable_training_accuracy_one():
                   [3.0, 3.0], [3.0, 4.0], [4.0, 3.0], [4.0, 4.0]])
     y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
     model = train_linear(X, y, LinearParams(learning_rate=0.5, epochs=2000, l2=0.0))
-    assert np.array_equal(predict_labels(model, X), y)
+    assert np.array_equal(labels_of(model.predict_scores(X)), y)
 
 
 def test_linear_gradient_matches_finite_differences():
@@ -558,7 +558,7 @@ def test_zero_linear_model_ties_to_malware():
     model.weights[:] = 0.0
     model.bias = 0.0
     X = np.array([[2.0]])
-    label, score = predict_labels(model, X)[0], model.predict_scores(X)[0]
+    label, score = labels_of(model.predict_scores(X))[0], model.predict_scores(X)[0]
     assert score == 0.5 and label == 1
 
 

@@ -27,11 +27,11 @@ from callsift.forest import (
     TreeParams,
     _gini_from_counts,
     gini_importance,
-    predict_labels,
     train_decision_tree,
     train_random_forest,
     tree_importance,
 )
+from callsift.traces import labels_of
 
 # --- reference implementation -------------------------------------------------
 
@@ -259,7 +259,7 @@ def test_deep_chain_does_not_hit_the_recursion_limit():
     y = np.arange(1500) % 2
     tree = train_decision_tree(X, y)
     assert tree.n_nodes == 2 * 1500 - 1
-    assert np.array_equal(predict_labels(tree, X), y)
+    assert np.array_equal(labels_of(tree.predict_scores(X)), y)
 
 
 @pytest.mark.parametrize(
@@ -277,7 +277,7 @@ def test_threshold_falls_back_when_midpoint_does_not_separate(below, above):
     tree = train_decision_tree(X, y)
     assert tree.n_nodes == 3
     assert tree.threshold[0] == below
-    assert np.array_equal(predict_labels(tree, X), y)
+    assert np.array_equal(labels_of(tree.predict_scores(X)), y)
 
 
 # --- realistic size --------------------------------------------------------------

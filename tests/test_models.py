@@ -13,7 +13,7 @@ from callsift.models import (
     VotingEnsembleClassifier,
     make_classifier,
 )
-from callsift.traces import LABEL_TO_INT, SyscallVocabulary
+from callsift.traces import LABEL_TO_INT, SyscallVocabulary, labels_of
 from conftest import make_trace
 
 
@@ -112,7 +112,7 @@ def _forest_vote_label(monkeypatch):
     X = np.zeros((1, 1))
     assert leaf.predict_scores(X)[0] == 0.5
     # the tree's vote is the forest's whole score
-    assert forest.predict_labels(model, X)[0] == model.predict_scores(X)[0]
+    assert labels_of(model.predict_scores(X))[0] == model.predict_scores(X)[0]
     return model.predict_scores(X)[0]
 
 

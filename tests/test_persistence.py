@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from callsift import persistence
+from callsift import persistence, reservoir
 from callsift.forest import (
     LEAF,
     DecisionTree,
@@ -193,13 +193,15 @@ def test_malformed_ensemble_archive_is_rejected(
         load_model(tmp_path / "bad.json")
 
 
-def test_lsm_archive_keeps_the_model_liquid_settings(tmp_path, small_corpus, small_labels):
+def test_lsm_archive_keeps_the_model_liquid_settings(tmp_path, small_corpus, small_labels,
+                                                     monkeypatch):
     clf = fitted("lsm", small_corpus, small_labels)
     lif = LifParams(membrane_time_constant=12.0, threshold=0.6, refractory_period=1)
     assert lif != LifParams() and clf.model.windows != 2
     inputs = [encode_multihot(t, clf.vocab, clf.encoding.truncation) for t in small_corpus]
     states = liquid_states(clf.model.topology, lif, inputs, windows=2)
-    readout = train_readout(states, small_labels, search=[{"l2": 1e-3}], folds=3)
+    monkeypatch.setattr(reservoir, "READOUT_L2_GRID", (1e-3,))
+    readout = train_readout(states, small_labels, folds=3)
     clf.model = LsmModel(topology=clf.model.topology, lif=lif, windows=2, readout=readout)
     save_model(clf, tmp_path / "lsm.json")
     loaded = load_model(tmp_path / "lsm.json")

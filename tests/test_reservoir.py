@@ -35,7 +35,8 @@ def single_neuron_topology(weight):
 def test_default_liquid_structure():
     topo = rv.build_liquid(25, seed=1)
     assert topo.neuron_count == 135
-    assert all(topo.fanout_of(ch) == 40 for ch in range(25))  # floor(0.3 * 135)
+    fanouts = (topo.input_weights != 0).sum(axis=1)
+    assert (fanouts == 40).all() and fanouts.size == 25  # floor(0.3 * 135)
     assert np.diagonal(topo.recurrent_weights).sum() == 0.0
 
 
@@ -236,28 +237,30 @@ def test_readout_linear_separable_accuracy_one(rng):
     assert (pred == y).all()
 
 
-def test_readout_grid_minimum_and_log(rng):
+def test_readout_grid_minimum_and_log(rng, monkeypatch):
     X, y = separable_states(rng, gap=0.4)
-    grid = [{"l2": 1e-4}, {"l2": 1e-2}, {"l2": 1.0}]
-    readout = rv.train_readout(X, y, search=grid, folds=5, seed=3)
-    assert len(readout.search_log) == len(grid)
+    grid = (1e-4, 1e-2, 1.0)
+    monkeypatch.setattr(rv, "READOUT_L2_GRID", grid)
+    readout = rv.train_readout(X, y, folds=5, seed=3)
+    assert [point for point, _ in readout.search_log] == [{"l2": l2} for l2 in grid]
     # brute-force oracle: rerun every grid point's CV loss independently
     recomputed = []
-    for point in grid:
-        again = rv.train_readout(X, y, search=[point], folds=5, seed=3)
+    for l2 in grid:
+        monkeypatch.setattr(rv, "READOUT_L2_GRID", (l2,))
+        again = rv.train_readout(X, y, folds=5, seed=3)
         recomputed.append(again.search_log[0][1])
     assert [loss for _, loss in readout.search_log] == recomputed
     best = min(range(len(grid)), key=lambda i: recomputed[i])
     # ties resolve to first in grid order
     first_min = next(i for i in range(len(grid)) if recomputed[i] == recomputed[best])
-    assert readout.hyperparams == grid[first_min]
+    assert readout.hyperparams == {"l2": grid[first_min]}
     losses = [loss for _, loss in readout.search_log]
     assert min(losses) == readout.search_log[[p for p, _ in readout.search_log].index(readout.hyperparams)][1]
 
 
 def test_readout_never_selects_dominated_point(rng):
     X, y = separable_states(rng, gap=0.3)
-    readout = rv.train_readout(X, y, search=rv.default_linear_grid(), folds=5, seed=4)
+    readout = rv.train_readout(X, y, folds=5, seed=4)
     chosen_loss = dict(
         (tuple(sorted(p.items())), l) for p, l in readout.search_log
     )[tuple(sorted(readout.hyperparams.items()))]
@@ -281,21 +284,22 @@ def test_readout_default_folds_is_ten(rng):
     assert inspect.signature(rv.train_readout).parameters["folds"].default == 10
 
 
-def test_readout_parameters_keep_folds_fourth():
+def test_readout_folds_and_seed_are_keyword_only():
     import inspect
 
-    # bench/tracer.py reads a positional folds as the fourth argument
-    assert list(inspect.signature(rv.train_readout).parameters) == [
-        "states", "labels", "search", "folds", "seed"]
+    params = inspect.signature(rv.train_readout).parameters
+    assert list(params) == ["states", "labels", "folds", "seed"]
+    assert [p.kind for p in params.values()] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 2 + [
+        inspect.Parameter.KEYWORD_ONLY] * 2
 
 
-def test_readout_search_is_bitwise_the_same_on_any_process_count(rng):
+def test_readout_search_is_bitwise_the_same_on_any_process_count(rng, monkeypatch):
     X, y = separable_states(rng, n=40, d=6, gap=0.5)
-    grid = [{"l2": 1e-4}, {"l2": 1e-2, "epochs": 60}, {"l2": 1.0}]
+    monkeypatch.setattr(rv, "READOUT_L2_GRID", (1e-4, 1.0))
     pickled = set()  # floats and arrays pickle as their bytes
     for cpus in (1, 2, 3):
         with mock.patch.object(forest, "_usable_cpus", lambda: cpus):
-            r = rv.train_readout(X, y, search=grid, folds=5, seed=7)
+            r = rv.train_readout(X, y, folds=5, seed=7)
         pickled.add(pickle.dumps((r.search_log, r.hyperparams, r.model)))
     assert len(pickled) == 1
 
@@ -303,10 +307,10 @@ def test_readout_search_is_bitwise_the_same_on_any_process_count(rng):
 def test_a_diverging_grid_point_raises_in_the_caller_and_leaves_no_child(rng, monkeypatch):
     X, y = separable_states(rng, n=40, d=6)
     # three blocks of 3 x 5 fits: the diverging point's fits run in a worker
-    grid = [{"l2": 1e-4}, {"l2": 1e-3}, {"learning_rate": 1e300}]
+    monkeypatch.setattr(rv, "READOUT_L2_GRID", (1e-4, 1e-3, 1e300))
     monkeypatch.setattr(forest, "_usable_cpus", lambda: 3)
     with pytest.raises(ValueError, match="linear training diverged"):
-        rv.train_readout(X, y, search=grid, folds=5)
+        rv.train_readout(X, y, folds=5)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -336,12 +340,13 @@ def test_lsm_predict_tie_goes_to_malware():
     assert score[0] == 0.5 and label[0] == 1
 
 
-def test_lsm_predict_deterministic():
+def test_lsm_predict_deterministic(monkeypatch):
     width = rv.NEURON_COUNT * rv.LIQUID_WINDOWS
     rng = np.random.default_rng(2)
     states = rng.normal(size=(30, width))
     y = (states[:, 0] > 0).astype(int)
-    readout = rv.train_readout(states, y, search=[{"l2": 1e-3}], folds=5, seed=0)
+    monkeypatch.setattr(rv, "READOUT_L2_GRID", (1e-3,))
+    readout = rv.train_readout(states, y, folds=5, seed=0)
     clf = _fitted_lsm(readout)
     traces = [make_trace([(0, "A"), (0, "B"), (0, "B"), (4, "B"), (4, "C")])]
     a = clf.predict(traces)
