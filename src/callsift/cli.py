@@ -60,8 +60,8 @@ def _now(reproducible: bool) -> str | None:
 
 def _parse_models(spec: str) -> tuple[list[str], bool]:
     names = [m.strip() for m in spec.split(",") if m.strip()]
-    want_ensemble = "ensemble" in names
-    base = [m for m in names if m != "ensemble"]
+    want_ensemble = evaluation.ENSEMBLE in names
+    base = [m for m in names if m != evaluation.ENSEMBLE]
     for name in base:
         if name not in models.BASE_KINDS:
             raise ValueError(f"unknown model kind {name!r}")
@@ -206,16 +206,14 @@ def cmd_eval(args) -> int:
     else:
         base, want_ensemble = _parse_models(args.models)
         factories = _factories(base, args, args.length)
-        ensemble_name = "ensemble" if want_ensemble else None
         if args.split == "cv":
             report = evaluation.evaluate_cv(
-                dataset, factories, k=args.folds, seed=args.seed,
-                ensemble_name=ensemble_name,
+                dataset, factories, k=args.folds, seed=args.seed, ensemble=want_ensemble,
             )
         else:
             report = evaluation.evaluate_split(
                 train, test, factories, seed=args.seed,
-                split_descriptor=split, ensemble_name=ensemble_name,
+                split_descriptor=split, ensemble=want_ensemble,
             )
     report.length = args.length
     report.config_hash = _run_config_hash(args, "eval")
@@ -234,11 +232,9 @@ def cmd_sweep(args) -> int:
     dataset = _load_dataset(args.corpus)
     base, want_ensemble = _parse_models(args.models)
     lengths = [int(v) for v in args.lengths.split(",")]
-    # the sweep truncates every trace itself; the encoders must not cut further
-    factories = _factories(base, args, max(lengths))
     reports = evaluation.sweep_sequence_length(
-        dataset, factories, lengths, train_fraction=args.train_fraction,
-        seed=args.seed, ensemble_name="ensemble" if want_ensemble else None,
+        dataset, functools.partial(_factories, base, args), lengths,
+        train_fraction=args.train_fraction, seed=args.seed, ensemble=want_ensemble,
     )
     rows = []
     for report in reports:
@@ -443,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         if not length_and_counts:  # sweep sets both itself
             return
         p.add_argument("--length", type=int, default=models.DEFAULT_TRUNCATION,
-                       help="truncate traces to the first N calls")
+                       help="encode only the first N calls of each trace")
         p.add_argument("--train-counts", default=None,
                        help="explicit per-class train counts 'goodware,malware'")
 

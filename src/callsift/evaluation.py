@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .traces import INT_TO_LABEL, LABEL_TO_INT, SyscallTrace, labels_of, truncate
+from .traces import INT_TO_LABEL, LABEL_TO_INT, SyscallTrace, labels_of
 
 
 @dataclass(eq=False)
@@ -236,6 +236,9 @@ def majority_vote(per_model_predictions: Sequence[np.ndarray]) -> np.ndarray:
 
 # --- evaluation reports ----------------------------------------------------
 
+# the report name of the majority vote over a report's base models
+ENSEMBLE = "ensemble"
+
 # A model factory receives a seed and returns an object with
 #   fit(traces, labels_int) and predict(traces) -> (labels_int, scores).
 ModelFactory = Callable[[int], "object"]
@@ -340,15 +343,15 @@ def rows_to_csv(rows: list[dict]) -> str:
 def model_results(
     predictions: dict[str, np.ndarray],
     labels: np.ndarray,
-    ensemble_name: str | None = None,
+    ensemble: bool = False,
 ) -> dict[str, ModelResult]:
     """Metrics and correctness of each model's test predictions.
 
-    When ensemble_name is set and at least two base models are present, a
-    majority-vote ensemble over the base predictions is appended.
+    With ``ensemble`` and at least two base models, the majority vote of the
+    base predictions is appended as ``ENSEMBLE``.
     """
-    if ensemble_name and len(predictions) >= 2:
-        predictions = {**predictions, ensemble_name: majority_vote(list(predictions.values()))}
+    if ensemble and len(predictions) >= 2:
+        predictions = {**predictions, ENSEMBLE: majority_vote(list(predictions.values()))}
     results = {}
     for name, pred in predictions.items():
         metrics, confusion = compute_metrics(pred, labels)
@@ -362,7 +365,7 @@ def _evaluate_folds(
     factories: dict[str, ModelFactory],
     seed: int,
     split: dict,
-    ensemble_name: str | None,
+    ensemble: bool,
 ) -> EvaluationReport:
     """Train every factory on each fold's train side and score its test side.
 
@@ -380,7 +383,7 @@ def _evaluate_folds(
         split=split,
         seed=seed,
         models=model_results(
-            {name: np.concatenate(p) for name, p in predictions.items()}, labels, ensemble_name
+            {name: np.concatenate(p) for name, p in predictions.items()}, labels, ensemble
         ),
     )
 
@@ -391,12 +394,12 @@ def evaluate_split(
     factories: dict[str, ModelFactory],
     seed: int = 0,
     split_descriptor: dict | None = None,
-    ensemble_name: str | None = "ensemble",
+    ensemble: bool = True,
 ) -> EvaluationReport:
     """Train every factory on the train side, score the test side, and append
     a majority-vote ensemble as ``model_results`` does."""
     return _evaluate_folds(
-        [(train, test)], factories, seed, split_descriptor or {"kind": "custom"}, ensemble_name
+        [(train, test)], factories, seed, split_descriptor or {"kind": "custom"}, ensemble
     )
 
 
@@ -405,44 +408,46 @@ def evaluate_cv(
     factories: dict[str, ModelFactory],
     k: int = 10,
     seed: int = 0,
-    ensemble_name: str | None = "ensemble",
+    ensemble: bool = True,
 ) -> EvaluationReport:
     """k-fold evaluation; correctness vectors concatenate folds in order,
     so per-sample vectors stay aligned across models."""
     return _evaluate_folds(
-        split_kfold(dataset, k, seed), factories, seed, {"kind": "cv", "folds": k}, ensemble_name
+        split_kfold(dataset, k, seed), factories, seed, {"kind": "cv", "folds": k}, ensemble
     )
 
 
 def sweep_sequence_length(
     dataset: LabeledDataset,
-    factories: dict[str, ModelFactory],
+    factories_at: Callable[[int], dict[str, ModelFactory]],
     lengths: Sequence[int],
     train_fraction: float = 0.8,
     seed: int = 0,
-    ensemble_name: str | None = None,
+    ensemble: bool = False,
 ) -> list[EvaluationReport]:
-    """Retrain and evaluate on the sorted split at each truncation length.
+    """``evaluate_split`` of one sorted split at each length n, with the
+    factories ``factories_at(n)`` returns, so each report is the one
+    ``callsift eval --length n`` writes.
 
-    Each length is fully independent (no warm starts): truncate, re-encode,
-    retrain, evaluate.  The dataset must hold raw traces.
+    The split is made once, of whole traces; each length is fully
+    independent (no warm starts), and its models read only the first n
+    events of each trace.
     """
     lengths = list(lengths)
     if not lengths or any(n < 1 for n in lengths):
         raise ValueError("lengths must be positive")
     if sorted(lengths) != lengths:
         raise ValueError("lengths must be ascending")
+    train, test = split_sorted(dataset, train_fraction=train_fraction)
     reports = []
     for n in lengths:
-        truncated = LabeledDataset([truncate(t, n) for t in dataset.samples])
-        train, test = split_sorted(truncated, train_fraction=train_fraction)
         report = evaluate_split(
             train,
             test,
-            factories,
+            factories_at(n),
             seed=seed,
             split_descriptor={"kind": "sorted", "train_fraction": train_fraction},
-            ensemble_name=ensemble_name,
+            ensemble=ensemble,
         )
         report.length = n
         reports.append(report)

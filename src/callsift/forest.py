@@ -129,6 +129,21 @@ class DecisionTree:
     n_features: int
     params: TreeParams
 
+    def __post_init__(self) -> None:
+        # an archive can hold any arrays; a child at or before its node is a cycle
+        n = len(self.feature)
+        if n < 1 or any(a.dtype.kind not in "iu" or a.shape != (n,)
+                        for a in (self.feature, self.left, self.right)):
+            raise ValueError("tree feature, left and right must be integer arrays of n >= 1 nodes")
+        if self.threshold.shape != (n,) or self.class_counts.shape != (n, 2):
+            raise ValueError(f"a tree of {n} nodes needs ({n},) thresholds, ({n}, 2) class_counts")
+        if not ((self.feature >= LEAF) & (self.feature < self.n_features)).all():
+            raise ValueError(f"tree features must lie in [{LEAF}, {self.n_features})")
+        node = np.flatnonzero(self.feature != LEAF)
+        for child in (self.left[node], self.right[node]):
+            if ((child <= node) | (child >= n)).any():
+                raise ValueError(f"each child of a tree node must lie after it, below {n}")
+
     @property
     def n_nodes(self) -> int:
         return self.feature.shape[0]

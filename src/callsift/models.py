@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forest, reservoir
-from .evaluation import majority_vote
+from .evaluation import ENSEMBLE, majority_vote
 from .traces import (
     SyscallTrace,
     SyscallVocabulary,
@@ -39,7 +39,6 @@ TREE = "tree"
 HIST_RF = "hist-rf"
 LINEAR = "linear"
 LSM = "lsm"
-ENSEMBLE = "ensemble"
 # the kinds a HistogramClassifier learns
 HISTOGRAM_KINDS = (TREE, HIST_RF, LINEAR)
 # the single-model kinds; an ensemble votes over one of each

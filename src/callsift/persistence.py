@@ -67,11 +67,12 @@ def config_hash(doc) -> str:
 
 
 def read_json(path: str | Path):
-    """The JSON document in a file; text that is not JSON, or JSON nested
-    deeper than the decoder's recursion limit, is an ``ArchiveError``."""
+    """The JSON document in a file; text that is not JSON, an integer of more
+    digits than the decoder takes, or JSON nested deeper than the decoder's
+    recursion limit, is an ``ArchiveError``."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ArchiveError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise ArchiveError(f"{path} nests deeper than the JSON decoder allows") from None

@@ -28,6 +28,7 @@ call names may have appeared.
 from __future__ import annotations
 
 import json
+import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -259,7 +260,9 @@ def _event_columns(raw_events: list, names: dict[str, str], where: str) -> Trace
         # clipping it to the range keeps which error the trace reports
         column = np.fromiter(map(max, steps, repeat(_MIN_STEP)), np.int64, end)
     if end < len(raw_events):
-        raise TraceParseError(f"event must be [int_ms, str_name]{where}: {raw_events[end]!r}")
+        # reprlib caps the length of the strings and the depth of the nesting shown
+        raise TraceParseError(
+            f"event must be [int_ms, str_name]{where}: {reprlib.repr(raw_events[end])}")
     return TraceEvents(column, tuple(map(names.setdefault, calls, calls)))
 
 
@@ -274,7 +277,7 @@ def _parse_trace(record: str | dict, line_number: int | None,
     if isinstance(record, str):
         try:
             record = json.loads(record)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer of more digits than the decoder takes
             raise TraceParseError(f"invalid JSON{where}: {exc}") from exc
         except RecursionError:
             raise TraceParseError(f"JSON nested deeper than the decoder allows{where}") from None
@@ -334,19 +337,10 @@ def write_corpus(traces: Iterable[SyscallTrace], path: str | Path) -> None:
             fh.write("\n")
 
 
-def truncate(trace: SyscallTrace, n: int) -> SyscallTrace:
-    """Keep the first min(n, len) events.  Idempotent; n must be >= 1."""
-    if n < 1:
-        raise ValueError("truncation limit must be >= 1")
-    if len(trace.events) <= n:
-        return trace
-    return SyscallTrace(trace.id, trace.label, trace.observed_at, trace.events[:n])
-
-
 def encode_multihot(trace: SyscallTrace, vocab: SyscallVocabulary,
                     truncation: int | None = None) -> MultiHotMatrix:
-    """Count calls per occupied time step of the events ``truncate(trace,
-    truncation)`` keeps (all for None); unknown names land in the OOV slot."""
+    """Count calls per occupied time step of the trace's first ``truncation``
+    events (all for None); unknown names land in the OOV slot."""
     width = vocab.width
     steps = trace.events.steps[:truncation]
     if not steps.size:
@@ -367,8 +361,8 @@ def encode_histogram(
     truncation: int | None = None,
 ) -> np.ndarray:
     """The float64 (len(traces), vocab.width) matrix of each trace's call
-    counts over the events ``truncate(trace, truncation)`` keeps (all for
-    None); optionally each row divided by its total.
+    counts over its first ``truncation`` events (all for None); optionally
+    each row divided by its total.
 
     An empty trace stays all-zero in both modes.  Normalization defaults on:
     frequency features are comparable across traces of different lengths.

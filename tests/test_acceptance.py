@@ -16,7 +16,7 @@ from callsift import reservoir as rv
 from callsift import significance as sig
 from callsift.evaluation import LabeledDataset, compute_metrics, evaluate_cv, split_sorted
 from callsift.forest import ForestParams, logistic_loss_and_grad, train_decision_tree
-from callsift.traces import GOODWARE, MALWARE, MultiHotMatrix, labels_of, truncate
+from callsift.traces import GOODWARE, MALWARE, MultiHotMatrix, labels_of
 
 
 class _Gate:
@@ -134,7 +134,7 @@ def test_05_end_to_end_synthetic_pipeline():
             report = evaluate_cv(
                 ds,
                 {"hist-rf": lambda s: models.make_classifier("hist-rf", seed=s)},
-                k=10, seed=seed, ensemble_name=None,
+                k=10, seed=seed, ensemble=False,
             )
             cv_caas.append(report.models["hist-rf"].metrics.caa)
         cv_median = sorted(cv_caas)[2]
@@ -148,10 +148,9 @@ def test_06_sequence_length_sweep_shape():
             profiles=datagen.accumulating_profiles(),
         )
         ds = LabeledDataset.from_traces(datagen.generate_corpus(config))
+        train, test = split_sorted(ds, train_fraction=0.8)
         caa = {}
         for n in (100, 1000):
-            truncated = LabeledDataset([truncate(t, n) for t in ds.samples])
-            train, test = split_sorted(truncated, train_fraction=0.8)
             enc = models.EncodingOptions(truncation=n)
             rf = models.make_classifier("hist-rf", seed=3, encoding=enc)
             rf.fit(train.samples, train.labels)

@@ -294,36 +294,52 @@ def test_sweep_csv(workspace):
     assert lines[1].split(",")[2] == "20" and lines[2].split(",")[2] == "60"
 
 
-@pytest.fixture(scope="module")
-def long_corpus(tmp_path_factory):
-    """80 traces of 1,100 to 1,400 calls, weakly separated over four calls,
-    each of which every trace makes within its first 100 events (so a
-    vocabulary built from truncated traces equals one built from whole ones)."""
+def _weak_profiles(length_min, length_max):
+    """Two classes weakly separated over four calls."""
     def profile(a, b):
         return datagen.ClassProfile(
             call_frequencies={"NtClose": a, "NtOpenKey": b, "NtReadFile": 0.5 - a,
                               "NtWriteFile": 0.5 - b},
-            length_min=1100, length_max=1400,
+            length_min=length_min, length_max=length_max,
         )
-    config = datagen.make_config(
-        seed=4, goodware_count=40, malware_count=40,
-        profiles={GOODWARE: profile(0.255, 0.245), MALWARE: profile(0.245, 0.255)},
-    )
+    return {GOODWARE: profile(0.255, 0.245), MALWARE: profile(0.245, 0.255)}
+
+
+@pytest.fixture(scope="module")
+def long_corpus(tmp_path_factory):
+    """80 traces of 1,100 to 1,400 calls."""
+    config = datagen.make_config(seed=4, goodware_count=40, malware_count=40,
+                                 profiles=_weak_profiles(1100, 1400))
     corpus = datagen.generate_corpus(config)
-    assert all(len({c for _, c in t.events[:100]}) == 4 for t in corpus)
     path = tmp_path_factory.mktemp("long") / "corpus.jsonl"
     write_corpus(corpus, path)
     return path
 
 
-def test_sweep_lengths_match_eval_at_each_length(long_corpus, tmp_path):
-    """Each swept length trains and scores on exactly the first n calls, the
-    same as ``eval --length n`` on the sorted split, also past the default
-    ``--length`` of 1000."""
-    lengths = (1000, 1400)
+@pytest.fixture(scope="module")
+def late_call_corpus(tmp_path_factory):
+    """80 traces of 300 to 400 calls; every third ends with an ``NtExit`` that
+    no trace makes anywhere else, so it is in a vocabulary built from whole
+    training traces and never in their first 100 events."""
+    config = datagen.make_config(seed=4, goodware_count=40, malware_count=40,
+                                 profiles=_weak_profiles(300, 400))
+    corpus = [
+        t if i % 3 else SyscallTrace(t.id, t.label, t.observed_at,
+                                     (*t.events, (t.events[-1][0] + 1, "NtExit")))
+        for i, t in enumerate(datagen.generate_corpus(config))
+    ]
+    path = tmp_path_factory.mktemp("late") / "corpus.jsonl"
+    write_corpus(corpus, path)
+    return path
+
+
+def _sweep_equals_eval(corpus, model_spec, lengths, tmp_path) -> list[dict]:
+    """Sweep ``corpus`` and assert that each length's report holds the
+    correctness bitmaps ``eval --length n`` writes on the sorted split;
+    return eval's bitmaps, one dict per length."""
     sweep_json = tmp_path / "sweep.json"
     assert cli.main([
-        "sweep", "--corpus", str(long_corpus), "--models", "tree,hist-rf",
+        "sweep", "--corpus", str(corpus), "--models", model_spec,
         "--lengths", ",".join(map(str, lengths)), "--seed", "3",
         "--out", str(tmp_path / "sweep.csv"), "--report-json", str(sweep_json),
     ]) == 0
@@ -332,18 +348,33 @@ def test_sweep_lengths_match_eval_at_each_length(long_corpus, tmp_path):
     for n, report in zip(lengths, swept):
         out = tmp_path / f"eval_{n}.json"
         assert cli.main([
-            "eval", "--corpus", str(long_corpus), "--split", "sorted",
-            "--models", "tree,hist-rf", "--train-fraction", "0.8",
+            "eval", "--corpus", str(corpus), "--split", "sorted",
+            "--models", model_spec, "--train-fraction", "0.8",
             "--length", str(n), "--seed", "3", "--out", str(out),
         ]) == 0
         evaluated = json.loads(out.read_text())
         assert report["length"] == n
-        for name in ("tree", "hist-rf"):
+        for name in model_spec.split(","):
             assert (report["models"][name]["correctness_bitmap"]
                     == evaluated["models"][name]["correctness_bitmap"]), (n, name)
         bitmaps.append({k: v["correctness_bitmap"] for k, v in evaluated["models"].items()})
+    return bitmaps
+
+
+def test_sweep_lengths_match_eval_at_each_length(long_corpus, tmp_path):
+    """Each swept length trains and scores on exactly the first n calls, the
+    same as ``eval --length n`` on the sorted split, also past the default
+    ``--length`` of 1000."""
+    bitmaps = _sweep_equals_eval(long_corpus, "tree,hist-rf", (1000, 1400), tmp_path)
     # the two lengths must give different results, or this test shows nothing
     assert bitmaps[0] != bitmaps[1]
+
+
+def test_sweep_equals_eval_where_training_traces_call_late(late_call_corpus, tmp_path):
+    """A call that training traces make only after their n-th event is in
+    each model's vocabulary, in a sweep as in ``eval --length n``; the LSM's
+    liquid is sized by that vocabulary."""
+    _sweep_equals_eval(late_call_corpus, "hist-rf,linear,lsm", (100,), tmp_path)
 
 
 def test_report_and_stats_read_a_sweep_file(workspace, tmp_path, capsys):
@@ -482,14 +513,19 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_cli(*argv):
+    """``python -m callsift`` in a subprocess that imports this callsift."""
     import callsift
 
     src = str(Path(callsift.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "callsift", "--help"],
+    return subprocess.run([sys.executable, "-m", "callsift", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = _run_cli("--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: callsift")
 
@@ -509,6 +545,7 @@ def test_data_errors_exit_one(tmp_path, capsys):
 @pytest.mark.parametrize("events", [
     "null", "3", "[[100000000000000000000000, \"A\"]]",
     pytest.param(NESTED_TOO_DEEP, id="nested-too-deep"),
+    pytest.param(f'[[{"9" * 5000}, "A"]]', id="5000-digit-step"),
 ])
 def test_malformed_events_exit_one_naming_the_line(tmp_path, capsys, events):
     corpus = tmp_path / "bad.jsonl"
@@ -523,11 +560,70 @@ def test_malformed_events_exit_one_naming_the_line(tmp_path, capsys, events):
     assert err.startswith("error:") and "(line 2)" in err
 
 
+@pytest.mark.parametrize("event", [
+    pytest.param(f'[1, "B", "{"x" * 1_000_000}"]', id="long-field"),
+    pytest.param("[" * 500 + "]" * 500, id="deep-event"),
+])
+def test_malformed_event_error_line_stays_short(tmp_path, capsys, event):
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text(
+        f'{{"id": "m", "label": "malware", "observed_at": 0, "events": [[0, "A"], {event}]}}\n'
+    )
+    rc = cli.main(["eval", "--corpus", str(corpus), "--split", "sorted",
+                   "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: event must be [int_ms, str_name] (line 1): ")
+    assert len(err.encode()) < 200
+
+
+@pytest.fixture(scope="module")
+def tree_archive(workspace):
+    """A tree archive trained on the workspace corpus, whose root splits."""
+    path = workspace / "tree.json"
+    assert cli.main(["train", "--corpus", str(workspace / "corpus.jsonl"), "--model", "tree",
+                     "--length", "100", "--seed", "3", "--reproducible",
+                     "--out", str(path)]) == 0
+    assert json.loads(path.read_text())["payload"]["feature"][0] != -1
+    return path
+
+
+def _tamper_tree(tree, how):
+    if how == "cycle":
+        tree["left"][0] = 0
+    elif how == "float-features":
+        tree["feature"] = [float(f) for f in tree["feature"]]
+    elif how == "child-out-of-range":
+        tree["right"][0] = len(tree["feature"])
+    elif how == "feature-out-of-range":
+        tree["feature"][0] = tree["n_features"]
+    elif how == "class-counts-shape":
+        tree["class_counts"] = [row[:1] for row in tree["class_counts"]]
+
+
+@pytest.mark.parametrize("how", ["cycle", "float-features", "child-out-of-range",
+                                 "feature-out-of-range", "class-counts-shape"])
+def test_tampered_tree_archive_exits_one(workspace, tree_archive, tmp_path, how):
+    """In a subprocess with a timeout, because a tree whose child points back
+    up would make ``eval`` loop for ever."""
+    doc = json.loads(tree_archive.read_text())
+    _tamper_tree(doc["payload"], how)
+    doc["payload_sha256"] = persistence.config_hash(doc["payload"])
+    archive = tmp_path / "tampered.json"
+    archive.write_text(json.dumps(doc))
+    done = _run_cli("eval", "--corpus", str(workspace / "corpus.jsonl"), "--split", "sorted",
+                    "--model-archive", str(archive), "--out", str(tmp_path / "r.json"))
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: "), done.stderr
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_non_object_archive_exits_one(workspace, tmp_path, capsys):
     archive = tmp_path / "list.json"
     corpus = str(workspace / "corpus.jsonl")
     for text, message in (("[]\n", "JSON object"),
-                          (NESTED_TOO_DEEP, "list.json nests deeper than the JSON decoder allows")):
+                          (NESTED_TOO_DEEP, "list.json nests deeper than the JSON decoder allows"),
+                          (f"[{'9' * 5000}]", "list.json is not valid JSON")):
         archive.write_text(text)
         for argv in (
             ["eval", "--corpus", corpus, "--split", "sorted", "--model-archive",

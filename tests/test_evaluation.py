@@ -301,7 +301,7 @@ def test_evaluate_split_report_round_trip(tmp_path):
 
 def test_evaluate_cv_correctness_vector_alignment():
     ds = stub_dataset()
-    report = evaluate_cv(ds, {"stub": StubModel}, k=5, seed=1, ensemble_name=None)
+    report = evaluate_cv(ds, {"stub": StubModel}, k=5, seed=1, ensemble=False)
     assert report.models["stub"].correctness.shape == (30,)
     assert report.models["stub"].metrics.acc == 1.0
     assert report.split == {"kind": "cv", "folds": 5}
@@ -320,12 +320,11 @@ def test_ensemble_of_identical_models_equals_model():
 
 def test_sweep_single_length_equals_plain_eval():
     ds = stub_dataset()
-    reports = sweep_sequence_length(ds, {"stub": StubModel}, [5], seed=2,
-                                    ensemble_name=None)
+    reports = sweep_sequence_length(ds, lambda n: {"stub": StubModel}, [5], seed=2)
     assert len(reports) == 1
     assert reports[0].length == 5
     train, test = split_sorted(ds, train_fraction=0.8)
-    plain = evaluate_split(train, test, {"stub": StubModel}, seed=2, ensemble_name=None)
+    plain = evaluate_split(train, test, {"stub": StubModel}, seed=2, ensemble=False)
     assert np.array_equal(
         reports[0].models["stub"].correctness, plain.models["stub"].correctness
     )
@@ -334,11 +333,11 @@ def test_sweep_single_length_equals_plain_eval():
 def test_sweep_validates_lengths():
     ds = stub_dataset()
     with pytest.raises(ValueError):
-        sweep_sequence_length(ds, {"stub": StubModel}, [])
+        sweep_sequence_length(ds, lambda n: {"stub": StubModel}, [])
     with pytest.raises(ValueError):
-        sweep_sequence_length(ds, {"stub": StubModel}, [100, 50])
+        sweep_sequence_length(ds, lambda n: {"stub": StubModel}, [100, 50])
     with pytest.raises(ValueError):
-        sweep_sequence_length(ds, {"stub": StubModel}, [0, 100])
+        sweep_sequence_length(ds, lambda n: {"stub": StubModel}, [0, 100])
 
 
 def test_labeled_dataset_rejects_unlabeled():

@@ -292,13 +292,22 @@ def float_array(shape):
 
 @st.composite
 def trees(draw):
+    """Any tree ``DecisionTree`` accepts: an internal node's children come
+    after it, and a leaf's child entries are arbitrary."""
     n = draw(st.integers(1, 7))
-    ints = hnp.arrays(np.int64, n, elements=st.integers(LEAF, 10))
+    n_features = draw(st.integers(1, 10))
+    feature = draw(hnp.arrays(np.int64, n, elements=st.integers(LEAF, n_features - 1)))
+    feature[-1] = LEAF  # no node comes after the last one
+
+    def children():
+        return np.array([draw(st.integers(LEAF, 10) if f == LEAF else st.integers(i + 1, n - 1))
+                         for i, f in enumerate(feature)], dtype=np.int64)
+
     return DecisionTree(
-        feature=draw(ints), threshold=draw(float_array(n)),
-        left=draw(ints), right=draw(ints),
+        feature=feature, threshold=draw(float_array(n)),
+        left=children(), right=children(),
         class_counts=draw(float_array((n, 2))),
-        n_features=draw(st.integers(1, 10)),
+        n_features=n_features,
         params=TreeParams(
             max_depth=draw(st.none() | st.integers(0, 8)),
             min_samples_leaf=draw(st.integers(1, 5)),

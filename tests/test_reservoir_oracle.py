@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from callsift import datagen
 from callsift import reservoir as rv
-from callsift.traces import MultiHotMatrix, build_vocabulary, encode_multihot, truncate
+from callsift.traces import MultiHotMatrix, build_vocabulary, encode_multihot
 
 # --- reference implementation -------------------------------------------------
 
@@ -230,7 +230,7 @@ def test_length_1000_corpus_matches_reference():
     topology = rv.build_liquid(vocab.width, seed=0)
     lif = rv.LifParams()
     for trace in corpus:
-        m = encode_multihot(truncate(trace, 1000), vocab)
+        m = encode_multihot(trace, vocab, 1000)
         assert m.counts.shape[0] > 100
         assert_matches_reference(topology, lif, m, windows=4)
 

@@ -17,7 +17,6 @@ from callsift.traces import (
     parse_trace,
     read_corpus,
     trace_to_record,
-    truncate,
     write_corpus,
 )
 from conftest import make_trace
@@ -102,24 +101,6 @@ def test_trace_rejects_negative_time():
         SyscallTrace("a", None, 0, ((-1, "X"),))
 
 
-def test_truncate_basic_and_limit_beyond_length():
-    trace = make_trace([(i, "A") for i in range(5)])
-    assert len(truncate(trace, 3)) == 3
-    assert truncate(trace, 5000) is trace
-    with pytest.raises(ValueError):
-        truncate(trace, 0)
-
-
-def test_truncate_composition_law(rng):
-    events = [(int(s), "A") for s in np.sort(rng.integers(0, 50, size=30))]
-    trace = make_trace(events)
-    for n, m in [(3, 10), (10, 3), (7, 7), (100, 5)]:
-        a = truncate(truncate(trace, n), m)
-        b = truncate(trace, min(n, m))
-        assert a.events == b.events
-        assert len(truncate(trace, n)) == min(n, len(trace))
-
-
 def test_encode_multihot_definition():
     vocab = SyscallVocabulary(("A", "B"))
     trace = make_trace([(0, "A"), (0, "A"), (0, "B"), (1, "B")])
@@ -187,7 +168,7 @@ def test_encode_histogram_matches_loop_oracle(call_lists, normalize, truncation)
     assert hists.dtype == np.float64
     assert hists.shape == (len(traces), vocab.width)
     for trace, hist in zip(traces, hists):
-        cut = trace if truncation is None else truncate(trace, truncation)
+        cut = make_trace(list(trace.events)[:truncation])
         assert np.array_equal(hist, loop_histogram(cut, vocab, normalize))
 
 
@@ -217,7 +198,7 @@ def test_truncated_encodings_count_min_n(rng):
         hist = encode_histogram([trace], vocab, normalize=False, truncation=n)[0]
         assert hist.sum() == min(n, len(trace))
         multi = encode_multihot(trace, vocab, n)
-        oracle = encode_multihot(truncate(trace, n), vocab)
+        oracle = encode_multihot(make_trace(list(trace.events)[:n]), vocab)
         assert np.array_equal(multi.counts, oracle.counts)
         assert np.array_equal(multi.time_steps, oracle.time_steps)
 
