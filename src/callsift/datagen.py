@@ -13,19 +13,25 @@ in this package exploit different structure:
 
 Everything is a pure function of the config: per-trace random streams are
 derived from (seed, trace ordinal), so corpora are reproducible even if
-traces are generated out of order.  A config's JSON form is the archive
-codec's (``persistence.encode``/``decode``).
+traces are generated out of order.  Calls are drawn as codes into one table
+per corpus, every profile and motif call sorted by name; each profile's
+codes and frequency array are built once per config and kept on it.  A
+config's JSON form is the archive codec's (``persistence.encode``/``decode``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .evaluation import LabeledDataset, compute_metrics, split_sorted
-from .traces import GOODWARE, LABEL_TO_INT, LABELS, MALWARE, SyscallTrace, TraceEvents
+from .traces import (
+    GOODWARE, LABEL_TO_INT, LABELS, MALWARE, SyscallTrace, SyscallVocabulary, TraceEvents,
+)
 
 FREQUENCY_SHIFT = "frequency-shift"
 MOTIF_SWAP = "motif-swap"
@@ -103,6 +109,14 @@ class DriftSchedule:
             raise ValueError(f"drift mode must be one of {DRIFT_MODES}")
 
 
+class _ProfileCodes(NamedTuple):
+    """A profile's calls as codes into its corpus's call table."""
+
+    calls: np.ndarray  # int32 code of each of the profile's calls, sorted by name
+    frequencies: np.ndarray  # float64 base frequency of each of those calls
+    motifs: tuple[np.ndarray, ...]  # int32 codes of each motif's calls
+
+
 @dataclass(frozen=True)
 class CorpusConfig:
     seed: int
@@ -136,6 +150,27 @@ class CorpusConfig:
                 raise ValueError(
                     "timestamp_range too narrow for strictly increasing stamps"
                 )
+
+    @cached_property
+    def _call_codes(self) -> tuple[tuple[str, ...], dict[str, tuple[_ProfileCodes, ...]]]:
+        """The corpus's call table (every profile and motif call, sorted) and
+        each profile's ``_ProfileCodes``, by label and component; built once
+        per config, so once per corpus."""
+        profiles = [p for components in self.profiles.values() for p in components]
+        table = tuple(sorted({n for p in profiles for n in p.call_frequencies}
+                             | {c for p in profiles for m in p.motifs for c in m.calls}))
+        code_of = {name: code for code, name in enumerate(table)}
+
+        def codes(names) -> np.ndarray:
+            return np.array([code_of[n] for n in names], dtype=np.int32)
+
+        def profile_codes(p: ClassProfile) -> _ProfileCodes:
+            names = sorted(p.call_frequencies)
+            return _ProfileCodes(codes(names), np.array([p.call_frequencies[n] for n in names]),
+                                 tuple(codes(m.calls) for m in p.motifs))
+
+        return table, {label: tuple(map(profile_codes, components))
+                       for label, components in self.profiles.items()}
 
 
 def _normalize_profiles(
@@ -199,7 +234,7 @@ def drifted_frequencies(base: np.ndarray, u: float, magnitude: float) -> np.ndar
     it as time and magnitude grow.
     """
     w = u * magnitude
-    return (1.0 - w) * base + w * np.roll(base, 1)
+    return (1.0 - w) * base + w * np.concatenate((base[-1:], base[:-1]))  # np.roll(base, 1)
 
 
 def _sample_length(profile: ClassProfile, rng: np.random.Generator) -> int:
@@ -213,21 +248,23 @@ def _sample_length(profile: ClassProfile, rng: np.random.Generator) -> int:
 
 def _motif_events(
     motifs: tuple[Motif, ...],
+    motif_codes: tuple[np.ndarray, ...],
     base_steps: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, list[str]]:
-    """Steps and calls of the motif events, in the order they are drawn."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Steps and call codes of the motif events, in the order they are drawn;
+    ``motif_codes`` holds the codes of each motif's calls."""
     steps = [np.empty(0, dtype=np.int64)]
-    calls: list[str] = []
+    calls = [np.empty(0, dtype=np.int32)]
     n = base_steps.shape[0]
-    for motif in motifs:
+    for motif, codes in zip(motifs, motif_codes):
         limit = n if motif.window is None else min(motif.window, n)
         anchors = np.arange(0, limit, motif.every)
         starts = base_steps[anchors[rng.random(anchors.size) < motif.probability]]
         gap = 0 if motif.style == "burst" else motif.spread_gap
         steps.append((starts[:, None] + gap * np.arange(len(motif.calls))).ravel())
-        calls.extend(motif.calls * starts.size)
-    return np.concatenate(steps), calls
+        calls.append(np.tile(codes, starts.size))
+    return np.concatenate(steps), np.concatenate(calls)
 
 
 def _generate_trace(
@@ -240,20 +277,20 @@ def _generate_trace(
     rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, _STREAM_TRACE, ordinal])
     )
+    table, codes_by_label = config._call_codes
     components = config.profiles[label]
-    profile = components[int(rng.integers(0, len(components)))]
+    component = int(rng.integers(0, len(components)))
+    profile, codes = components[component], codes_by_label[label][component]
 
-    motifs = profile.motifs
+    motifs, motif_codes = profile.motifs, codes.motifs
     if config.drift.mode == MOTIF_SWAP and config.drift.magnitude > 0:
         if rng.random() < u * config.drift.magnitude:
             other = MALWARE if label == GOODWARE else GOODWARE
-            motifs = config.profiles[other][0].motifs
+            motifs, motif_codes = config.profiles[other][0].motifs, codes_by_label[other][0].motifs
 
-    names = sorted(profile.call_frequencies)
-    base = np.array([profile.call_frequencies[n] for n in names])
-    freqs = base
+    freqs = codes.frequencies
     if config.drift.mode == FREQUENCY_SHIFT and config.drift.magnitude > 0:
-        freqs = drifted_frequencies(base, u, config.drift.magnitude)
+        freqs = drifted_frequencies(freqs, u, config.drift.magnitude)
 
     length = _sample_length(profile, rng)
     # occupy millisecond steps with Poisson burst sizes until length is met:
@@ -266,10 +303,10 @@ def _generate_trace(
         drawn += int(sizes[-1].sum())
     sizes = np.concatenate(sizes)
     steps_per_event = np.repeat(np.arange(sizes.size), sizes)[:length]
-    calls = rng.choice(len(names), size=length, p=freqs)
-    motif_steps, motif_calls = _motif_events(motifs, steps_per_event, rng)
+    calls = rng.choice(freqs.size, size=length, p=freqs)
+    motif_steps, motif_calls = _motif_events(motifs, motif_codes, steps_per_event, rng)
     steps = np.concatenate([steps_per_event, motif_steps])
-    call_names = list(map(names.__getitem__, calls.tolist())) + motif_calls
+    call_codes = np.concatenate([codes.calls[calls], motif_calls])
     # stable: the base events, then the motif events as drawn, keep their
     # order within a step
     order = np.argsort(steps, kind="stable")
@@ -277,7 +314,7 @@ def _generate_trace(
         id=f"t{ordinal:06d}",
         label=label,
         observed_at=observed_at,
-        events=TraceEvents(steps[order], tuple(map(call_names.__getitem__, order.tolist()))),
+        events=TraceEvents.from_codes(steps[order], call_codes[order], table),
     )
 
 
@@ -484,7 +521,7 @@ class ProfileLikelihoodOracle:
             {n for comps in config.profiles.values() for c in comps for n in c.call_frequencies}
         )
         index = {n: i for i, n in enumerate(self.names)}
-        self._index = index
+        self._vocab = SyscallVocabulary(tuple(self.names))
         self._log_probs: dict[str, np.ndarray] = {}
         v = len(self.names)
         for label, comps in config.profiles.items():
@@ -498,12 +535,9 @@ class ProfileLikelihoodOracle:
             self._log_probs[label] = np.vstack(rows)
 
     def _counts(self, trace: SyscallTrace) -> np.ndarray:
-        counts = np.zeros(len(self.names))
-        for call in trace.events.names:
-            i = self._index.get(call)
-            if i is not None:
-                counts[i] += 1.0
-        return counts
+        """How often the trace makes each profile call; other calls are dropped."""
+        column = self._vocab.lookup(trace.events.table)[trace.events.codes]
+        return np.bincount(column, minlength=self._vocab.width)[:-1].astype(np.float64)
 
     def log_likelihoods(self, trace: SyscallTrace) -> dict[str, float]:
         counts = self._counts(trace)

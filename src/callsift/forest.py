@@ -137,6 +137,8 @@ class DecisionTree:
             raise ValueError("tree feature, left and right must be integer arrays of n >= 1 nodes")
         if self.threshold.shape != (n,) or self.class_counts.shape != (n, 2):
             raise ValueError(f"a tree of {n} nodes needs ({n},) thresholds, ({n}, 2) class_counts")
+        if not (np.isfinite(self.class_counts) & (self.class_counts >= 0)).all():
+            raise ValueError("tree class_counts must be finite and non-negative")
         if not ((self.feature >= LEAF) & (self.feature < self.n_features)).all():
             raise ValueError(f"tree features must lie in [{LEAF}, {self.n_features})")
         node = np.flatnonzero(self.feature != LEAF)

@@ -3,14 +3,16 @@ encodings consumed by the learners.
 
 A trace is an ordered sequence of (time_step, call_name) events collected
 while an executable runs; the time step granularity is one millisecond, so
-several calls can share a step.  A trace holds its events as two columns
-(``TraceEvents``): a read-only int64 array of steps and a tuple of call
-names.  ``read_corpus`` keeps one ``str`` per distinct call name and shares
-it between every event and trace of the corpus it reads, through a table
-that lives for that one call, so a parsed event costs about 16 bytes (8 for
-its step, 8 for its reference to the shared name) rather than a tuple, an
-int and a string of its own.  ``TraceEvents`` still reads as the tuple of
-``(step, name)`` pairs it holds.
+several calls can share a step.  A trace holds its events as two read-only
+columns (``TraceEvents``): an int64 array of steps and an int32 array of
+codes into a table, one tuple of call names that every trace of a corpus
+shares (``read_corpus`` builds one per file, ``datagen.generate_corpus`` one
+per corpus), so an event costs about 12 bytes.  ``TraceEvents`` still reads
+as the tuple of ``(step, name)`` pairs it holds.  The encoders and
+``build_vocabulary`` work on the codes: a vocabulary maps a whole table to
+its indices once (``SyscallVocabulary.lookup``), and each trace's codes
+index that array.  ``write_corpus`` joins each line from the JSON text of
+each distinct step and table name, made once.
 
 Two encodings are provided:
 
@@ -31,7 +33,7 @@ import json
 import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, compress, repeat
 from operator import index, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable
@@ -71,11 +73,13 @@ class SyscallVocabulary:
 
     names: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _lookup: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if list(self.names) != sorted(set(self.names)):
             raise ValueError("vocabulary names must be unique and sorted")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(self.names)})
+        object.__setattr__(self, "_lookup", (None, None))
 
     @property
     def oov_index(self) -> int:
@@ -92,51 +96,95 @@ class SyscallVocabulary:
             map(self._index.get, names, repeat(self.oov_index)), dtype=np.int64
         )
 
+    def lookup(self, table: Sequence[str]) -> np.ndarray:
+        """``indices_of(table)``: indexed by the codes of events into ``table``,
+        it gives their indices.  The array of the last table asked for is
+        kept, since the traces of a corpus share one table."""
+        last_table, array = self._lookup
+        if last_table is not table:
+            array = self.indices_of(table)
+            object.__setattr__(self, "_lookup", (table, array))
+        return array
+
 
 class TraceEvents(Sequence):
-    """A trace's events as two columns: ``steps``, a read-only int64 array,
-    and ``names``, a tuple of call names, one per step.
+    """A trace's events as two read-only columns: ``steps``, an int64 array,
+    and ``codes``, an int32 array that indexes ``table``, a tuple of call
+    names that every trace of a corpus shares.
 
     It reads as the tuple of ``(step, name)`` pairs it holds: ``len``,
     truthiness, indexing, iteration, ``==`` and ``hash`` all match that
-    tuple's, a slice is a ``TraceEvents`` of the sliced columns, and every
-    step it yields is a Python ``int``.  The constructor takes ownership of
-    ``steps`` and makes it read-only.
+    tuple's, ``names`` is the tuple of its names, a slice is a
+    ``TraceEvents`` of the sliced columns, and every step it yields is a
+    Python ``int``.  The constructor takes the names themselves and gives the
+    events a table of their own; ``from_codes`` takes codes into a table.
+    Both take ownership of the arrays they are given and make them read-only.
     """
 
-    __slots__ = ("_steps", "_names")
+    __slots__ = ("_steps", "_codes", "_table")
 
-    def __init__(self, steps: np.ndarray, names: tuple[str, ...]):
+    def __init__(self, steps: np.ndarray, names: Sequence[str]):
         steps = np.asarray(steps, dtype=np.int64)
         if steps.ndim != 1 or steps.shape[0] != len(names):
             raise ValueError("events need one step and one name per event")
+        table = tuple(dict.fromkeys(names))
+        code_of = {name: code for code, name in enumerate(table)}
+        codes = np.fromiter(map(code_of.__getitem__, names), np.int32, len(names))
+        self._own(steps, codes, table)
+
+    @classmethod
+    def from_codes(cls, steps: np.ndarray, codes: np.ndarray,
+                   table: Sequence[str]) -> "TraceEvents":
+        """Events whose ``i``-th call is ``table[codes[i]]``, from an int64
+        array of steps and an int32 array of codes of one shape.  The caller
+        keeps every code in ``[0, len(table))``: that is not checked."""
+        if steps.dtype != np.int64 or codes.dtype != np.int32 or steps.ndim != 1 \
+                or codes.shape != steps.shape:
+            raise ValueError("events need int64 steps and int32 codes, one of each per event")
+        events = object.__new__(cls)
+        events._own(steps, codes, table)
+        return events
+
+    def _own(self, steps: np.ndarray, codes: np.ndarray, table: Sequence[str]) -> None:
         steps.flags.writeable = False
-        self._steps = steps
-        self._names = names
+        codes.flags.writeable = False
+        self._steps, self._codes, self._table = steps, codes, table
 
     @property
     def steps(self) -> np.ndarray:
         return self._steps
 
     @property
+    def codes(self) -> np.ndarray:
+        return self._codes
+
+    @property
+    def table(self) -> Sequence[str]:
+        return self._table
+
+    @property
     def names(self) -> tuple[str, ...]:
-        return self._names
+        return tuple(map(self._table.__getitem__, self._codes.tolist()))
 
     def __len__(self) -> int:
-        return len(self._names)
+        return self._codes.shape[0]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return TraceEvents(self._steps[i], self._names[i])
-        name = self._names[i]  # the tuple's own IndexError and TypeError
-        return int(self._steps[index(i)]), name
+            return TraceEvents.from_codes(self._steps[i], self._codes[i], self._table)
+        i = index(i)  # a tuple's TypeError for an index that is not an integer
+        if not -len(self) <= i < len(self):
+            raise IndexError("TraceEvents index out of range")
+        return int(self._steps[i]), self._table[self._codes[i]]
 
     def __iter__(self):
-        return zip(self._steps.tolist(), self._names)
+        return zip(self._steps.tolist(), map(self._table.__getitem__, self._codes.tolist()))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TraceEvents):
-            return self._names == other._names and np.array_equal(self._steps, other._steps)
+            same_codes = self._table is other._table and np.array_equal(self._codes, other._codes)
+            return (np.array_equal(self._steps, other._steps)
+                    and (same_codes or self.names == other.names))
         if isinstance(other, tuple):
             return tuple(self) == other
         return NotImplemented
@@ -221,9 +269,22 @@ def build_vocabulary(corpus: Iterable[SyscallTrace]) -> SyscallVocabulary:
     Deterministic regardless of trace order.  Raises ValueError("empty
     vocabulary") when the corpus contributes no call names at all.
     """
-    names: set[str] = set()
+    # by id(table): the table and which of its names occur; once all of
+    # them do, its key moves to ``complete`` and its traces are skipped
+    used: dict[int, tuple[Sequence[str], np.ndarray]] = {}
+    complete: set[int] = set()
     for trace in corpus:
-        names.update(trace.events.names)
+        table = trace.events.table
+        key = id(table)
+        if key in complete:
+            continue
+        if key not in used:
+            used[key] = (table, np.zeros(len(table), dtype=bool))
+        seen = used[key][1]
+        seen[trace.events.codes.astype(np.intp)] = True  # an intp index is numpy's fast path
+        if b"\0" not in seen.tobytes():
+            complete.add(key)
+    names = {name for table, seen in used.values() for name in compress(table, seen)}
     if not names:
         raise ValueError("empty vocabulary")
     return SyscallVocabulary(tuple(sorted(names)))
@@ -237,17 +298,26 @@ def _first_failing(column: Sequence, key: Callable, ok: Callable) -> int:
     return list(map(ok, map(key, column))).index(False)
 
 
-def _event_columns(raw_events: list, names: dict[str, str], where: str) -> TraceEvents:
-    """Split ``[step, name]`` pairs into their two columns, checking each
-    column whole.  Each check runs on the prefix of events the checks before
-    it accepted, so the error names the first malformed event; a name seen
-    before is replaced by the ``str`` ``names`` holds for it."""
+def _event_columns(raw_events: list, table: list[str], code_of: dict[str, int],
+                   where: str) -> TraceEvents:
+    """Split ``[step, name]`` pairs into a column of steps and a column of
+    codes into ``table``, checking each column whole.  Each check runs on the
+    prefix of events the checks before it accepted, so the error names the
+    first malformed event.  A name ``table`` lacks is appended to it, and
+    ``code_of`` maps each name of ``table`` to its code."""
     end = _first_failing(raw_events, type, lambda t: issubclass(t, (list, tuple)))
     end = _first_failing(raw_events[:end], len, (2).__eq__)
-    steps, calls = zip(*raw_events[:end]) if end else ((), ())
+    pairs = tuple(chain.from_iterable(raw_events[:end]))
+    steps, calls = pairs[0::2], pairs[1::2]
+    try:  # every name ``table`` holds is a str, so only new names need checking
+        codes = np.fromiter(map(code_of.__getitem__, calls), np.int32, end)
+        names_end = end
+    except (KeyError, TypeError):
+        codes = None
+        names_end = _first_failing(calls, type, lambda t: issubclass(t, str))
     end = min(
         _first_failing(steps, type, lambda t: issubclass(t, int) and not issubclass(t, bool)),
-        _first_failing(calls, type, lambda t: issubclass(t, str)),
+        names_end,
     )
     steps, calls = steps[:end], calls[:end]
     try:
@@ -263,16 +333,27 @@ def _event_columns(raw_events: list, names: dict[str, str], where: str) -> Trace
         # reprlib caps the length of the strings and the depth of the nesting shown
         raise TraceParseError(
             f"event must be [int_ms, str_name]{where}: {reprlib.repr(raw_events[end])}")
-    return TraceEvents(column, tuple(map(names.setdefault, calls, calls)))
+    if codes is None:
+        for name in calls:
+            if name not in code_of:
+                code_of[name] = len(table)
+                table.append(name)
+        codes = np.fromiter(map(code_of.__getitem__, calls), np.int32, end)
+    return TraceEvents.from_codes(column, codes, table)
 
 
 def parse_trace(record: str | dict, line_number: int | None = None) -> SyscallTrace:
     """Parse one external trace record (JSON text or already-decoded object)."""
-    return _parse_trace(record, line_number, {})
+    table: list[str] = []
+    trace = _parse_trace(record, line_number, table, {})
+    trace.events._table = tuple(table)
+    return trace
 
 
-def _parse_trace(record: str | dict, line_number: int | None,
-                 names: dict[str, str]) -> SyscallTrace:
+def _parse_trace(record: str | dict, line_number: int | None, table: list[str],
+                 code_of: dict[str, int]) -> SyscallTrace:
+    """Parse one record into a trace whose events index ``table``, which
+    grows by the names the record adds (see ``_event_columns``)."""
     where = f" (line {line_number})" if line_number is not None else ""
     if isinstance(record, str):
         try:
@@ -298,7 +379,7 @@ def _parse_trace(record: str | dict, line_number: int | None,
         raise TraceParseError(f"label must be goodware, malware, or null{where}")
     if not isinstance(raw_events, (list, tuple)):
         raise TraceParseError(f"events must be a list{where}")
-    events = _event_columns(raw_events, names, where)
+    events = _event_columns(raw_events, table, code_of, where)
     try:
         return SyscallTrace(trace_id, label, observed_at, events)
     except ValueError as exc:
@@ -315,26 +396,63 @@ def trace_to_record(trace: SyscallTrace) -> dict:
 
 
 def read_corpus(path: str | Path) -> list[SyscallTrace]:
-    """Read a JSON Lines trace file (one trace object per line).  Every
-    distinct call name in the file becomes one ``str`` that all its events
-    share; the table that shares them lives for this call only."""
-    names: dict[str, str] = {}
+    """Read a JSON Lines trace file (one UTF-8 trace object per line, ended by
+    ``\\n`` or ``\\r\\n``).  All traces of the file share one table: it
+    holds every distinct call name of the file once, in order of first use."""
+    table: list[str] = []
+    code_of: dict[str, int] = {}
     traces = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for i, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise TraceParseError(f"invalid UTF-8 (line {i}): {exc}") from None
             if not line:
                 continue
-            traces.append(_parse_trace(line, i, names))
+            traces.append(_parse_trace(line, i, table, code_of))
+    shared = tuple(table)
+    for trace in traces:
+        trace.events._table = shared
     return traces
 
 
+class _Fragments(dict):
+    """Memo of the JSON text ``render`` gives each key it is asked for."""
+
+    def __init__(self, render: Callable):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
+
+
 def write_corpus(traces: Iterable[SyscallTrace], path: str | Path) -> None:
+    """Write one JSON line per trace, each equal to
+    ``json.dumps(trace_to_record(trace), sort_keys=True)``.
+
+    A line is joined from the JSON text of its parts, made once per distinct
+    part: ``', [' + step`` for each step and ``', "Name"]'`` for each code of
+    a table (the first event drops its leading ``', '``); the keys after
+    ``events`` come from the same encoder."""
     encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps(..., sort_keys=True)
+    step_text = _Fragments(lambda step: f", [{step}")
+    name_text = _Fragments(lambda table: [f", {encode(name)}]" for name in table])
     with open(path, "w", encoding="utf-8") as fh:
         for trace in traces:
-            fh.write(encode(trace_to_record(trace)))
-            fh.write("\n")
+            events = trace.events
+            parts = [""] * (2 * len(events) + 2)
+            parts[0] = '{"events": ['
+            parts[1:-1:2] = map(step_text.__getitem__, events.steps.tolist())
+            parts[2:-1:2] = map(name_text[events.table].__getitem__, events.codes.tolist())
+            if events:
+                parts[1] = parts[1][2:]
+            # the other keys sort after "events": the record without it, past its "{"
+            parts[-1] = "], " + encode({"id": trace.id, "label": trace.label,
+                                        "observed_at": trace.observed_at})[1:] + "\n"
+            fh.write("".join(parts))
 
 
 def encode_multihot(trace: SyscallTrace, vocab: SyscallVocabulary,
@@ -351,7 +469,7 @@ def encode_multihot(trace: SyscallTrace, vocab: SyscallVocabulary,
     opens_row[0] = True
     np.not_equal(steps[1:], steps[:-1], out=opens_row[1:])
     row_idx = np.cumsum(opens_row) - 1
-    cols = vocab.indices_of(trace.events.names[:truncation])
+    cols = vocab.lookup(trace.events.table)[trace.events.codes[:truncation]]
     counts = np.bincount(row_idx * width + cols, minlength=(row_idx[-1] + 1) * width)
     return MultiHotMatrix._built(counts.reshape(-1, width), steps[opens_row])
 
@@ -370,7 +488,8 @@ def encode_histogram(
     width = vocab.width
     out = np.empty((len(traces), width), dtype=np.float64)
     for row, trace in zip(out, traces):
-        row[:] = np.bincount(vocab.indices_of(trace.events.names[:truncation]), minlength=width)
+        lookup = vocab.lookup(trace.events.table)
+        row[:] = np.bincount(lookup[trace.events.codes[:truncation]], minlength=width)
     if normalize:
         totals = out.sum(axis=1, keepdims=True)
         np.divide(out, totals, out=out, where=totals > 0)

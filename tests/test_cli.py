@@ -560,6 +560,18 @@ def test_malformed_events_exit_one_naming_the_line(tmp_path, capsys, events):
     assert err.startswith("error:") and "(line 2)" in err
 
 
+def test_corpus_line_not_utf8_exits_one_naming_the_line(tmp_path, capsys):
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_bytes(
+        b'{"id": "g", "label": "goodware", "observed_at": 0, "events": [[0, "A"]]}\n'
+        b'{"id": "m", "label": "malware", "observed_at": 1, "events": [[0, "\xff"]]}\n'
+    )
+    rc = cli.main(["eval", "--corpus", str(corpus), "--split", "sorted",
+                   "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: invalid UTF-8 (line 2): ")
+
+
 @pytest.mark.parametrize("event", [
     pytest.param(f'[1, "B", "{"x" * 1_000_000}"]', id="long-field"),
     pytest.param("[" * 500 + "]" * 500, id="deep-event"),
@@ -599,10 +611,16 @@ def _tamper_tree(tree, how):
         tree["feature"][0] = tree["n_features"]
     elif how == "class-counts-shape":
         tree["class_counts"] = [row[:1] for row in tree["class_counts"]]
+    elif how == "negative-class-counts":
+        # the leaf scores would leave [0, 1]: 3 / (-2 + 3) = 3
+        tree["class_counts"] = [[-2.0, 3.0] for _ in tree["class_counts"]]
+    elif how == "nan-class-counts":
+        tree["class_counts"][-1] = [float("nan"), 1.0]
 
 
 @pytest.mark.parametrize("how", ["cycle", "float-features", "child-out-of-range",
-                                 "feature-out-of-range", "class-counts-shape"])
+                                 "feature-out-of-range", "class-counts-shape",
+                                 "negative-class-counts", "nan-class-counts"])
 def test_tampered_tree_archive_exits_one(workspace, tree_archive, tmp_path, how):
     """In a subprocess with a timeout, because a tree whose child points back
     up would make ``eval`` loop for ever."""

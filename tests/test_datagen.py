@@ -1,3 +1,4 @@
+import hashlib
 import json
 from unittest import mock
 
@@ -19,7 +20,9 @@ from callsift.datagen import (
     make_config,
     table1_shape,
 )
-from callsift.traces import GOODWARE, MALWARE, TraceEvents, parse_trace, trace_to_record
+from callsift.traces import (
+    GOODWARE, MALWARE, TraceEvents, parse_trace, trace_to_record, write_corpus,
+)
 
 
 def small_config(seed=3, drift=0.0, mode="frequency-shift", counts=(40, 40)):
@@ -291,6 +294,25 @@ def test_config_json_round_trip():
     assert [trace_to_record(t) for t in generate_corpus(back)] == [
         trace_to_record(t) for t in generate_corpus(config)
     ]
+
+
+@pytest.mark.parametrize("config, sha256", [
+    (table1_shape("sorted", scale=0.01, seed=13,
+                  profiles=datagen.default_profiles(separation=2.0), drift=DriftSchedule(0.3)),
+     "9c48dd2f5f37d4171d22f6e1630df9dc54ad9c2792ee634caff2f5d857043596"),
+    (table1_shape("sorted", scale=0.1, seed=13,
+                  profiles=datagen.default_profiles(separation=2.0), drift=DriftSchedule(0.3)),
+     "4f6a0b4ad23578c9d2536f25e78b5e8bf2a13901b0e8468a1ecc55dcb89f118c"),
+    (make_config(seed=21, goodware_count=180, malware_count=180,
+                 profiles=datagen.accumulating_profiles()),
+     "3d86c1b8284e786eb5d7c3f57473b91cc61c2fb74ace1295e312847fa61ac371"),
+], ids=["pipeline", "hist-scale", "length-sweep"])
+def test_benchmark_corpora_are_written_byte_for_byte(tmp_path, config, sha256):
+    """The bytes of the three benchmark set-up corpora, as generated and
+    written before call names became codes into a table."""
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(generate_corpus(config), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def test_config_hash_golden():

@@ -293,7 +293,8 @@ def float_array(shape):
 @st.composite
 def trees(draw):
     """Any tree ``DecisionTree`` accepts: an internal node's children come
-    after it, and a leaf's child entries are arbitrary."""
+    after it, a leaf's child entries are arbitrary, and the class counts are
+    finite and non-negative."""
     n = draw(st.integers(1, 7))
     n_features = draw(st.integers(1, 10))
     feature = draw(hnp.arrays(np.int64, n, elements=st.integers(LEAF, n_features - 1)))
@@ -306,7 +307,7 @@ def trees(draw):
     return DecisionTree(
         feature=feature, threshold=draw(float_array(n)),
         left=children(), right=children(),
-        class_counts=draw(float_array((n, 2))),
+        class_counts=draw(hnp.arrays(np.float64, (n, 2), elements=st.floats(0, 1e300))),
         n_features=n_features,
         params=TreeParams(
             max_depth=draw(st.none() | st.integers(0, 8)),

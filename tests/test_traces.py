@@ -1,5 +1,7 @@
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +295,18 @@ def test_malformed_events_report_their_message_and_line(tmp_path, events, messag
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+def test_lines_that_are_not_utf8_or_json_name_their_line(tmp_path, newline):
+    good = b'{"id": "g", "observed_at": 0, "events": [[0, "A"]]}'
+    path = tmp_path / "corpus.jsonl"
+    for bad, message in ((b'{"id": "m", "observed_at": 1, "events": [[0, "\xe9"]]}',
+                          r"invalid UTF-8 \(line 3\): .* in position 46"),
+                         (b"{not json", r"invalid JSON \(line 3\)")):
+        path.write_bytes(newline.join([good, b"", bad, good]) + newline)
+        with pytest.raises(TraceParseError, match=message):
+            read_corpus(path)
+
+
 def test_read_corpus_shares_one_string_per_call_name(tmp_path):
     traces = [make_trace([(0, "NtClose"), (1, "NtOpenKey"), (1, "NtClose")], trace_id=str(i))
               for i in range(3)]
@@ -303,8 +317,8 @@ def test_read_corpus_shares_one_string_per_call_name(tmp_path):
 
 
 def test_parsed_corpus_costs_at_most_32_bytes_an_event(tmp_path):
-    """About 16 bytes an event: an int64 step and a reference to the shared
-    name (a tuple, an int and a string per event took about 150)."""
+    """About 12 bytes an event: an int64 step and an int32 code into the
+    file's table (a tuple, an int and a string per event took about 150)."""
     rng = np.random.default_rng(7)
     calls = [f"NtQueryInformation{k:02d}" for k in range(40)]
     path = tmp_path / "corpus.jsonl"
@@ -339,3 +353,93 @@ def test_encode_multihot_matches_loop_oracle(pairs):
                           np.array([rows[s] for s in sorted(rows)]).reshape(-1, vocab.width))
     checked = MultiHotMatrix(matrix.counts, matrix.time_steps)  # holds every invariant
     assert checked.width == vocab.width
+
+
+# --- codes into a table: writing, reading and encoding ------------------------
+
+# text that JSON must escape, or that looks like the line's own punctuation
+_awkward = st.lists(st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "é", "☃",
+                                     "\U0001d11e", "], [", '"]', "A"]), max_size=6).map("".join)
+_any_text = _awkward | st.text(st.characters(codec="utf-8"), max_size=8)
+_traces = st.lists(
+    st.builds(
+        make_trace,
+        st.lists(st.tuples(st.integers(0, 2**63 - 1), _any_text), max_size=12).map(
+            lambda pairs: sorted(pairs, key=lambda p: p[0])),
+        label=st.sampled_from(["goodware", "malware", None]),
+        trace_id=_any_text,
+        observed_at=st.integers(-2**70, 2**70),
+    ),
+    max_size=5,
+)
+
+
+def _generated_traces(seed):
+    from callsift import datagen
+
+    return datagen.generate_corpus(datagen.make_config(
+        seed=seed, goodware_count=2, malware_count=2,
+        profiles=datagen.default_profiles(length_min=1, length_max=30)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_traces, st.integers(0, 3), st.data())
+def test_written_lines_are_json_dumps_and_read_back_equal(traces, seed, data):
+    generated = _generated_traces(seed)  # all share one table
+    traces = data.draw(st.permutations(traces + generated[:data.draw(st.integers(0, 4))]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        write_corpus(traces, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines == [json.dumps(trace_to_record(t), sort_keys=True) for t in traces] + [""]
+        assert read_corpus(path) == traces
+
+
+def _names_histogram(traces, vocab, normalize, truncation):
+    """``encode_histogram`` on names: ``indices_of`` on each trace's names."""
+    out = np.zeros((len(traces), vocab.width))
+    for row, trace in zip(out, traces):
+        row[:] = np.bincount(vocab.indices_of(trace.events.names[:truncation]),
+                             minlength=vocab.width)
+    if normalize:
+        totals = out.sum(axis=1, keepdims=True)
+        np.divide(out, totals, out=out, where=totals > 0)
+    return out
+
+
+_calls = st.sampled_from(["NtClose", "NtOpenKey", "NtWriteFile", "Zz", "é"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(st.tuples(st.integers(0, 40), _calls), max_size=30).map(sorted),
+             min_size=1, max_size=4),
+    st.integers(0, 3),
+    st.sets(_calls | st.sampled_from(["NtReadFile", "NtOpenFile"]), min_size=1),
+    st.booleans(),
+    st.none() | st.integers(1, 35),
+    st.data(),
+)
+def test_code_encoders_equal_the_names_reference(pair_lists, seed, vocab_names, normalize,
+                                                truncation, data):
+    """Traces read from a file (one table) and generated traces (another)
+    meet in one call; the vocabulary lacks some of their names."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        write_corpus([make_trace(pairs, trace_id=str(i)) for i, pairs in enumerate(pair_lists)],
+                     path)
+        traces = data.draw(st.permutations(read_corpus(path) + _generated_traces(seed)))
+    vocab = SyscallVocabulary(tuple(sorted(vocab_names)))
+    assert np.array_equal(encode_histogram(traces, vocab, normalize, truncation),
+                          _names_histogram(traces, vocab, normalize, truncation))
+    for trace in traces:
+        matrix = encode_multihot(trace, vocab, truncation)
+        rows = {}
+        for step, name in list(trace.events)[:truncation]:
+            rows.setdefault(step, np.zeros(vocab.width, dtype=np.int64))[
+                vocab.indices_of([name])[0]] += 1
+        assert matrix.time_steps.tolist() == sorted(rows)
+        assert np.array_equal(matrix.counts.reshape(-1, vocab.width),
+                              np.array([rows[s] for s in sorted(rows)]).reshape(-1, vocab.width))
+    names = set().union(*(trace.events.names for trace in traces))
+    assert build_vocabulary(traces).names == tuple(sorted(names))
