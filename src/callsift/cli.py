@@ -60,6 +60,9 @@ def _now(reproducible: bool) -> str | None:
 
 def _parse_models(spec: str) -> tuple[list[str], bool]:
     names = [m.strip() for m in spec.split(",") if m.strip()]
+    repeated = sorted({m for m in names if names.count(m) > 1})
+    if repeated:
+        raise ValueError(f"model kinds requested more than once: {', '.join(repeated)}")
     want_ensemble = evaluation.ENSEMBLE in names
     base = [m for m in names if m != evaluation.ENSEMBLE]
     for name in base:
@@ -147,7 +150,7 @@ def cmd_gen(args) -> int:
 
 
 def _load_dataset(path) -> evaluation.LabeledDataset:
-    return evaluation.LabeledDataset.from_traces(read_corpus(path))
+    return evaluation.LabeledDataset(read_corpus(path))
 
 
 def cmd_train(args) -> int:

@@ -28,10 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .evaluation import LabeledDataset, compute_metrics, split_sorted
-from .traces import (
-    GOODWARE, LABEL_TO_INT, LABELS, MALWARE, SyscallTrace, SyscallVocabulary, TraceEvents,
-)
+from .traces import GOODWARE, LABELS, MALWARE, SyscallTrace, TraceEvents
 
 FREQUENCY_SHIFT = "frequency-shift"
 MOTIF_SWAP = "motif-swap"
@@ -314,7 +311,7 @@ def _generate_trace(
         id=f"t{ordinal:06d}",
         label=label,
         observed_at=observed_at,
-        events=TraceEvents.from_codes(steps[order], call_codes[order], table),
+        events=TraceEvents(steps[order], call_codes[order], table),
     )
 
 
@@ -498,83 +495,3 @@ def bimodal_malware_profiles() -> dict[str, tuple[ClassProfile, ...]]:
     mal_a = ClassProfile(call_frequencies=_weighted_frequencies(mem, fsc, separation, 1.0))
     mal_b = ClassProfile(call_frequencies=_weighted_frequencies(fsc, mem, separation, 1.0))
     return {GOODWARE: (good,), MALWARE: (mal_a, mal_b)}
-
-
-# --- Profile-likelihood oracle ----------------------------------------------
-
-
-ORACLE_SMOOTHING = 1e-6  # the uniform mass mixed into each profile
-
-
-class ProfileLikelihoodOracle:
-    """Multinomial likelihood classifier built from the generating profiles.
-
-    Independent of the package's learners and encodings on purpose: it
-    counts call names straight off the trace and scores each class by the
-    log-likelihood of those counts under the class's (mixture of) start
-    profiles.  Used to certify that a generated corpus is separable and to
-    probe drift-induced evaluation gaps.
-    """
-
-    def __init__(self, config: CorpusConfig):
-        self.names: list[str] = sorted(
-            {n for comps in config.profiles.values() for c in comps for n in c.call_frequencies}
-        )
-        index = {n: i for i, n in enumerate(self.names)}
-        self._vocab = SyscallVocabulary(tuple(self.names))
-        self._log_probs: dict[str, np.ndarray] = {}
-        v = len(self.names)
-        for label, comps in config.profiles.items():
-            rows = []
-            for comp in comps:
-                p = np.full(v, 0.0)
-                for name, prob in comp.call_frequencies.items():
-                    p[index[name]] = prob
-                p = (1.0 - ORACLE_SMOOTHING) * p + ORACLE_SMOOTHING / v
-                rows.append(np.log(p))
-            self._log_probs[label] = np.vstack(rows)
-
-    def _counts(self, trace: SyscallTrace) -> np.ndarray:
-        """How often the trace makes each profile call; other calls are dropped."""
-        column = self._vocab.lookup(trace.events.table)[trace.events.codes]
-        return np.bincount(column, minlength=self._vocab.width)[:-1].astype(np.float64)
-
-    def log_likelihoods(self, trace: SyscallTrace) -> dict[str, float]:
-        counts = self._counts(trace)
-        out = {}
-        for label, logp in self._log_probs.items():
-            comp = logp @ counts  # per mixture component
-            m = comp.max()
-            out[label] = float(m + np.log(np.mean(np.exp(comp - m))))
-        return out
-
-    def predict(self, trace: SyscallTrace) -> str:
-        ll = self.log_likelihoods(trace)
-        # deterministic tie-break toward malware (fail-safe direction)
-        return MALWARE if ll[MALWARE] >= ll[GOODWARE] else GOODWARE
-
-
-def drift_gap_probe(
-    corpus: list[SyscallTrace],
-    oracle: ProfileLikelihoodOracle,
-    train_fraction: float = 0.8,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """(CAA on the temporally-last test block, CAA on a shuffled test block).
-
-    The same fixed oracle scores both blocks of equal size; under drift the
-    shuffled block mixes early and late samples and therefore scores higher,
-    quantifying how much discarding temporal order inflates evaluation.
-    """
-    train, test = split_sorted(LabeledDataset.from_traces(corpus), train_fraction)
-    ordered = train.samples + test.samples
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
-    perm = rng.permutation(len(ordered))
-    shuffled_test = [ordered[i] for i in perm[len(train):]]
-
-    def caa(traces: list[SyscallTrace]) -> float:
-        predicted = [LABEL_TO_INT[oracle.predict(t)] for t in traces]
-        labels = [LABEL_TO_INT[t.label] for t in traces]
-        return compute_metrics(np.array(predicted), np.array(labels))[0].caa
-
-    return caa(test.samples), caa(shuffled_test)

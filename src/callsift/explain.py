@@ -270,19 +270,12 @@ class RuleCondition:
     op: str  # "<=" or ">"
     threshold: float
 
-    def holds(self, x: np.ndarray) -> bool:
-        v = x[self.feature_index]
-        return v <= self.threshold if self.op == "<=" else v > self.threshold
-
 
 @dataclass(frozen=True)
 class DecisionRule:
     conditions: tuple[RuleCondition, ...]
     predicted: str  # goodware | malware
     leaf_counts: tuple[float, float]  # [goodware, malware]
-
-    def matches(self, x: np.ndarray) -> bool:
-        return all(c.holds(x) for c in self.conditions)
 
 
 def extract_rules(
@@ -312,18 +305,6 @@ def extract_rules(
         stack.append((int(tree.right[node]), conds + (RuleCondition(f, names[f], ">", thr),)))
         stack.append((int(tree.left[node]), conds + (RuleCondition(f, names[f], "<=", thr),)))
     return rules
-
-
-def rules_predict(rules: list[DecisionRule], X: np.ndarray) -> np.ndarray:
-    """Replay a rule set over a matrix; exactly one rule fires per row."""
-    X = np.asarray(X, dtype=np.float64)
-    out = np.empty(X.shape[0], dtype=np.int64)
-    for i, row in enumerate(X):
-        matched = [r for r in rules if r.matches(row)]
-        if len(matched) != 1:
-            raise ValueError(f"rule set must match exactly once, got {len(matched)}")
-        out[i] = 1 if matched[0].predicted == MALWARE else 0
-    return out
 
 
 def render_rule(rule: DecisionRule) -> str:

@@ -505,20 +505,6 @@ def _logistic_grad(
     return grad_w, grad_b
 
 
-def logistic_loss_and_grad(
-    weights: np.ndarray,
-    bias: float,
-    X: np.ndarray,
-    y: np.ndarray,
-    l2: float,
-) -> tuple[float, np.ndarray, float]:
-    """Mean logistic loss with L2 penalty on the weights, plus gradients."""
-    z = X @ weights + bias
-    # log(1 + exp(z)) - y*z, computed stably
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + l2 * float(weights @ weights)
-    return (loss, *_logistic_grad(weights, bias, X, y, l2))
-
-
 def train_linear(
     samples: np.ndarray, labels: np.ndarray, params: LinearParams | None = None
 ) -> LinearModel:

@@ -7,12 +7,12 @@ several calls can share a step.  A trace holds its events as two read-only
 columns (``TraceEvents``): an int64 array of steps and an int32 array of
 codes into a table, one tuple of call names that every trace of a corpus
 shares (``read_corpus`` builds one per file, ``datagen.generate_corpus`` one
-per corpus), so an event costs about 12 bytes.  ``TraceEvents`` still reads
-as the tuple of ``(step, name)`` pairs it holds.  The encoders and
-``build_vocabulary`` work on the codes: a vocabulary maps a whole table to
-its indices once (``SyscallVocabulary.lookup``), and each trace's codes
-index that array.  ``write_corpus`` joins each line from the JSON text of
-each distinct step and table name, made once.
+per corpus), so an event costs about 12 bytes.  Event ``i`` reads as the
+pair ``(step, name)`` and a slice as the events of the sliced columns.  The
+encoders and ``build_vocabulary`` work on the codes: a vocabulary maps a
+whole table to its indices once (``SyscallVocabulary.lookup``), and each
+trace's codes index that array.  ``write_corpus`` joins each line from the
+JSON text of each distinct step and table name, made once.
 
 Two encodings are provided:
 
@@ -34,7 +34,7 @@ import reprlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
-from operator import index, itemgetter
+from operator import index
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -112,98 +112,42 @@ class TraceEvents(Sequence):
     and ``codes``, an int32 array that indexes ``table``, a tuple of call
     names that every trace of a corpus shares.
 
-    It reads as the tuple of ``(step, name)`` pairs it holds: ``len``,
-    truthiness, indexing, iteration, ``==`` and ``hash`` all match that
-    tuple's, ``names`` is the tuple of its names, a slice is a
-    ``TraceEvents`` of the sliced columns, and every step it yields is a
-    Python ``int``.  The constructor takes the names themselves and gives the
-    events a table of their own; ``from_codes`` takes codes into a table.
-    Both take ownership of the arrays they are given and make them read-only.
+    Event ``i`` is the pair ``(steps[i], table[codes[i]])``, its step a
+    Python ``int``; a slice is a ``TraceEvents`` of the sliced columns.  The
+    constructor takes ownership of the two arrays and makes them read-only.
+    The caller keeps every code in ``[0, len(table))``: that is not checked.
     """
 
-    __slots__ = ("_steps", "_codes", "_table")
+    __slots__ = ("steps", "codes", "table")
 
-    def __init__(self, steps: np.ndarray, names: Sequence[str]):
-        steps = np.asarray(steps, dtype=np.int64)
-        if steps.ndim != 1 or steps.shape[0] != len(names):
-            raise ValueError("events need one step and one name per event")
-        table = tuple(dict.fromkeys(names))
-        code_of = {name: code for code, name in enumerate(table)}
-        codes = np.fromiter(map(code_of.__getitem__, names), np.int32, len(names))
-        self._own(steps, codes, table)
-
-    @classmethod
-    def from_codes(cls, steps: np.ndarray, codes: np.ndarray,
-                   table: Sequence[str]) -> "TraceEvents":
-        """Events whose ``i``-th call is ``table[codes[i]]``, from an int64
-        array of steps and an int32 array of codes of one shape.  The caller
-        keeps every code in ``[0, len(table))``: that is not checked."""
+    def __init__(self, steps: np.ndarray, codes: np.ndarray, table: Sequence[str]):
         if steps.dtype != np.int64 or codes.dtype != np.int32 or steps.ndim != 1 \
                 or codes.shape != steps.shape:
             raise ValueError("events need int64 steps and int32 codes, one of each per event")
-        events = object.__new__(cls)
-        events._own(steps, codes, table)
-        return events
-
-    def _own(self, steps: np.ndarray, codes: np.ndarray, table: Sequence[str]) -> None:
         steps.flags.writeable = False
         codes.flags.writeable = False
-        self._steps, self._codes, self._table = steps, codes, table
-
-    @property
-    def steps(self) -> np.ndarray:
-        return self._steps
-
-    @property
-    def codes(self) -> np.ndarray:
-        return self._codes
-
-    @property
-    def table(self) -> Sequence[str]:
-        return self._table
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(map(self._table.__getitem__, self._codes.tolist()))
+        self.steps, self.codes, self.table = steps, codes, table
 
     def __len__(self) -> int:
-        return self._codes.shape[0]
+        return self.codes.shape[0]
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return TraceEvents.from_codes(self._steps[i], self._codes[i], self._table)
+            return TraceEvents(self.steps[i], self.codes[i], self.table)
         i = index(i)  # a tuple's TypeError for an index that is not an integer
         if not -len(self) <= i < len(self):
             raise IndexError("TraceEvents index out of range")
-        return int(self._steps[i]), self._table[self._codes[i]]
-
-    def __iter__(self):
-        return zip(self._steps.tolist(), map(self._table.__getitem__, self._codes.tolist()))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TraceEvents):
-            same_codes = self._table is other._table and np.array_equal(self._codes, other._codes)
-            return (np.array_equal(self._steps, other._steps)
-                    and (same_codes or self.names == other.names))
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"TraceEvents({tuple(self)!r})"
+        return int(self.steps[i]), self.table[self.codes[i]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyscallTrace:
     """One executable's call sequence with label and corpus timestamp.
 
     ``observed_at`` orders traces within a corpus (arbitrary integer units);
     ``events`` are (time_step_ms, call_name) pairs ordered by non-decreasing
-    time step, given as ``TraceEvents`` or as any iterable of pairs.
-    ``label`` is None for unlabeled scoring input.
+    time step.  ``label`` is None for unlabeled scoring input.  Traces
+    compare by identity.
     """
 
     id: str
@@ -214,11 +158,6 @@ class SyscallTrace:
     def __post_init__(self) -> None:
         if self.label is not None and self.label not in LABELS:
             raise ValueError(f"unknown label {self.label!r}")
-        if not isinstance(self.events, TraceEvents):
-            pairs = tuple(self.events)
-            events = TraceEvents(np.fromiter(map(itemgetter(0), pairs), np.int64, len(pairs)),
-                                 tuple(map(itemgetter(1), pairs)))
-            object.__setattr__(self, "events", events)
         steps = self.events.steps
         # before the first drop the steps only rise, so the first negative
         # step is either the first step or the step of the first drop
@@ -339,14 +278,14 @@ def _event_columns(raw_events: list, table: list[str], code_of: dict[str, int],
                 code_of[name] = len(table)
                 table.append(name)
         codes = np.fromiter(map(code_of.__getitem__, calls), np.int32, end)
-    return TraceEvents.from_codes(column, codes, table)
+    return TraceEvents(column, codes, table)
 
 
 def parse_trace(record: str | dict, line_number: int | None = None) -> SyscallTrace:
     """Parse one external trace record (JSON text or already-decoded object)."""
     table: list[str] = []
     trace = _parse_trace(record, line_number, table, {})
-    trace.events._table = tuple(table)
+    trace.events.table = tuple(table)
     return trace
 
 
@@ -386,15 +325,6 @@ def _parse_trace(record: str | dict, line_number: int | None, table: list[str],
         raise TraceParseError(f"{exc}{where}") from exc
 
 
-def trace_to_record(trace: SyscallTrace) -> dict:
-    return {
-        "id": trace.id,
-        "label": trace.label,
-        "observed_at": trace.observed_at,
-        "events": list(trace.events),
-    }
-
-
 def read_corpus(path: str | Path) -> list[SyscallTrace]:
     """Read a JSON Lines trace file (one UTF-8 trace object per line, ended by
     ``\\n`` or ``\\r\\n``).  All traces of the file share one table: it
@@ -413,7 +343,7 @@ def read_corpus(path: str | Path) -> list[SyscallTrace]:
             traces.append(_parse_trace(line, i, table, code_of))
     shared = tuple(table)
     for trace in traces:
-        trace.events._table = shared
+        trace.events.table = shared
     return traces
 
 
@@ -430,8 +360,9 @@ class _Fragments(dict):
 
 
 def write_corpus(traces: Iterable[SyscallTrace], path: str | Path) -> None:
-    """Write one JSON line per trace, each equal to
-    ``json.dumps(trace_to_record(trace), sort_keys=True)``.
+    """Write one JSON line per trace: ``json.dumps(record, sort_keys=True)``
+    of the record ``{"id": ..., "label": ..., "observed_at": ...,
+    "events": [[step, name], ...]}`` that ``parse_trace`` reads.
 
     A line is joined from the JSON text of its parts, made once per distinct
     part: ``', [' + step`` for each step and ``', "Name"]'`` for each code of

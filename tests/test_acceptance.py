@@ -15,8 +15,9 @@ from callsift import cli, datagen, evaluation, explain, models, persistence
 from callsift import reservoir as rv
 from callsift import significance as sig
 from callsift.evaluation import LabeledDataset, compute_metrics, evaluate_cv, split_sorted
-from callsift.forest import ForestParams, logistic_loss_and_grad, train_decision_tree
+from callsift.forest import ForestParams, train_decision_tree
 from callsift.traces import GOODWARE, MALWARE, MultiHotMatrix, labels_of
+from conftest import logistic_loss_and_grad, rules_predict
 
 
 class _Gate:
@@ -174,7 +175,7 @@ def test_07_rule_replay():
         rules = explain.extract_rules(tree)
         probe = rng.uniform(-0.5, 1.5, size=(10_000, 8))
         assert np.array_equal(
-            explain.rules_predict(rules, probe), labels_of(tree.predict_scores(probe))
+            rules_predict(rules, probe), labels_of(tree.predict_scores(probe))
         )
 
 

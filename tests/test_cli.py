@@ -12,6 +12,7 @@ import pytest
 from callsift import cli, datagen, models, persistence
 from callsift.evaluation import EvaluationReport, LabeledDataset, model_results, split_sorted
 from callsift.traces import GOODWARE, MALWARE, SyscallTrace, read_corpus, write_corpus
+from conftest import events_of
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +219,8 @@ def test_train_then_archive_eval(workspace, rf_archive):
 def test_train_full_fits_every_trace(workspace, tmp_path, capsys):
     traces = read_corpus(workspace / "corpus.jsonl")
     last = traces[-1]  # on the test side of every sorted split
-    traces[-1] = SyscallTrace(last.id, last.label, last.observed_at, ((0, "NtOnlyInTest"),))
+    traces[-1] = SyscallTrace(last.id, last.label, last.observed_at,
+                              events_of([(0, "NtOnlyInTest")]))
     corpus, out = tmp_path / "corpus.jsonl", tmp_path / "tree.json"
     write_corpus(traces, corpus)
     for extra, trained, sees_it in (([], 64, False), (["--full"], 80, True)):
@@ -294,6 +296,30 @@ def test_sweep_csv(workspace):
     assert lines[1].split(",")[2] == "20" and lines[2].split(",")[2] == "60"
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("eval", ["--split", "sorted"]),
+    ("sweep", ["--lengths", "20,60"]),
+])
+def test_a_model_kind_named_twice_exits_one(workspace, tmp_path, capsys, command, extra):
+    """``tree,tree,ensemble`` once wrote one tree row and no ensemble row."""
+    out = tmp_path / "out"
+    rc = cli.main([command, "--corpus", str(workspace / "corpus.jsonl"),
+                   "--models", "tree,tree,ensemble", "--out", str(out), *extra])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: model kinds requested more than once: tree\n"
+    assert not out.exists()
+
+
+def test_sweep_of_a_length_named_twice_exits_one(workspace, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", "--corpus", str(workspace / "corpus.jsonl"), "--models", "tree",
+                   "--lengths", "50,50", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: lengths must be strictly ascending (no length twice)\n")
+    assert not out.exists()
+
+
 def _weak_profiles(length_min, length_max):
     """Two classes weakly separated over four calls."""
     def profile(a, b):
@@ -325,7 +351,7 @@ def late_call_corpus(tmp_path_factory):
                                  profiles=_weak_profiles(300, 400))
     corpus = [
         t if i % 3 else SyscallTrace(t.id, t.label, t.observed_at,
-                                     (*t.events, (t.events[-1][0] + 1, "NtExit")))
+                                     events_of((*t.events, (t.events[-1][0] + 1, "NtExit"))))
         for i, t in enumerate(datagen.generate_corpus(config))
     ]
     path = tmp_path_factory.mktemp("late") / "corpus.jsonl"

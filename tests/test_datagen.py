@@ -13,16 +13,16 @@ from callsift.datagen import (
     CorpusConfig,
     DriftSchedule,
     Motif,
-    ProfileLikelihoodOracle,
-    drift_gap_probe,
     drifted_frequencies,
     generate_corpus,
     make_config,
     table1_shape,
 )
+from callsift.evaluation import LabeledDataset, compute_metrics, split_sorted
 from callsift.traces import (
-    GOODWARE, MALWARE, TraceEvents, parse_trace, trace_to_record, write_corpus,
+    GOODWARE, LABEL_TO_INT, MALWARE, SyscallTrace, SyscallVocabulary, parse_trace, write_corpus,
 )
+from conftest import events_of, trace_to_record
 
 
 def small_config(seed=3, drift=0.0, mode="frequency-shift", counts=(40, 40)):
@@ -58,7 +58,7 @@ def test_generate_corpus_round_trips_through_parser():
     corpus = generate_corpus(small_config(counts=(10, 10)))
     for trace in corpus:
         back = parse_trace(trace_to_record(trace))
-        assert back.events == trace.events
+        assert tuple(back.events) == tuple(trace.events)
         assert back.label == trace.label
 
 
@@ -137,6 +137,86 @@ def test_table1_corpus_blocks_match_split():
     train = corpus[:cut]
     assert sum(1 for t in train if t.label == GOODWARE) == cfg.train_counts[GOODWARE]
     assert sum(1 for t in train if t.label == MALWARE) == cfg.train_counts[MALWARE]
+
+
+# --- profile-likelihood oracle ------------------------------------------------
+
+
+ORACLE_SMOOTHING = 1e-6  # the uniform mass mixed into each profile
+
+
+class ProfileLikelihoodOracle:
+    """Multinomial likelihood classifier built from the generating profiles.
+
+    Independent of the package's learners and encodings on purpose: it
+    counts call names straight off the trace and scores each class by the
+    log-likelihood of those counts under the class's (mixture of) start
+    profiles.  Used to certify that a generated corpus is separable and to
+    probe drift-induced evaluation gaps.
+    """
+
+    def __init__(self, config: CorpusConfig):
+        self.names: list[str] = sorted(
+            {n for comps in config.profiles.values() for c in comps for n in c.call_frequencies}
+        )
+        index = {n: i for i, n in enumerate(self.names)}
+        self._vocab = SyscallVocabulary(tuple(self.names))
+        self._log_probs: dict[str, np.ndarray] = {}
+        v = len(self.names)
+        for label, comps in config.profiles.items():
+            rows = []
+            for comp in comps:
+                p = np.full(v, 0.0)
+                for name, prob in comp.call_frequencies.items():
+                    p[index[name]] = prob
+                p = (1.0 - ORACLE_SMOOTHING) * p + ORACLE_SMOOTHING / v
+                rows.append(np.log(p))
+            self._log_probs[label] = np.vstack(rows)
+
+    def _counts(self, trace: SyscallTrace) -> np.ndarray:
+        """How often the trace makes each profile call; other calls are dropped."""
+        column = self._vocab.lookup(trace.events.table)[trace.events.codes]
+        return np.bincount(column, minlength=self._vocab.width)[:-1].astype(np.float64)
+
+    def log_likelihoods(self, trace: SyscallTrace) -> dict[str, float]:
+        counts = self._counts(trace)
+        out = {}
+        for label, logp in self._log_probs.items():
+            comp = logp @ counts  # per mixture component
+            m = comp.max()
+            out[label] = float(m + np.log(np.mean(np.exp(comp - m))))
+        return out
+
+    def predict(self, trace: SyscallTrace) -> str:
+        ll = self.log_likelihoods(trace)
+        # deterministic tie-break toward malware (fail-safe direction)
+        return MALWARE if ll[MALWARE] >= ll[GOODWARE] else GOODWARE
+
+
+def drift_gap_probe(
+    corpus: list[SyscallTrace],
+    oracle: ProfileLikelihoodOracle,
+    train_fraction: float = 0.8,
+    seed: int = 0,
+) -> tuple[float, float]:
+    """(CAA on the temporally-last test block, CAA on a shuffled test block).
+
+    The same fixed oracle scores both blocks of equal size; under drift the
+    shuffled block mixes early and late samples and therefore scores higher,
+    quantifying how much discarding temporal order inflates evaluation.
+    """
+    train, test = split_sorted(LabeledDataset(list(corpus)), train_fraction)
+    ordered = train.samples + test.samples
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+    perm = rng.permutation(len(ordered))
+    shuffled_test = [ordered[i] for i in perm[len(train):]]
+
+    def caa(traces: list[SyscallTrace]) -> float:
+        predicted = [LABEL_TO_INT[oracle.predict(t)] for t in traces]
+        labels = [LABEL_TO_INT[t.label] for t in traces]
+        return compute_metrics(np.array(predicted), np.array(labels))[0].caa
+
+    return caa(test.samples), caa(shuffled_test)
 
 
 def test_likelihood_oracle_separates_drift_free_corpus():
@@ -449,9 +529,9 @@ def _loop_generate_trace(ordinal, label, u, observed_at, config):
     steps = np.concatenate([steps_per_event, np.array(motif_steps, dtype=np.int64)])
     call_names = [names[c] for c in calls.tolist()] + motif_calls
     order = np.argsort(steps, kind="stable")
-    return datagen.SyscallTrace(
+    return SyscallTrace(
         id=f"t{ordinal:06d}", label=label, observed_at=observed_at,
-        events=TraceEvents(steps[order], tuple(call_names[i] for i in order.tolist())),
+        events=events_of((steps[i], call_names[i]) for i in order.tolist()),
     )
 
 

@@ -340,6 +340,21 @@ def test_sweep_validates_lengths():
         sweep_sequence_length(ds, lambda n: {"stub": StubModel}, [0, 100])
 
 
+def test_sweep_rejects_a_repeated_length():
+    """``[50, 50]`` once trained and evaluated length 50 twice."""
+    fitted = []
+
+    def factories_at(n):
+        fitted.append(n)
+        return {"stub": StubModel}
+
+    with pytest.raises(ValueError, match="strictly ascending"):
+        sweep_sequence_length(stub_dataset(), factories_at, [50, 50])
+    with pytest.raises(ValueError, match="strictly ascending"):
+        sweep_sequence_length(stub_dataset(), factories_at, [5, 50, 50, 100])
+    assert fitted == []
+
+
 def test_labeled_dataset_rejects_unlabeled():
     with pytest.raises(ValueError, match="unlabeled"):
         LabeledDataset.from_traces([make_trace([(0, "A")], label=None)])

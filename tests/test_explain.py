@@ -15,7 +15,6 @@ from callsift.explain import (
     render_rule,
     render_rules,
     render_summary,
-    rules_predict,
     summarize_explanations,
 )
 from callsift.forest import train_decision_tree
@@ -27,7 +26,7 @@ from callsift.traces import (
     encode_multihot,
     labels_of,
 )
-from conftest import make_trace
+from conftest import make_trace, rule_matches, rules_predict
 
 
 def sigmoid_oracle(w, bias=0.0):
@@ -230,7 +229,7 @@ def test_depth_two_tree_four_exhaustive_exclusive_rules(rng):
     tree = train_decision_tree(X, y, params=None)
     rules = extract_rules(tree, ["a", "b"])
     probe = rng.uniform(0, 1, size=(500, 2))
-    match_counts = np.array([sum(r.matches(row) for r in rules) for row in probe])
+    match_counts = np.array([sum(rule_matches(r, row) for r in rules) for row in probe])
     assert (match_counts == 1).all()  # mutually exclusive and exhaustive
 
 

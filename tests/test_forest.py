@@ -19,12 +19,12 @@ from callsift.forest import (
     TreeParams,
     _sigmoid,
     gini_importance,
-    logistic_loss_and_grad,
     train_decision_tree,
     train_linear,
     train_random_forest,
 )
 from callsift.traces import labels_of
+from conftest import logistic_loss_and_grad
 from test_forest_oracle import assert_same_tree, datasets, encoded_corpus  # noqa: F401
 
 
