@@ -102,6 +102,8 @@ def _sorted_split(args) -> tuple[float | None, dict | None]:
 # the distributed split's test malware at full scale: ``eval``'s down-select
 # target unless --test-malware is given
 FULL_SCALE_TEST_MALWARE = datagen.DISTRIBUTED_SHAPE["test"][MALWARE]
+# the models ``eval`` trains unless --models is given
+EVAL_MODELS = "tree,hist-rf,linear"
 
 _PATH_ARGS = {
     "func", "out", "csv", "corpus", "config", "model_archive", "out_dir",
@@ -117,6 +119,8 @@ def _run_config_hash(args, command: str) -> str:
         # an unset --test-malware hashes as the target it stands for, so a
         # command's hash does not depend on the corpus it reads
         doc["test_malware"] = FULL_SCALE_TEST_MALWARE
+    if "models" in doc and doc["models"] is None:
+        doc["models"] = EVAL_MODELS  # likewise an unset eval --models
     doc["command"] = command
     return persistence.config_hash(doc)
 
@@ -182,10 +186,12 @@ def _eval_descriptor(args) -> dict:
 
 
 def cmd_eval(args) -> int:
-    dataset = _load_dataset(args.corpus)
-    train_fraction, train_counts = _sorted_split(args)
+    if args.model_archive and args.models is not None:
+        return _fail("--models cannot be given with --model-archive (the archive is the model)")
     if args.split == "cv" and args.model_archive:
         return _fail("--model-archive cannot be evaluated under cv (needs retraining per fold)")
+    dataset = _load_dataset(args.corpus)
+    train_fraction, train_counts = _sorted_split(args)
     split = _eval_descriptor(args)
     if args.split == "sorted":
         train, test = evaluation.split_sorted(dataset, train_fraction, train_counts)
@@ -207,7 +213,7 @@ def cmd_eval(args) -> int:
             models=evaluation.model_results({"archived": pred}, test.labels),
         )
     else:
-        base, want_ensemble = _parse_models(args.models)
+        base, want_ensemble = _parse_models(EVAL_MODELS if args.models is None else args.models)
         factories = _factories(base, args, args.length)
         if args.split == "cv":
             report = evaluation.evaluate_cv(
@@ -232,9 +238,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    lengths = []
+    for item in args.lengths.split(","):
+        try:
+            lengths.append(int(item))
+        except ValueError as exc:
+            raise ValueError(f"--lengths expects comma-separated integers, got {item!r}") from exc
     dataset = _load_dataset(args.corpus)
     base, want_ensemble = _parse_models(args.models)
-    lengths = [int(v) for v in args.lengths.split(",")]
     reports = evaluation.sweep_sequence_length(
         dataset, functools.partial(_factories, base, args), lengths,
         train_fraction=args.train_fraction, seed=args.seed, ensemble=want_ensemble,
@@ -465,8 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="train and evaluate models under a split")
     p.add_argument("--corpus", required=True)
     p.add_argument("--split", required=True, choices=("sorted", "cv", "distributed"))
-    p.add_argument("--models", default="tree,hist-rf,linear",
-                   help="comma list from {tree,hist-rf,linear,lsm,ensemble}")
+    p.add_argument("--models", default=None,
+                   help="comma list from {tree,hist-rf,linear,lsm,ensemble} "
+                        f"(default: {EVAL_MODELS}); not with --model-archive")
     p.add_argument("--model-archive", default=None,
                    help="evaluate a saved archive instead of retraining")
     p.add_argument("--test-malware", type=int, default=None,

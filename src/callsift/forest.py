@@ -17,8 +17,7 @@ A forest's trees grow in parallel: each tree draws from its own seed stream,
 contiguous block per usable CPU, grows the first block itself and each other
 block in a worker of a fork-started ``ProcessPoolExecutor``, which returns
 the block's trees and re-raises a worker's error, or ``BrokenProcessPool``
-for a worker that died, in the caller (``_map_forked``, which
-``reservoir.train_readout`` also runs its cross-validation fits through).
+for a worker that died, in the caller (``_map_forked``).
 The forest is bitwise the same for any CPU count; with one usable CPU, one
 tree or no fork every tree grows in-process.
 
@@ -514,8 +513,7 @@ def train_linear(
     y = np.asarray(labels, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
         raise ValueError("samples must be a non-empty 2-D matrix matching labels")
-    rng = np.random.default_rng(np.random.SeedSequence(params.seed))
-    w = rng.normal(0.0, 0.01, size=X.shape[1])
+    w = _initial_weights(X.shape[1], params.seed)
     b = 0.0
     for _ in range(params.epochs):
         gw, gb = _logistic_grad(w, b, X, y, params.l2)
@@ -524,6 +522,12 @@ def train_linear(
     if not (np.isfinite(w).all() and math.isfinite(b)):
         raise ValueError("linear training diverged; lower the learning rate")
     return LinearModel(weights=w, bias=b, params=params)
+
+
+def _initial_weights(features: int, seed: int) -> np.ndarray:
+    """The seeded starting weights of gradient descent, before epoch 1."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return rng.normal(0.0, 0.01, size=features)
 
 
 def tree_importance(tree: DecisionTree) -> np.ndarray:

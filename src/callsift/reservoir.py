@@ -31,19 +31,27 @@ keeps that loop as the reference):
   term on steps without input.  Every operand is an array (``decay``,
   ``reset`` and ``threshold`` too), and the recurrent term is one
   ``np.dot`` into a preallocated vector.
-* Refractoriness is a ring of the spikes of the last r + 1 steps
-  (r = refractory_period): step t writes its spikes into row t % (r + 1),
-  and the neurons that spiked in the other r rows are clamped to reset.
+* Spikes go into a boolean history of at most ``HISTORY_CHUNK`` steps
+  after r + 1 rows carried over from the previous chunk
+  (r = refractory_period).  Each step writes its spikes into its own row,
+  and the neurons that spiked in the r rows before it are clamped to
+  reset.  A window's spike counts are column sums of the history, added
+  at each window boundary, when the history fills and before each quiet
+  run, so no step adds into the window.
 * Quiet runs cost no step each.  On a step without input whose next input
-  is at least ``QUIET_RUN_MIN`` steps away, with no spike left in the
-  ring, the recurrent term is zero and a step only multiplies ``v`` by
-  ``decay``; such steps run in chunks of one ``np.multiply.accumulate``
+  is at least ``QUIET_RUN_MIN`` steps away, with no spike in the last
+  r + 1 steps, the recurrent term is zero and a step only multiplies ``v``
+  by ``decay``; such steps run in chunks of one ``np.multiply.accumulate``
   until a neuron would reach threshold (only a threshold <= 0 allows it)
   or the next input, and once ``v * decay == v`` the rest of the gap is
   skipped outright.  A long gap therefore costs the chunks that decay the
   liquid to that fixed point, not one step per millisecond.  Skipping the
   ``+ 0.0`` recurrent term can leave a potential of -0.0 where the loop
   has +0.0; the values are equal.
+
+The readout is logistic regression on standardized states.  Its penalty is
+chosen by k-fold CV, and the penalty x fold fits train together in this
+process as one stacked problem of two gemms an epoch (``_cv_fits``).
 """
 
 from __future__ import annotations
@@ -54,14 +62,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .forest import LinearModel, LinearParams, _map_forked, train_linear
+from .forest import LinearModel, LinearParams, _initial_weights, _sigmoid, train_linear
 from .traces import MultiHotMatrix, labels_of
 
 
-# A run of at least QUIET_RUN_MIN input-free steps with an empty refractory
-# ring decays in chunks of at most QUIET_CHUNK steps (bounding the buffer).
+# A run of at least QUIET_RUN_MIN input-free steps with no spike in the last
+# r + 1 steps decays in chunks of at most QUIET_CHUNK steps (bounding the
+# buffer).  The spike history holds at most HISTORY_CHUNK steps.
 QUIET_RUN_MIN = 16
 QUIET_CHUNK = 1024
+HISTORY_CHUNK = 256
 
 # The liquid's fixed wiring; only the readout trains.
 NEURON_COUNT = 135
@@ -189,56 +199,74 @@ def simulate_liquid(
     decay = np.full(n, math.exp(-lif.simulation_step / lif.membrane_time_constant))
     reset = np.full(n, lif.reset_potential)
     threshold = np.full(n, lif.threshold)
-    # ring of the spikes of the last r + 1 steps: step t writes row
-    # t % (r + 1), and the other r rows are the steps t - r .. t - 1, whose
-    # spikers stay silent at step t
-    period = lif.refractory_period + 1
-    recent = np.zeros((period, n), dtype=bool)
-    silent_buf = np.empty(n, dtype=bool)
-    phases = []
-    for row in range(period):
-        others = [recent[q] for q in range(period) if q != row]
-        silent = silent_buf if len(others) > 1 else (others[0] if others else None)
-        phases.append((recent[row], others, silent))
+    # spike history: r + 1 carried rows (all-False before step 0), then one
+    # row per step of the current chunk; the step at row k writes row k, and
+    # its silent neurons are the spikers of rows k - r .. k - 1
+    r = lif.refractory_period
+    carry = r + 1
+    history = np.zeros((carry + min(HISTORY_CHUNK, horizon), n), dtype=bool)
+    rows = list(history)
+    end = len(rows)
+    silent = np.empty(n, dtype=bool)
     v = reset.copy()
     prev_spikes = np.zeros(n)
     recurrent = np.zeros(n)
     spike_counts = np.zeros((windows, n))
     potentials = np.zeros((horizon, n)) if record else None
     w_rec = topology.recurrent_weights  # [post, pre]
+    # bound once: the loop would look each one up on every step
+    multiply, add, dot, copyto = np.multiply, np.add, np.dot, np.copyto
+    greater_equal, logical_or = np.greater_equal, np.logical_or
     t = 0
     i = 0
     next_in = steps_in[0]
+    k = start = carry  # the history row of step t; the first row not yet counted
+    window = 0
+    flush_at = min(-(-horizon // windows), end - k)  # the next window boundary or full chunk
     while t < horizon:
-        if next_in - t >= QUIET_RUN_MIN and not recent.any():
+        if next_in - t >= QUIET_RUN_MIN and not history[k - carry : k].any():
+            # a quiet run spikes nowhere; count what came before it
+            spike_counts[window] += history[start:k].sum(axis=0)
+            start = k
             t += _decay_quietly(
                 v, decay, threshold, next_in - t,
                 potentials[t:next_in] if record else None,
             )
+            window = t * windows // horizon
+            flush_at = min(-(-(window + 1) * horizon // windows), t + end - k)
         # ((v * decay) + input) + w_rec @ prev_spikes, in that order
-        np.multiply(v, decay, out=v)
+        multiply(v, decay, out=v)
         if t == next_in:
-            np.add(v, injected[i], out=v)
+            add(v, injected[i], out=v)
             i += 1
             next_in = steps_in[i]
-        np.dot(w_rec, prev_spikes, out=recurrent)
-        np.add(v, recurrent, out=v)
-        spikes, others, silent = phases[t % period]
-        if len(others) > 1:
-            np.logical_or(others[0], others[1], out=silent)
-            for row in others[2:]:
-                np.logical_or(silent, row, out=silent)
-        if silent is not None:
-            np.copyto(v, reset, where=silent)
+        dot(w_rec, prev_spikes, out=recurrent)
+        add(v, recurrent, out=v)
+        if r == 2:
+            copyto(v, reset, where=logical_or(rows[k - 2], rows[k - 1], out=silent))
+        elif r == 1:
+            copyto(v, reset, where=rows[k - 1])
+        elif r:
+            copyto(v, reset, where=logical_or.reduce(history[k - r : k], axis=0, out=silent))
         # silent neurons sit at reset, below threshold, so they cannot spike
-        np.greater_equal(v, threshold, out=spikes)
-        np.copyto(v, reset, where=spikes)
-        np.copyto(prev_spikes, spikes)
-        window = spike_counts[t * windows // horizon]
-        np.add(window, prev_spikes, out=window)
+        spikes = rows[k]
+        greater_equal(v, threshold, out=spikes)
+        copyto(v, reset, where=spikes)
+        prev_spikes[:] = spikes
         if record:
             potentials[t] = v
         t += 1
+        k += 1
+        if t == flush_at:
+            # the rows since ``start`` all fall in ``window``: spike counts
+            # are small integers, so one column sum adds them exactly
+            spike_counts[window] += history[start:k].sum(axis=0)
+            if k == end:
+                history[:carry] = history[k - carry : k]
+                k = carry
+            start = k
+            window = t * windows // horizon
+            flush_at = min(-(-(window + 1) * horizon // windows), t + end - k)
     return spike_counts, potentials
 
 
@@ -250,7 +278,7 @@ def _decay_quietly(
     out: np.ndarray | None,
 ) -> int:
     """Advance ``v`` in place through up to ``steps`` steps without input
-    and without a spike in the refractory ring; returns the steps taken.
+    and without a spike in the last r + 1 steps; returns the steps taken.
 
     Each such step is ``v * decay`` (the recurrent term adds zero), so a
     chunk of them is one ``np.multiply.accumulate``, which rounds step by
@@ -345,6 +373,41 @@ def _fit_readout(X: np.ndarray, y: np.ndarray, l2: float, seed: int) -> LinearMo
     return train_linear(X, y, params)
 
 
+def _cv_fits(
+    Xs: np.ndarray, y: np.ndarray, fold_idx: list[np.ndarray], grid: tuple[float, ...],
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The weights (k x d) and biases (k) of the k = len(grid) * folds CV
+    fits; row ``i * folds + f`` is ``_fit_readout`` of penalty i on the
+    samples outside fold f, from the same seeded start.
+
+    The fits train as one problem: an epoch is one gemm for every fit's
+    scores and one for every gradient, and a 0/1 mask drops each fit's
+    held-out samples from its residual.  They match separate fits up to
+    rounding (a gemm sums in another order than a gemv).  Fit-major rows
+    make both products faster than d x k columns would.
+    """
+    n, d = Xs.shape
+    folds = len(fold_idx)
+    held_in = np.ones((folds, n))
+    for f, test_idx in enumerate(fold_idx):
+        held_in[f, test_idx] = 0.0
+    mask = np.tile(held_in, (len(grid), 1))
+    n_train = mask.sum(axis=1, keepdims=True)
+    penalty = 2.0 * np.repeat(np.asarray(grid, dtype=np.float64), folds)[:, np.newaxis]
+    target = y.astype(np.float64)
+    Xs_t = np.ascontiguousarray(Xs.T)
+    W = np.tile(_initial_weights(d, seed), (mask.shape[0], 1))
+    b = np.zeros((mask.shape[0], 1))
+    for _ in range(READOUT_EPOCHS):
+        residual = (_sigmoid(W @ Xs_t + b) - target) * mask
+        W = W - READOUT_LEARNING_RATE * (residual @ Xs / n_train + penalty * W)
+        b = b - READOUT_LEARNING_RATE * (residual.sum(axis=1, keepdims=True) / n_train)
+    if not (np.isfinite(W).all() and np.isfinite(b).all()):
+        raise ValueError("linear training diverged; lower the learning rate")
+    return W, b[:, 0]
+
+
 def train_readout(
     states: np.ndarray, labels: np.ndarray, *, folds: int = 10, seed: int = 0
 ) -> ReadoutModel:
@@ -353,12 +416,12 @@ def train_readout(
 
     Ties resolve to the earliest penalty.  Every evaluated ``{"l2": x}`` and
     its loss lands in ``search_log`` so a search can be audited or reproduced.
-    The penalty x fold fits run in one contiguous block per usable CPU
-    (``forest._map_forked``; this process fits the first block and the
-    final refit), so the result does not depend on the number of
-    processes.  It can depend on the BLAS thread count: ``train_linear``'s
-    matrix-vector products split their sums by thread once the state
-    matrix is large enough, which moves the last bits of the weights.
+    The penalty x fold fits train as one stacked problem in this process
+    (``_cv_fits``), and each fold is scored from its own fit's weights as a
+    ``LinearModel``; the final refit is one ``train_linear``.  The refit can
+    depend on the BLAS thread count: its matrix-vector products split their
+    sums by thread once the state matrix is large enough, which moves the
+    last bits of the weights.
     """
     X = np.asarray(states, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -377,17 +440,16 @@ def train_readout(
     std[std == 0] = 1.0
     Xs = (X - mean) / std
     fold_idx = _stratified_folds(y, folds, seed)
-    train_idx = [np.setdiff1d(np.arange(y.shape[0]), test_idx) for test_idx in fold_idx]
+    W, b = _cv_fits(Xs, y, fold_idx, grid, seed)
 
-    def cv_loss(job: int) -> float:
-        i, f = divmod(job, folds)
-        model = _fit_readout(Xs[train_idx[f]], y[train_idx[f]], grid[i], seed)
+    def cv_loss(i: int, f: int) -> float:
+        params = LinearParams(READOUT_LEARNING_RATE, READOUT_EPOCHS, grid[i], seed)
+        j = i * folds + f
+        model = LinearModel(weights=W[j], bias=float(b[j]), params=params)
         pred = labels_of(model.predict_scores(Xs[fold_idx[f]]))
         return float((pred != y[fold_idx[f]]).mean())
 
-    # penalty-major: penalty i's fold losses are losses[i * folds : (i + 1) * folds]
-    losses = _map_forked(cv_loss, len(grid) * folds)
-    log = [({"l2": l2}, float(np.mean(losses[i * folds : (i + 1) * folds])))
+    log = [({"l2": l2}, float(np.mean([cv_loss(i, f) for f in range(folds)])))
            for i, l2 in enumerate(grid)]
     best = min(log, key=lambda entry: entry[1])[0]  # min keeps the earliest tie
     return ReadoutModel(

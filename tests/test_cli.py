@@ -216,6 +216,29 @@ def test_train_then_archive_eval(workspace, rf_archive):
     assert rc == 1
 
 
+def test_eval_of_an_archive_refuses_models(workspace, rf_archive, tmp_path, capsys):
+    """``--models`` next to ``--model-archive`` was once ignored without a word."""
+    out = tmp_path / "r.json"
+    rc = cli.main(["eval", "--corpus", str(workspace / "corpus.jsonl"), "--split", "sorted",
+                   "--model-archive", str(rf_archive), "--models", "nonsense,nonsense",
+                   "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: --models cannot be given with --model-archive (the archive is the model)\n")
+    assert not out.exists()
+
+
+def test_an_unset_eval_models_hashes_as_its_default():
+    parser = cli.build_parser()
+    argv = ["eval", "--corpus", "c.jsonl", "--split", "sorted", "--out", "r.json"]
+    unset = cli._run_config_hash(parser.parse_args(argv), "eval")
+    named = cli._run_config_hash(parser.parse_args(argv + ["--models", "tree,hist-rf,linear"]),
+                                 "eval")
+    assert unset == named
+    other = cli._run_config_hash(parser.parse_args(argv + ["--models", "tree"]), "eval")
+    assert other != unset
+
+
 def test_train_full_fits_every_trace(workspace, tmp_path, capsys):
     traces = read_corpus(workspace / "corpus.jsonl")
     last = traces[-1]  # on the test side of every sorted split
@@ -317,6 +340,18 @@ def test_sweep_of_a_length_named_twice_exits_one(workspace, tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == (
         "error: lengths must be strictly ascending (no length twice)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lengths, item", [("50,", "''"), ("50,x", "'x'"), ("1.5,60", "'1.5'")])
+def test_sweep_lengths_that_are_not_integers_exit_one_naming_the_item(workspace, tmp_path,
+                                                                      capsys, lengths, item):
+    out = tmp_path / "sweep.csv"
+    rc = cli.main(["sweep", "--corpus", str(workspace / "corpus.jsonl"), "--models", "tree",
+                   "--lengths", lengths, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: --lengths expects comma-separated integers, got {item}\n")
     assert not out.exists()
 
 

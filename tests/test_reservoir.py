@@ -6,11 +6,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from callsift import forest
+from callsift import datagen, forest
 from callsift import reservoir as rv
 from callsift.models import LsmClassifier
-from callsift.traces import MultiHotMatrix, SyscallVocabulary
+from callsift.traces import (
+    MultiHotMatrix, SyscallVocabulary, build_vocabulary, encode_multihot, labels_of,
+)
 from conftest import make_trace
 
 
@@ -313,6 +317,80 @@ def test_a_diverging_grid_point_raises_in_the_caller_and_leaves_no_child(rng, mo
         rv.train_readout(X, y, folds=5)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# --- stacked CV against the per-fit reference ---------------------------------
+
+
+def reference_readout_search(states, labels, folds, seed):
+    """The per-fit search the stacked CV replaced: every penalty x fold fit is
+    its own ``train_linear`` on the samples outside its fold.  Returns
+    (search_log, hyperparams, refit model)."""
+    X = np.asarray(states, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    std = X.std(axis=0)
+    std[std == 0] = 1.0
+    Xs = (X - X.mean(axis=0)) / std
+    fold_idx = rv._stratified_folds(y, folds, seed)
+    log = []
+    for l2 in rv.READOUT_L2_GRID:
+        losses = []
+        for test_idx in fold_idx:
+            train_idx = np.setdiff1d(np.arange(y.shape[0]), test_idx)
+            model = rv._fit_readout(Xs[train_idx], y[train_idx], l2, seed)
+            pred = labels_of(model.predict_scores(Xs[test_idx]))
+            losses.append(float((pred != y[test_idx]).mean()))
+        log.append(({"l2": l2}, float(np.mean(losses))))
+    best = min(log, key=lambda entry: entry[1])[0]
+    return log, best, rv._fit_readout(Xs, y, best["l2"], seed)
+
+
+@pytest.mark.parametrize("seed, length", [(3, 20), (5, 10)])
+def test_readout_search_equals_the_per_fit_reference_on_liquid_states(seed, length):
+    # short traces of weakly separated classes: the CV losses differ
+    # between penalties, so the choice is not a tie-break
+    config = datagen.make_config(seed=seed, goodware_count=40, malware_count=40,
+                                 profiles=datagen.default_profiles(separation=1.0))
+    corpus = datagen.generate_corpus(config)
+    vocab = build_vocabulary(corpus)
+    topology = rv.build_liquid(vocab.width, seed=0)
+    states = rv.liquid_states(topology, rv.LifParams(),
+                              (encode_multihot(t, vocab, length) for t in corpus))
+    y = np.array([t.label == "malware" for t in corpus], dtype=np.int64)
+    readout = rv.train_readout(states, y, folds=5, seed=1)
+    log, best, refit = reference_readout_search(states, y, folds=5, seed=1)
+    assert len({loss for _, loss in log}) > 1
+    assert readout.search_log == log
+    assert readout.hyperparams == best
+    assert np.array_equal(readout.model.weights, refit.weights)
+    assert readout.model.bias == refit.bias
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_stacked_cv_weights_are_the_per_fit_weights_up_to_rounding(data):
+    folds = data.draw(st.integers(2, 4))
+    per_class = data.draw(st.integers(folds, 12))
+    d = data.draw(st.integers(1, 10))
+    n = 2 * per_class
+    X = np.array(data.draw(st.lists(st.floats(-5, 5), min_size=n * d, max_size=n * d)))
+    X = X.reshape(n, d)
+    std = X.std(axis=0)
+    std[std == 0] = 1.0
+    Xs = (X - X.mean(axis=0)) / std
+    y = np.array(data.draw(st.permutations([0, 1] * per_class)), dtype=np.int64)
+    grid = tuple(data.draw(st.lists(st.floats(1e-5, 0.1), min_size=1, max_size=3)))
+    seed = data.draw(st.integers(0, 2**16))
+    fold_idx = rv._stratified_folds(y, folds, seed)
+    W, b = rv._cv_fits(Xs, y, fold_idx, grid, seed)
+    assert W.shape == (len(grid) * folds, d) and b.shape == (len(grid) * folds,)
+    for i, l2 in enumerate(grid):
+        for f, test_idx in enumerate(fold_idx):
+            train_idx = np.setdiff1d(np.arange(n), test_idx)
+            want = rv._fit_readout(Xs[train_idx], y[train_idx], l2, seed)
+            got = np.append(W[i * folds + f], b[i * folds + f])
+            ref = np.append(want.weights, want.bias)
+            assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 def _fitted_lsm(readout):

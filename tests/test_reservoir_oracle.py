@@ -14,6 +14,7 @@ for bit, and the randomized cases draw liquids of other shapes from it.
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -233,6 +234,38 @@ def test_length_1000_corpus_matches_reference():
         m = encode_multihot(trace, vocab, 1000)
         assert m.counts.shape[0] > 100
         assert_matches_reference(topology, lif, m, windows=4)
+
+
+# --- spike history chunks -------------------------------------------------------
+# The spike history holds HISTORY_CHUNK steps; its counts go into the windows
+# at each window boundary, when it fills and before each quiet run, and its
+# last r + 1 rows carry over into the next chunk.
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_many_history_chunks_match_reference(data):
+    # a chunk of a few steps makes every horizon span many of them
+    topology, lif = data.draw(liquids())
+    gaps = st.integers(1, 6) | st.integers(rv.QUIET_RUN_MIN, 60)
+    m = data.draw(inputs(topology.input_channels, gaps=gaps))
+    windows = data.draw(st.integers(1, 40))
+    with mock.patch.object(rv, "HISTORY_CHUNK", data.draw(st.integers(1, 12))):
+        assert_matches_reference(topology, lif, m, windows)
+
+
+@pytest.mark.parametrize("refractory", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("windows", [1, 3, 7, 40])
+def test_horizons_longer_than_the_history_chunk_match_reference(refractory, windows):
+    rng = np.random.default_rng(refractory * 100 + windows)
+    rows = 300
+    # mostly busy steps, with gaps of 16 to 40 steps between bursts
+    gaps = np.where(rng.random(rows) < 0.1, rng.integers(16, 41, rows), rng.integers(1, 4, rows))
+    m = MultiHotMatrix(counts=rng.integers(0, 3, size=(rows, 5)), time_steps=np.cumsum(gaps))
+    assert m.time_steps[-1] > 2 * rv.HISTORY_CHUNK
+    topology = reference_build_liquid(input_channels=5, seed=windows, neuron_count=40)
+    lif = rv.LifParams(refractory_period=refractory, threshold=0.6)
+    assert_matches_reference(topology, lif, m, windows)
 
 
 # --- memory ---------------------------------------------------------------------
