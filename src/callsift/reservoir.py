@@ -11,11 +11,15 @@ consecutive windows spanning the occupied part of the input;
 ``liquid_states`` flattens the states of many traces into the rows of the
 matrix the readout trains on and scores.
 
-Dynamics per step (dt = simulation_step):
+The LIF dynamics are module constants, like the wiring (``LifParams``
+records them in model archives and accepts no other value).  Per step of
+``SIMULATION_STEP`` (1 ms, one trace time step):
 
-    v <- v * exp(-dt / tau) + input_current + recurrent_current
-    spike where v >= threshold, then v <- reset and the neuron stays
-    silent (clamped at reset, ignoring input) for refractory_period steps.
+    v <- v * exp(-SIMULATION_STEP / MEMBRANE_TIME_CONSTANT)
+         + input_current + recurrent_current
+    spike where v >= THRESHOLD, then v <- RESET_POTENTIAL and the neuron
+    stays silent (clamped at reset, ignoring input) for REFRACTORY_PERIOD
+    steps.
 
 The simulation is clock-driven, one trace per call, and its results are
 bit-identical to a dense per-step loop (``tests/test_reservoir_oracle.py``
@@ -23,31 +27,30 @@ keeps that loop as the reference):
 
 * Input is sparse.  Only occupied rows are injected, each through its own
   vector-matrix product (one stacked ``np.matmul``; a single gemm over all
-  rows rounds differently), and rows that share a simulation step are
-  summed in row order.  Nothing of size horizon x neurons is built, so
-  memory grows with the event count, not with the last timestamp.
+  rows rounds differently), and each row is its own step, since the rows'
+  time steps strictly increase.  Nothing of size horizon x neurons is
+  built, so memory grows with the event count, not with the last timestamp.
 * Each step updates the state in place in the order
   ``((v * decay) + input) + W_rec @ prev_spikes``, leaving out the input
   term on steps without input.  Every operand is an array (``decay``,
   ``reset`` and ``threshold`` too), and the recurrent term is one
   ``np.dot`` into a preallocated vector.
 * Spikes go into a boolean history of at most ``HISTORY_CHUNK`` steps
-  after r + 1 rows carried over from the previous chunk
-  (r = refractory_period).  Each step writes its spikes into its own row,
-  and the neurons that spiked in the r rows before it are clamped to
-  reset.  A window's spike counts are column sums of the history, added
-  at each window boundary, when the history fills and before each quiet
-  run, so no step adds into the window.
+  after 3 rows carried over from the previous chunk.  Each step writes its
+  spikes into its own row, and the neurons that spiked in the 2 rows before
+  it are clamped to reset.  A window's spike counts are column sums of the
+  history, added at each window boundary, when the history fills and
+  before each quiet run, so no step adds into the window.
 * Quiet runs cost no step each.  On a step without input whose next input
-  is at least ``QUIET_RUN_MIN`` steps away, with no spike in the last
-  r + 1 steps, the recurrent term is zero and a step only multiplies ``v``
-  by ``decay``; such steps run in chunks of one ``np.multiply.accumulate``
-  until a neuron would reach threshold (only a threshold <= 0 allows it)
-  or the next input, and once ``v * decay == v`` the rest of the gap is
-  skipped outright.  A long gap therefore costs the chunks that decay the
-  liquid to that fixed point, not one step per millisecond.  Skipping the
-  ``+ 0.0`` recurrent term can leave a potential of -0.0 where the loop
-  has +0.0; the values are equal.
+  is at least ``QUIET_RUN_MIN`` steps away, with no spike in the last 3
+  steps, the recurrent term is zero and a step only multiplies ``v`` by
+  ``decay``, which cannot bring a potential below the positive threshold
+  up to it.  Such steps run up to the next input in chunks of one
+  ``np.multiply.accumulate``, and once ``v * decay == v`` the rest of the
+  gap is skipped outright.  A long gap therefore costs the chunks that
+  decay the liquid to that fixed point, not one step per millisecond.
+  Skipping the ``+ 0.0`` recurrent term can leave a potential of -0.0
+  where the loop has +0.0; the values are equal.
 
 The readout is logistic regression on standardized states.  Its penalty is
 chosen by k-fold CV, and the penalty x fold fits train together in this
@@ -57,7 +60,7 @@ process as one stacked problem of two gemms an epoch (``_cv_fits``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
@@ -67,7 +70,7 @@ from .traces import MultiHotMatrix, labels_of
 
 
 # A run of at least QUIET_RUN_MIN input-free steps with no spike in the last
-# r + 1 steps decays in chunks of at most QUIET_CHUNK steps (bounding the
+# 3 steps decays in chunks of at most QUIET_CHUNK steps (bounding the
 # buffer).  The spike history holds at most HISTORY_CHUNK steps.
 QUIET_RUN_MIN = 16
 QUIET_CHUNK = 1024
@@ -82,6 +85,13 @@ EXCITATORY_FRACTION = 0.8  # share of presynaptic neurons with positive weights
 SPECTRAL_RADIUS = 0.9  # of the recurrent weights, below one
 LIQUID_WINDOWS = 4  # time windows a liquid state counts spikes over
 
+# The liquid's fixed LIF dynamics.
+MEMBRANE_TIME_CONSTANT = 30.0  # ms
+THRESHOLD = 1.0
+RESET_POTENTIAL = 0.0  # below THRESHOLD
+REFRACTORY_PERIOD = 2  # steps; simulate_liquid's clamp reads the 2 rows before a step
+SIMULATION_STEP = 1.0  # ms, matches the trace granularity
+
 # The readout's fixed recipe: CV picks one l2 penalty of the grid.
 READOUT_L2_GRID = (1e-4, 1e-3, 1e-2)
 READOUT_LEARNING_RATE = 0.3
@@ -90,19 +100,22 @@ READOUT_EPOCHS = 300
 
 @dataclass(frozen=True)
 class LifParams:
-    membrane_time_constant: float = 30.0  # ms
-    threshold: float = 1.0
-    reset_potential: float = 0.0
-    refractory_period: int = 2  # steps
-    simulation_step: float = 1.0  # ms, matches the trace granularity
+    """The archive's record of the liquid's LIF constants; it holds no other
+    values, so a hand-edited archive is refused on load."""
+
+    membrane_time_constant: float = MEMBRANE_TIME_CONSTANT
+    threshold: float = THRESHOLD
+    reset_potential: float = RESET_POTENTIAL
+    refractory_period: int = REFRACTORY_PERIOD
+    simulation_step: float = SIMULATION_STEP
 
     def __post_init__(self) -> None:
-        if self.membrane_time_constant <= 0 or self.simulation_step <= 0:
-            raise ValueError("time constants must be positive")
-        if self.refractory_period < 0:
-            raise ValueError("refractory_period must be >= 0")
-        if self.reset_potential >= self.threshold:
-            raise ValueError("reset_potential must be below threshold")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value != f.default:
+                raise ValueError(
+                    f"LifParams.{f.name} is fixed at {f.default!r}, got {value!r}"
+                )
 
 
 @dataclass(eq=False)
@@ -153,10 +166,12 @@ def simulate_liquid(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Run the LIF dynamics; returns (windowed spike counts, potentials).
 
-    The horizon and window boundaries derive from the last *occupied*
-    (nonzero) input row, so appending all-zero rows can never change the
-    output.  An input with no occupied rows at or after step 0 yields
-    all-zero features.
+    ``lif`` is the model's ``LifParams``, which only ever holds the module
+    constants the simulation reads.  Each input row is one simulation step,
+    at its time step.  The horizon and window boundaries derive from the
+    last *occupied* (nonzero) input row, so appending all-zero rows can
+    never change the output.  An input with no occupied rows at or after
+    step 0 yields all-zero features.
     ``record`` additionally returns the post-step membrane potential at
     every step (for diagnostics and tests).
     """
@@ -169,41 +184,31 @@ def simulate_liquid(
         raise ValueError("windows must be >= 1")
     n = topology.neuron_count
     counts = input_matrix.counts
-    sim_steps = (input_matrix.time_steps // lif.simulation_step).astype(np.int64)
+    time_steps = input_matrix.time_steps
     # rows before step 0 are never simulated
-    occupied = np.flatnonzero((counts.sum(axis=1) > 0) & (sim_steps >= 0))
+    occupied = np.flatnonzero((counts.sum(axis=1) > 0) & (time_steps >= 0))
     if occupied.size == 0:
         return np.zeros((windows, n)), (np.zeros((0, n)) if record else None)
-    horizon = int(sim_steps[occupied[-1]]) + 1
+    # the steps with input, ascending, then a stop at the horizon
+    steps_in = time_steps[occupied].tolist()
+    horizon = steps_in[-1] + 1
+    steps_in.append(horizon)
 
     # A stacked product per row rounds as ``counts[row] @ input_weights``
     # does; one gemm over all rows would not.
-    row_steps = sim_steps[occupied]
     injected = np.matmul(
         counts[occupied, None, :].astype(np.float64), topology.input_weights
     )[:, 0, :]
-    new_step = np.diff(row_steps, prepend=-1) > 0
-    first = np.flatnonzero(new_step)
-    # Rows share a step only when simulation_step > 1.  Sum them in row
-    # order: ``np.add.at`` applies one row at a time, whereas
-    # ``np.add.reduceat`` adds the first row to a pairwise sum of the rest.
-    if first.size < row_steps.size:
-        summed = np.zeros((first.size, n))
-        np.add.at(summed, np.cumsum(new_step) - 1, injected)
-        injected = summed
 
-    # the steps with input, ascending (the last is horizon - 1), then a stop
-    steps_in = row_steps[first].tolist() + [horizon]
     # every per-step operand is an array: a Python scalar costs each ufunc
     # call a conversion
-    decay = np.full(n, math.exp(-lif.simulation_step / lif.membrane_time_constant))
-    reset = np.full(n, lif.reset_potential)
-    threshold = np.full(n, lif.threshold)
-    # spike history: r + 1 carried rows (all-False before step 0), then one
-    # row per step of the current chunk; the step at row k writes row k, and
-    # its silent neurons are the spikers of rows k - r .. k - 1
-    r = lif.refractory_period
-    carry = r + 1
+    decay = np.full(n, math.exp(-SIMULATION_STEP / MEMBRANE_TIME_CONSTANT))
+    reset = np.full(n, RESET_POTENTIAL)
+    threshold = np.full(n, THRESHOLD)
+    # spike history: 3 carried rows (all-False before step 0), then one row
+    # per step of the current chunk; the step at row k writes row k, and
+    # its silent neurons are the spikers of rows k - 2 and k - 1
+    carry = REFRACTORY_PERIOD + 1
     history = np.zeros((carry + min(HISTORY_CHUNK, horizon), n), dtype=bool)
     rows = list(history)
     end = len(rows)
@@ -228,10 +233,8 @@ def simulate_liquid(
             # a quiet run spikes nowhere; count what came before it
             spike_counts[window] += history[start:k].sum(axis=0)
             start = k
-            t += _decay_quietly(
-                v, decay, threshold, next_in - t,
-                potentials[t:next_in] if record else None,
-            )
+            _decay_quietly(v, decay, next_in - t, potentials[t:next_in] if record else None)
+            t = next_in
             window = t * windows // horizon
             flush_at = min(-(-(window + 1) * horizon // windows), t + end - k)
         # ((v * decay) + input) + w_rec @ prev_spikes, in that order
@@ -242,12 +245,7 @@ def simulate_liquid(
             next_in = steps_in[i]
         dot(w_rec, prev_spikes, out=recurrent)
         add(v, recurrent, out=v)
-        # the default r = 2 as one binary logical_or: 13% faster than the
-        # reduce below over the length-sweep inputs
-        if r == 2:
-            copyto(v, reset, where=logical_or(rows[k - 2], rows[k - 1], out=silent))
-        elif r:
-            copyto(v, reset, where=logical_or.reduce(history[k - r : k], axis=0, out=silent))
+        copyto(v, reset, where=logical_or(rows[k - 2], rows[k - 1], out=silent))
         # silent neurons sit at reset, below threshold, so they cannot spike
         spikes = rows[k]
         greater_equal(v, threshold, out=spikes)
@@ -271,43 +269,36 @@ def simulate_liquid(
 
 
 def _decay_quietly(
-    v: np.ndarray,
-    decay: np.ndarray,
-    threshold: np.ndarray,
-    steps: int,
-    out: np.ndarray | None,
-) -> int:
-    """Advance ``v`` in place through up to ``steps`` steps without input
-    and without a spike in the last r + 1 steps; returns the steps taken.
+    v: np.ndarray, decay: np.ndarray, steps: int, out: np.ndarray | None
+) -> None:
+    """Advance ``v`` in place through ``steps`` steps without input and
+    without a spike in the last 3 steps.
 
     Each such step is ``v * decay`` (the recurrent term adds zero), so a
     chunk of them is one ``np.multiply.accumulate``, which rounds step by
-    step as the loop does.  The run stops before the first step at which a
-    neuron reaches threshold (possible only for a threshold <= 0); the
-    caller simulates that step in full.  Once ``v * decay == v`` (zero, or a
-    subnormal that rounds back to itself) no further step changes ``v``, so
-    the rest are skipped.  ``out`` receives the potentials after each step.
+    step as the loop does.  No neuron can spike in the run: after a full
+    step every potential is below the positive ``THRESHOLD``, and scaling
+    by ``decay`` only moves it toward 0.  Once ``v * decay == v`` (zero, or
+    a subnormal that rounds back to itself) no further step changes ``v``,
+    so the rest are skipped.  ``out`` receives the potentials after each
+    step.
     """
     run = np.empty((min(steps, QUIET_CHUNK) + 1, v.shape[0]))
     done = 0
     while done < steps:
-        chunk = run[: min(steps - done, QUIET_CHUNK) + 1]
+        m = min(steps - done, QUIET_CHUNK)
+        chunk = run[: m + 1]
         chunk[0] = v
         chunk[1:] = decay
         np.multiply.accumulate(chunk, axis=0, out=chunk)
-        reached = np.flatnonzero((chunk[1:] >= threshold).any(axis=1))
-        m = int(reached[0]) if reached.size else chunk.shape[0] - 1
         if out is not None:
-            out[done : done + m] = chunk[1 : m + 1]
+            out[done : done + m] = chunk[1:]
         v[:] = chunk[m]
         done += m
-        if reached.size:
-            break
         if np.array_equal(v * decay, v):
             if out is not None:
                 out[done:] = v
-            return steps
-    return done
+            return
 
 
 def liquid_states(

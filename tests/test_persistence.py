@@ -196,19 +196,25 @@ def test_malformed_ensemble_archive_is_rejected(
 def test_lsm_archive_keeps_the_model_liquid_settings(tmp_path, small_corpus, small_labels,
                                                      monkeypatch):
     clf = fitted("lsm", small_corpus, small_labels)
-    lif = LifParams(membrane_time_constant=12.0, threshold=0.6, refractory_period=1)
-    assert lif != LifParams() and clf.model.windows != 2
+    assert clf.model.windows != 2
     inputs = [encode_multihot(t, clf.vocab, clf.encoding.truncation) for t in small_corpus]
-    states = liquid_states(clf.model.topology, lif, inputs, windows=2)
+    states = liquid_states(clf.model.topology, LifParams(), inputs, windows=2)
     monkeypatch.setattr(reservoir, "READOUT_L2_GRID", (1e-3,))
     readout = train_readout(states, small_labels, folds=3)
-    clf.model = LsmModel(topology=clf.model.topology, lif=lif, windows=2, readout=readout)
-    save_model(clf, tmp_path / "lsm.json")
+    clf.model = LsmModel(topology=clf.model.topology, lif=LifParams(), windows=2,
+                         readout=readout)
+    doc = save_model(clf, tmp_path / "lsm.json")
     loaded = load_model(tmp_path / "lsm.json")
-    assert loaded.model.lif == lif and loaded.model.windows == 2
+    assert loaded.model.lif == LifParams() and loaded.model.windows == 2
     want = readout.predict_scores(states)
     assert np.array_equal(loaded.predict(small_corpus)[1], want)
     assert np.array_equal(clf.predict(small_corpus)[1], want)
+    # the LIF dynamics are fixed: an archive that records others is refused
+    doc["payload"]["lif"]["refractory_period"] = 1
+    doc["payload_sha256"] = persistence.config_hash(doc["payload"])
+    (tmp_path / "edited.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"^LifParams\.refractory_period is fixed at 2, got 1$"):
+        load_model(tmp_path / "edited.json")
 
 
 def test_unfitted_model_cannot_be_saved(tmp_path):
