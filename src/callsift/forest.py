@@ -1,7 +1,10 @@
 """From-scratch tree learners and a linear baseline over histogram vectors.
 
-The decision tree is CART with Gini-impurity splits; the forest bags trees
-over bootstrap resamples with per-split feature subsampling.  The linear
+The decision tree is CART with Gini-impurity splits.  The forest's recipe
+is fixed: ``FOREST_TREES`` (100) trees, each grown to purity on its own
+bootstrap resample of the rows and choosing every split among ceil(sqrt(d))
+sampled features; only its seed is settable (``ForestParams`` records the
+recipe in model archives and accepts no other value).  The linear
 model is logistic regression trained by full-batch gradient descent.  All
 learners operate on float feature matrices with integer labels (0 =
 goodware, 1 = malware) and share one scoring convention: score in [0, 1] is
@@ -18,8 +21,8 @@ contiguous block per usable CPU, grows the first block itself and each other
 block in a worker of a fork-started ``ProcessPoolExecutor``, which returns
 the block's trees and re-raises a worker's error, or ``BrokenProcessPool``
 for a worker that died, in the caller (``_map_forked``).
-The forest is bitwise the same for any CPU count; with one usable CPU, one
-tree or no fork every tree grows in-process.
+The forest is bitwise the same for any CPU count; with one usable CPU or
+no fork every tree grows in-process.
 
 Split search is whole-array.  Every column is dense-rank-coded
 (``np.unique``; NaN takes the rank above every value) once per forest:
@@ -62,13 +65,16 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .traces import labels_of
 
 LEAF = -1
+
+# the forest's trees; each grows to purity on a bootstrap resample
+FOREST_TREES = 100
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,10 @@ class TreeParams:
 
 @dataclass(frozen=True)
 class ForestParams:
-    n_trees: int = 100
+    """The archive's record of the forest's fixed recipe; only ``seed`` may
+    take another value, so a hand-edited archive is refused on load."""
+
+    n_trees: int = FOREST_TREES
     bootstrap: bool = True
     feature_subsample: int | None = None  # None = ceil(sqrt(d))
     max_depth: int | None = None
@@ -97,8 +106,12 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "seed" and value != f.default:
+                raise ValueError(
+                    f"ForestParams.{f.name} is fixed at {f.default!r}, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -235,14 +248,11 @@ def _best_split(
 
 @dataclass(frozen=True, eq=False)
 class _RankedSamples:
-    """A sample matrix with its column rank codes, computed once and shared
-    by row subsets (``take``).  ``np.asarray`` of it is the matrix itself,
-    so anything that accepts a matrix accepts it."""
+    """The column rank codes of a sample matrix, computed once and shared by
+    row subsets (``take``)."""
 
-    values: np.ndarray  # (N, d) float64, the matrix that was coded
     codes: np.ndarray  # (d, n) uint32, rank << 1 (low bit left for the label)
     distinct: tuple[np.ndarray, ...]  # per column, sorted distinct non-NaN values
-    rows: np.ndarray | None = None  # this sample's rows of values; None = all
 
     @classmethod
     def of(cls, X: np.ndarray) -> "_RankedSamples":
@@ -253,15 +263,10 @@ class _RankedSamples:
             values, rank = np.unique(X[:, f], return_inverse=True)
             codes[f] = rank << 1
             distinct.append(values[~np.isnan(values)])
-        return cls(X, codes, tuple(distinct))
+        return cls(codes, tuple(distinct))
 
     def take(self, idx: np.ndarray) -> "_RankedSamples":
-        rows = idx if self.rows is None else self.rows[idx]
-        return _RankedSamples(self.values, self.codes[:, idx], self.distinct, rows)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        values = self.values if self.rows is None else self.values[self.rows]
-        return np.array(values, dtype=dtype, copy=copy)
+        return _RankedSamples(self.codes[:, idx], self.distinct)
 
 
 def train_decision_tree(
@@ -391,35 +396,24 @@ class RandomForest:
 def train_random_forest(
     samples: np.ndarray, labels: np.ndarray, params: ForestParams | None = None
 ) -> RandomForest:
+    """Grow ``FOREST_TREES`` trees; tree t draws its bootstrap rows and its
+    own seed from ``SeedSequence([params.seed, t])``."""
     params = params or ForestParams()
     X = np.asarray(samples, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
         raise ValueError("samples must be a non-empty 2-D matrix matching labels")
-    d = X.shape[1]
-    k = params.feature_subsample
-    if k is None:
-        k = max(1, math.ceil(math.sqrt(d)))
+    n, d = X.shape
+    k = math.ceil(math.sqrt(d))
     ranked = _RankedSamples.of(X)
 
     def grow(t: int) -> DecisionTree:
-        # independent, reproducible stream per tree
-        tree_seed_seq = np.random.SeedSequence([params.seed, t])
-        tree_rng = np.random.default_rng(tree_seed_seq)
-        if params.bootstrap:
-            idx = tree_rng.integers(0, X.shape[0], size=X.shape[0])
-            Xb, yb = ranked.take(idx), y[idx]
-        else:
-            Xb, yb = ranked, y
-        tree_params = TreeParams(
-            max_depth=params.max_depth,
-            min_samples_leaf=params.min_samples_leaf,
-            feature_subsample=min(k, d),
-            seed=int(tree_rng.integers(0, 2**31 - 1)),
-        )
-        return train_decision_tree(Xb, yb, tree_params)
+        rng = np.random.default_rng(np.random.SeedSequence([params.seed, t]))
+        idx = rng.integers(0, n, size=n)
+        tree_params = TreeParams(feature_subsample=k, seed=int(rng.integers(0, 2**31 - 1)))
+        return train_decision_tree(ranked.take(idx), y[idx], tree_params)
 
-    trees = _map_forked(grow, params.n_trees)
+    trees = _map_forked(grow, FOREST_TREES)
     return RandomForest(trees=trees, n_features=d, params=params)
 
 

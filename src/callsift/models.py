@@ -57,16 +57,15 @@ class EncodingOptions:
 
 
 class HistogramClassifier:
-    """Histogram encoding in front of a tree, forest, or linear learner."""
+    """Histogram encoding in front of a tree, forest, or linear learner, each
+    trained with its default settings and this classifier's seed."""
 
-    def __init__(self, kind: str, seed: int = 0,
-                 encoding: EncodingOptions | None = None, params=None):
+    def __init__(self, kind: str, seed: int = 0, encoding: EncodingOptions | None = None):
         if kind not in HISTOGRAM_KINDS:
             raise ValueError(f"not a histogram model kind: {kind!r}")
         self.kind = kind
         self.seed = seed
         self.encoding = encoding or EncodingOptions()
-        self.params = params
         self.vocab: SyscallVocabulary | None = None
         self.model = None
 
@@ -80,14 +79,11 @@ class HistogramClassifier:
         X = self._encode(traces)
         y = np.asarray(labels, dtype=np.int64)
         if self.kind == TREE:
-            params = self.params or forest.TreeParams(seed=self.seed)
-            self.model = forest.train_decision_tree(X, y, params)
+            self.model = forest.train_decision_tree(X, y, forest.TreeParams(seed=self.seed))
         elif self.kind == HIST_RF:
-            params = self.params or forest.ForestParams(seed=self.seed)
-            self.model = forest.train_random_forest(X, y, params)
+            self.model = forest.train_random_forest(X, y, forest.ForestParams(seed=self.seed))
         else:
-            params = self.params or forest.LinearParams(seed=self.seed)
-            self.model = forest.train_linear(X, y, params)
+            self.model = forest.train_linear(X, y, forest.LinearParams(seed=self.seed))
         return self
 
     def score_histograms(self, X: np.ndarray) -> np.ndarray:
@@ -187,14 +183,12 @@ def make_classifier(
     seed: int = 0,
     encoding: EncodingOptions | None = None,
     folds: int = 10,
-    **kwargs,
 ):
     """A classifier of registry ``kind``.  ``folds`` is the LSM readout's
     cross-validation fold count (an ensemble passes it to its ``lsm``
-    member; the histogram kinds have no use for it).  Other keyword
-    arguments (``params``) go to a histogram kind's ``HistogramClassifier``."""
+    member; the histogram kinds have no use for it)."""
     if kind in HISTOGRAM_KINDS:
-        return HistogramClassifier(kind, seed=seed, encoding=encoding, **kwargs)
+        return HistogramClassifier(kind, seed=seed, encoding=encoding)
     if kind == LSM:
         return LsmClassifier(seed=seed, encoding=encoding, folds=folds)
     if kind == ENSEMBLE:

@@ -15,7 +15,7 @@ from callsift import cli, datagen, evaluation, explain, models, persistence
 from callsift import reservoir as rv
 from callsift import significance as sig
 from callsift.evaluation import LabeledDataset, compute_metrics, evaluate_cv, split_sorted
-from callsift.forest import ForestParams, train_decision_tree
+from callsift.forest import train_decision_tree
 from callsift.traces import GOODWARE, MALWARE, MultiHotMatrix, labels_of
 from conftest import logistic_loss_and_grad, rules_predict
 
@@ -268,8 +268,7 @@ def test_10_determinism_and_persistence(tmp_path):
         corpus = datagen.generate_corpus(config)
         labels = np.array([1 if t.label == MALWARE else 0 for t in corpus])
         clf = models.make_classifier(
-            "hist-rf", seed=2, encoding=models.EncodingOptions(truncation=80),
-            params=ForestParams(n_trees=15, seed=2),
+            "hist-rf", seed=2, encoding=models.EncodingOptions(truncation=80)
         )
         clf.fit(corpus, labels)
         archive_path = tmp_path / "model.json"

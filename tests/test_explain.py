@@ -440,14 +440,11 @@ def one_by_one(model, X, cfg, ids):
 
 @pytest.fixture(scope="module")
 def histogram_models(small_corpus, small_labels):
-    from callsift.forest import ForestParams
     from callsift.models import HistogramClassifier
 
     fitted = {
-        kind: HistogramClassifier(kind, seed=3, params=params).fit(small_corpus, small_labels)
-        for kind, params in (
-            ("hist-rf", ForestParams(n_trees=15, seed=3)), ("tree", None), ("linear", None),
-        )
+        kind: HistogramClassifier(kind, seed=3).fit(small_corpus, small_labels)
+        for kind in ("hist-rf", "tree", "linear")
     }
     X = fitted["tree"]._encode(small_corpus)
     return fitted, X, [t.id for t in small_corpus]

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import itertools
 import os
 import signal
@@ -25,7 +26,13 @@ from callsift.forest import (
 )
 from callsift.traces import labels_of
 from conftest import logistic_loss_and_grad
-from test_forest_oracle import assert_same_tree, datasets, encoded_corpus  # noqa: F401
+from test_forest_oracle import (  # noqa: F401
+    assert_same_tree,
+    bootstrap_samples,
+    datasets,
+    encoded_corpus,
+    tree_params,
+)
 
 
 def leaves(tree):
@@ -154,31 +161,47 @@ def test_label_flip_symmetry_tree_and_forest():
     sf = tree_flipped.predict_scores(Xt)
     assert np.allclose(s, 1 - sf)
 
-    params = ForestParams(n_trees=11, seed=4)
+    params = ForestParams(seed=4)
     fo = train_random_forest(X, y, params)
     fo_flipped = train_random_forest(X, 1 - y, params)
     s = fo.predict_scores(Xt)
     sf = fo_flipped.predict_scores(Xt)
     assert np.allclose(s, 1 - sf)
-    assert np.array_equal(labels_of(fo.predict_scores(Xt)), 1 - labels_of(fo_flipped.predict_scores(Xt)))
+    # flipped labels flip every vote; a tie of the 100 trees goes to malware
+    # both ways
+    tie = s == 0.5
+    assert tie.any()
+    assert np.array_equal(labels_of(s)[~tie], 1 - labels_of(sf)[~tie])
+    assert (labels_of(s)[tie] == 1).all() and (labels_of(sf)[tie] == 1).all()
 
 
 # --- random forest --------------------------------------------------------------
 
 
-def test_degenerate_forest_equals_tree(small_corpus, small_labels):
-    from callsift.models import EncodingOptions, HistogramClassifier
+def test_forest_params_validation():
+    # the recipe is fixed at its defaults; any other value is refused by name
+    off = dict(n_trees=50, bootstrap=False, feature_subsample=3, max_depth=4,
+               min_samples_leaf=2)
+    assert list(off) + ["seed"] == [f.name for f in dataclasses.fields(ForestParams)]
+    for name, value in off.items():
+        with pytest.raises(ValueError, match=rf"^ForestParams\.{name} is fixed at "):
+            ForestParams(**{name: value})
+    with pytest.raises(ValueError, match=r"^ForestParams\.n_trees is fixed at 100, got 50$"):
+        ForestParams(n_trees=50)
+    assert ForestParams(seed=7).seed == 7
 
-    clf = HistogramClassifier("hist-rf", seed=3, encoding=EncodingOptions(truncation=100),
-                              params=ForestParams(n_trees=1, bootstrap=False,
-                                                  feature_subsample=10**6, seed=3))
-    clf.fit(small_corpus, small_labels)
-    tree_clf = HistogramClassifier("tree", seed=3, encoding=EncodingOptions(truncation=100),
-                                   params=TreeParams(seed=3))
-    tree_clf.fit(small_corpus, small_labels)
-    pf, _ = clf.predict(small_corpus)
-    pt, _ = tree_clf.predict(small_corpus)
-    assert np.array_equal(pf, pt)
+
+def test_a_forest_grows_its_fixed_recipe():
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(50, 10))
+    y = (X[:, 0] > 0).astype(int)
+    fo = train_random_forest(X, y, ForestParams(seed=6))
+    assert len(fo.trees) == forest.FOREST_TREES == 100
+    assert {(t.params.feature_subsample, t.params.max_depth, t.params.min_samples_leaf)
+            for t in fo.trees} == {(4, None, 1)}  # ceil(sqrt(10)) features a split
+    # every tree grows to purity: each leaf holds one class
+    for t in fo.trees:
+        assert (t.class_counts[t.feature == -1].min(axis=1) == 0).all()
 
 
 def test_forest_seed_determinism():
@@ -186,21 +209,21 @@ def test_forest_seed_determinism():
     X = rng.normal(size=(80, 6))
     y = (X[:, 0] > 0).astype(int)
     Xt = rng.normal(size=(40, 6))
-    a = train_random_forest(X, y, ForestParams(n_trees=12, seed=9))
-    b = train_random_forest(X, y, ForestParams(n_trees=12, seed=9))
+    a = train_random_forest(X, y, ForestParams(seed=9))
+    b = train_random_forest(X, y, ForestParams(seed=9))
     assert np.array_equal(a.predict_scores(Xt), b.predict_scores(Xt))
-    c = train_random_forest(X, y, ForestParams(n_trees=12, seed=10))
+    c = train_random_forest(X, y, ForestParams(seed=10))
     assert not np.array_equal(a.predict_scores(Xt), c.predict_scores(Xt))
 
 
 def test_forest_vote_fraction_and_tie_to_malware():
     X = np.array([[0.0], [1.0]])
     y = np.array([0, 1])
-    forest = train_random_forest(X, y, ForestParams(n_trees=4, bootstrap=False, seed=0))
-    # craft a 2-2 tie by flipping two trees' leaf counts
-    fake = forest
-    for t in fake.trees[:2]:
-        t.class_counts[:] = t.class_counts[:, ::-1]
+    fake = train_random_forest(X, y, ForestParams(seed=0))
+    # craft a 50-50 tie: half the trees vote goodware and half malware everywhere
+    half = len(fake.trees) // 2
+    for i, t in enumerate(fake.trees):
+        t.class_counts[:] = (1.0, 0.0) if i < half else (0.0, 1.0)
     X = np.array([[0.0]])
     label, score = labels_of(fake.predict_scores(X))[0], fake.predict_scores(X)[0]
     assert score == 0.5 and label == 1
@@ -219,41 +242,25 @@ def test_forest_separable_corpus_high_caa(small_corpus, small_labels):
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    datasets(),
-    st.builds(
-        ForestParams,
-        n_trees=st.integers(1, 4),
-        bootstrap=st.booleans(),
-        feature_subsample=st.none() | st.integers(1, 5),
-        max_depth=st.none() | st.integers(0, 6),
-        min_samples_leaf=st.integers(1, 3),
-        seed=st.integers(0, 2**31 - 1),
-    ),
-)
+@given(bootstrap_samples(), tree_params)
 def test_forest_rank_codes_match_per_tree_coding(data, params):
-    # the forest codes its training matrix once; coding each tree's
-    # (bootstrap) sample on its own must grow the same trees.  Thresholds
-    # compare as numbers: where a column holds both -0.0 and 0.0, a zero
-    # threshold may carry the other sign
-    X, y, Xt = data
-    shared = train_random_forest(X, y, params)
-    own = forest.train_decision_tree
-    with mock.patch.object(
-        forest, "train_decision_tree", lambda s, lab, p: own(np.asarray(s), lab, p)
-    ):
-        per_tree = train_random_forest(X, y, params)
-    for a, b in zip(shared.trees, per_tree.trees, strict=True):
-        assert_same_tree(a, b)
+    # the forest codes its training matrix once and hands each tree the
+    # codes of its bootstrap rows; coding those rows on their own must grow
+    # the same tree.  Thresholds compare as numbers: where a column holds
+    # both -0.0 and 0.0, a zero threshold may carry the other sign
+    X, y, Xt, idx = data
+    shared = train_decision_tree(forest._RankedSamples.of(X).take(idx), y[idx], params)
+    own = train_decision_tree(X[idx], y[idx], params)
+    assert_same_tree(shared, own)
     for rows in (X, Xt):
-        assert np.array_equal(shared.predict_scores(rows), per_tree.predict_scores(rows))
+        assert np.array_equal(shared.predict_scores(rows), own.predict_scores(rows))
 
 
 def test_forest_prediction_invariant_under_tree_permutation():
     rng = np.random.default_rng(17)
     X = rng.normal(size=(60, 4))
     y = (X[:, 1] > 0).astype(int)
-    forest = train_random_forest(X, y, ForestParams(n_trees=7, seed=2))
+    forest = train_random_forest(X, y, ForestParams(seed=2))
     Xt = rng.normal(size=(30, 4))
     before = forest.predict_scores(Xt)
     forest.trees.reverse()
@@ -280,37 +287,41 @@ def _counting_forks():
     return calls, fork
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    datasets(),
-    st.builds(
-        ForestParams,
-        n_trees=st.integers(1, 7),
-        bootstrap=st.booleans(),
-        feature_subsample=st.none() | st.integers(1, 5),
-        max_depth=st.none() | st.integers(0, 6),
-        min_samples_leaf=st.integers(1, 3),
-        seed=st.integers(0, 2**31 - 1),
-    ),
-    st.integers(2, 4),
-)
-def test_forked_fit_equals_one_cpu_fit(data, params, workers):
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 9), st.integers(2, 4))
+def test_forked_fit_equals_one_cpu_fit(count, workers):
+    # _map_forked is the list comprehension, in order: the caller runs the
+    # first contiguous block and each other block forks one worker
+    parent = os.getpid()
+    calls, fork = _counting_forks()
+    with mock.patch.object(forest, "_usable_cpus", lambda: workers), \
+            mock.patch.object(os, "fork", fork):
+        got = forest._map_forked(lambda i: (i * i, os.getpid() == parent), count)
+    blocks = min(workers, count)
+    assert [square for square, _ in got] == [i * i for i in range(count)]
+    assert [here for _, here in got] == [i < count // max(blocks, 1) for i in range(count)]
+    assert len(calls) == max(blocks - 1, 0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(datasets(), st.integers(0, 2**31 - 1), st.integers(2, 4))
+def test_forked_forest_equals_one_cpu_forest(data, seed, workers):
     X, y, Xt = data
+    params = ForestParams(seed=seed)
     with mock.patch.object(forest, "_usable_cpus", lambda: 1):
         serial = train_random_forest(X, y, params)
-    _assert_same_forest(serial, train_random_forest(X, y, params), Xt)
     calls, fork = _counting_forks()
     with mock.patch.object(forest, "_usable_cpus", lambda: workers), \
             mock.patch.object(os, "fork", fork):
         forked = train_random_forest(X, y, params)
-    assert len(calls) == min(workers, params.n_trees) - 1
+    assert len(calls) == workers - 1
     _assert_same_forest(serial, forked, Xt)
 
 
 @pytest.mark.parametrize("workers", [None, 3])
 def test_forked_fit_equals_one_cpu_fit_on_encoded_corpus(encoded_corpus, monkeypatch, workers):
     X, y = encoded_corpus
-    params = ForestParams(n_trees=10, seed=3)
+    params = ForestParams(seed=3)
     monkeypatch.setattr(forest, "_usable_cpus", lambda: 1)
     serial = train_random_forest(X, y, params)
     monkeypatch.undo()
@@ -352,15 +363,15 @@ def _fail_in(where, exc):
 @pytest.mark.parametrize("where", ["child", "parent"])
 def test_a_failing_tree_raises_in_the_parent_and_leaves_no_child(
         encoded_corpus, monkeypatch, where):
-    # 3 workers on 60 trees: each child's block pickles to about 100 KB, more
-    # than a 64 KB pipe buffer holds, so a parent that fails first must not
-    # wait on a blocked writer
+    # 3 workers on 100 trees: each child's block pickles to about 175 KB,
+    # more than a 64 KB pipe buffer holds, so a parent that fails first must
+    # not wait on a blocked writer
     X, y = encoded_corpus
     monkeypatch.setattr(forest, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(forest, "train_decision_tree",
                         _fail_in(where, TreeGrowthFailed("no tree today")))
     with pytest.raises(TreeGrowthFailed) as info, _deadline(60):
-        train_random_forest(X, y, ForestParams(n_trees=60))
+        train_random_forest(X, y)
     assert type(info.value) is TreeGrowthFailed and str(info.value) == "no tree today"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -376,7 +387,7 @@ def test_an_unpicklable_child_error_arrives_by_type_name_and_message(monkeypatch
     # the pool raises the pickler's error; the worker's traceback, which
     # holds the unpicklable error, is its cause
     with pytest.raises(Exception) as info, _deadline(60):
-        train_random_forest(np.arange(8.0)[:, None], np.arange(8) % 2, ForestParams(n_trees=4))
+        train_random_forest(np.arange(8.0)[:, None], np.arange(8) % 2)
     assert "LocalError: bad split" in str(info.value.__cause__)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -394,7 +405,7 @@ def test_a_dying_worker_raises_in_the_parent_and_leaves_no_child(encoded_corpus,
     monkeypatch.setattr(forest, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(forest, "train_decision_tree", train)
     with pytest.raises(RuntimeError), _deadline(60):  # BrokenProcessPool
-        train_random_forest(X, y, ForestParams(n_trees=12))
+        train_random_forest(X, y)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -412,8 +423,7 @@ def test_output_left_unflushed_before_a_forked_fit_is_written_once():
         "from callsift import forest\n"
         "print('before the fit', end='')\n"
         "with mock.patch.object(forest, '_usable_cpus', lambda: 3):\n"
-        "    forest.train_random_forest(np.arange(12.0)[:, None], np.arange(12) % 2,\n"
-        "                               forest.ForestParams(n_trees=6))\n"
+        "    forest.train_random_forest(np.arange(12.0)[:, None], np.arange(12) % 2)\n"
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)
@@ -421,15 +431,13 @@ def test_output_left_unflushed_before_a_forked_fit_is_written_once():
     assert done.stdout == "before the fit"
 
 
-@pytest.mark.parametrize("affinity, n_trees", [({0}, 5), ({0, 1, 2, 3}, 1)])
-def test_one_cpu_or_one_tree_never_forks(monkeypatch, affinity, n_trees):
+@pytest.mark.parametrize("affinity, count", [({0}, 5), ({0, 1, 2, 3}, 1)])
+def test_one_cpu_or_one_tree_never_forks(monkeypatch, affinity, count):
     def fork():
         raise AssertionError("os.fork called")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
     monkeypatch.setattr(os, "fork", fork)
-    X = np.arange(10.0)[:, None]
-    fo = train_random_forest(X, np.arange(10) % 2, ForestParams(n_trees=n_trees))
-    assert len(fo.trees) == n_trees
+    assert forest._map_forked(lambda i: i * i, count) == [i * i for i in range(count)]
 
 
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
@@ -447,7 +455,7 @@ def test_importance_single_informative_feature_is_one():
     rng = np.random.default_rng(19)
     X = np.column_stack([rng.normal(size=100), np.zeros(100)])
     y = (X[:, 0] > 0).astype(int)
-    forest = train_random_forest(X, y, ForestParams(n_trees=10, feature_subsample=2, seed=3))
+    forest = train_random_forest(X, y, ForestParams(seed=3))
     imp = gini_importance(forest)
     assert imp[0] == pytest.approx(1.0)
     assert imp[1] == 0.0  # constant feature can never be split on
@@ -495,9 +503,7 @@ def test_importance_two_equally_informative_features_split_evenly():
     d0, d1 = best_decrease(X[:, 0]), best_decrease(X[:, 1])
     assert abs(d0 - d1) / max(d0, d1) < 0.1
 
-    forest = train_random_forest(
-        X, y, ForestParams(n_trees=60, feature_subsample=1, max_depth=4, seed=5)
-    )
+    forest = train_random_forest(X, y, ForestParams(seed=5))
     imp = gini_importance(forest)
     assert imp[0] == pytest.approx(0.5, abs=0.1)
     assert imp[1] == pytest.approx(0.5, abs=0.1)
@@ -512,7 +518,7 @@ def test_importance_sums_to_one_when_splits_exist():
     rng = np.random.default_rng(29)
     X = rng.normal(size=(100, 5))
     y = (X[:, 0] + X[:, 1] > 0).astype(int)
-    forest = train_random_forest(X, y, ForestParams(n_trees=15, seed=1))
+    forest = train_random_forest(X, y, ForestParams(seed=1))
     imp = gini_importance(forest)
     assert (imp >= 0).all()
     assert imp.sum() == pytest.approx(1.0, abs=1e-9)

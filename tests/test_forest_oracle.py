@@ -26,6 +26,7 @@ from callsift.forest import (
     ForestParams,
     TreeParams,
     _gini_from_counts,
+    _RankedSamples,
     gini_importance,
     train_decision_tree,
     train_random_forest,
@@ -169,6 +170,24 @@ def reference_importance(tree):
     return imp
 
 
+def reference_forest(X, y, params):
+    """``train_random_forest`` with each tree grown by ``reference_tree`` on
+    the rows of its bootstrap sample, which ``_RankedSamples.take`` is handed
+    just before the tree grows (in whichever process grows it)."""
+    take, drawn = _RankedSamples.take, []
+
+    def record(ranked, idx):
+        drawn.append(idx)
+        return take(ranked, idx)
+
+    def grow(samples, labels, tree_params):
+        return reference_tree(X[drawn.pop()], labels, tree_params)
+
+    with mock.patch.object(_RankedSamples, "take", record), \
+            mock.patch.object(forest, "train_decision_tree", grow):
+        return train_random_forest(X, y, params)
+
+
 def assert_same_tree(a, b):
     assert np.array_equal(a.feature, b.feature)
     assert np.array_equal(a.threshold, b.threshold, equal_nan=True)
@@ -200,6 +219,14 @@ def datasets(draw):
     return X, y, Xt
 
 
+@st.composite
+def bootstrap_samples(draw):
+    """A drawn dataset and the rows of one bootstrap resample of it."""
+    X, y, Xt = draw(datasets())
+    n = X.shape[0]
+    return X, y, Xt, draw(hnp.arrays(np.int64, n, elements=st.integers(0, n - 1)))
+
+
 tree_params = st.builds(
     TreeParams,
     max_depth=st.none() | st.integers(0, 6),
@@ -222,26 +249,27 @@ def test_tree_matches_reference(data, params):
     assert np.array_equal(tree_importance(tree), reference_importance(ref))
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    datasets(),
-    st.builds(
-        ForestParams,
-        n_trees=st.integers(1, 4),
-        bootstrap=st.booleans(),
-        feature_subsample=st.none() | st.integers(1, 5),
-        max_depth=st.none() | st.integers(0, 6),
-        min_samples_leaf=st.integers(1, 3),
-        seed=st.integers(0, 2**31 - 1),
-    ),
-)
-def test_forest_matches_reference(data, params):
+@settings(max_examples=300, deadline=None)
+@given(bootstrap_samples(), tree_params)
+def test_bootstrap_tree_matches_reference(data, params):
+    # a forest's tree: the shared rank codes of a bootstrap resample, whose
+    # ranks may have gaps, under any depth limit, leaf size and subsample
+    X, y, Xt, idx = data
+    tree = train_decision_tree(_RankedSamples.of(X).take(idx), y[idx], params)
+    ref = reference_tree(X[idx], y[idx], params)
+    assert_same_tree(tree, ref)
+    for rows in (X, Xt):
+        assert np.array_equal(tree.predict_scores(rows), reference_scores(ref, rows))
+
+
+@settings(max_examples=20, deadline=None)
+@given(datasets(), st.integers(0, 2**31 - 1))
+def test_forest_matches_reference(data, seed):
     X, y, Xt = data
+    params = ForestParams(seed=seed)
     fo = train_random_forest(X, y, params)
-    with mock.patch.object(forest, "train_decision_tree", reference_tree):
-        ref = train_random_forest(X, y, params)
-    assert len(fo.trees) == len(ref.trees)
-    for a, b in zip(fo.trees, ref.trees):
+    ref = reference_forest(X, y, params)
+    for a, b in zip(fo.trees, ref.trees, strict=True):
         assert_same_tree(a, b)
     for rows in (X, Xt):
         votes = sum(reference_scores(t, rows) >= 0.5 for t in ref.trees)
@@ -312,13 +340,12 @@ def test_tree_matches_reference_on_encoded_corpus(encoded_corpus, min_samples_le
     assert_same_tree(tree, reference_tree(X, y, params))
 
 
-@pytest.mark.parametrize("min_samples_leaf", [1, 3])
-def test_forest_matches_reference_on_encoded_corpus(encoded_corpus, min_samples_leaf):
+@pytest.mark.parametrize("seed", [1, 3])
+def test_forest_matches_reference_on_encoded_corpus(encoded_corpus, seed):
     X, y = encoded_corpus
-    params = ForestParams(n_trees=3, min_samples_leaf=min_samples_leaf, seed=5)
+    params = ForestParams(seed=seed)
     fo = train_random_forest(X, y, params)
-    with mock.patch.object(forest, "train_decision_tree", reference_tree):
-        ref = train_random_forest(X, y, params)
+    ref = reference_forest(X, y, params)
     for a, b in zip(fo.trees, ref.trees, strict=True):
         assert_same_tree(a, b)
     assert np.array_equal(fo.predict_scores(X), ref.predict_scores(X))

@@ -108,7 +108,7 @@ def _tied_leaf():
 
 def _forest_vote_label(monkeypatch):
     leaf = _tied_leaf()
-    model = forest.RandomForest([leaf], 1, forest.ForestParams(n_trees=1))
+    model = forest.RandomForest([leaf], 1, forest.ForestParams())
     X = np.zeros((1, 1))
     assert leaf.predict_scores(X)[0] == 0.5
     # the tree's vote is the forest's whole score

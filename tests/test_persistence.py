@@ -42,10 +42,7 @@ from callsift.traces import SyscallVocabulary, encode_multihot
 
 def fitted(kind, small_corpus, small_labels):
     enc = EncodingOptions(truncation=60)
-    if kind == "hist-rf":
-        clf = make_classifier(kind, seed=2, encoding=enc,
-                              params=ForestParams(n_trees=8, seed=2))
-    elif kind == "lsm":
+    if kind == "lsm":
         clf = make_classifier(kind, seed=2, encoding=enc, folds=5)
     elif kind == "ensemble":
         clf = VotingEnsembleClassifier({
@@ -214,6 +211,17 @@ def test_lsm_archive_keeps_the_model_liquid_settings(tmp_path, small_corpus, sma
     doc["payload_sha256"] = persistence.config_hash(doc["payload"])
     (tmp_path / "edited.json").write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=r"^LifParams\.refractory_period is fixed at 2, got 1$"):
+        load_model(tmp_path / "edited.json")
+
+
+def test_hist_rf_archive_with_another_forest_recipe_is_refused(tmp_path, small_corpus,
+                                                               small_labels):
+    doc = save_model(fitted("hist-rf", small_corpus, small_labels), tmp_path / "rf.json")
+    assert doc["payload"]["params"] == encode(ForestParams(seed=2))
+    doc["payload"]["params"]["n_trees"] = 50
+    doc["payload_sha256"] = persistence.config_hash(doc["payload"])
+    (tmp_path / "edited.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"^ForestParams\.n_trees is fixed at 100, got 50$"):
         load_model(tmp_path / "edited.json")
 
 

@@ -21,7 +21,7 @@ def scorers():
     y = (X[:, 0] + X[:, 1] * X[:, 2] > 0).astype(np.int64)
     return {
         "tree": forest.train_decision_tree(X, y),
-        "forest": forest.train_random_forest(X, y, forest.ForestParams(n_trees=5, seed=1)),
+        "forest": forest.train_random_forest(X, y, forest.ForestParams(seed=1)),
         "linear": forest.LinearModel(rng.normal(size=D), 0.3, forest.LinearParams()),
         "linear readout": reservoir.train_readout(X, y, folds=2),
     }
