@@ -114,20 +114,15 @@ def split_sorted(
         for lab, want in quota.items():
             if want < 0:
                 raise ValueError(f"{INT_TO_LABEL[lab]} train count must be >= 0, got {want}")
-        taken = {k: 0 for k in quota}
-        train_mask = np.zeros(len(dataset), dtype=bool)
-        for i in order:
-            lab = int(dataset.labels[i])
-            if taken.get(lab, 0) < quota.get(lab, 0):
-                train_mask[i] = True
-                taken[lab] += 1
+        in_train = np.zeros(len(dataset), dtype=bool)  # by temporal position
         for lab, want in quota.items():
-            if taken[lab] != want:
+            taken = np.flatnonzero(dataset.labels[order] == lab)[:want]
+            if taken.size != want:
                 raise ValueError(
                     f"not enough {INT_TO_LABEL[lab]} samples for requested train count"
                 )
-        train_idx = order[train_mask[order]]
-        test_idx = order[~train_mask[order]]
+            in_train[taken] = True
+        train_idx, test_idx = order[in_train], order[~in_train]
         if train_idx.size and test_idx.size:
             if dataset.observed_at[train_idx].max() > dataset.observed_at[test_idx].min():
                 raise ValueError(

@@ -382,6 +382,11 @@ class RandomForest:
     n_features: int
     params: ForestParams
 
+    def __post_init__(self) -> None:
+        if len(self.trees) != self.params.n_trees:  # an archive can hold any list
+            raise ValueError(f"a forest of n_trees {self.params.n_trees} holds "
+                             f"{len(self.trees)} trees")
+
     def predict_scores(self, X: np.ndarray) -> np.ndarray:
         """Fraction of trees voting malware, per sample."""
         X = np.asarray(X, dtype=np.float64)
@@ -507,6 +512,8 @@ def train_linear(
     y = np.asarray(labels, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
         raise ValueError("samples must be a non-empty 2-D matrix matching labels")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0 (goodware) or 1 (malware)")
     w = _initial_weights(X.shape[1], params.seed)
     b = 0.0
     for _ in range(params.epochs):

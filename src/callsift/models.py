@@ -98,7 +98,7 @@ class HistogramClassifier:
 
 class LsmClassifier:
     """Multi-hot encoding into a fixed liquid, then a trained readout; the
-    liquid's settings live only in the trained ``LsmModel``, ``model``."""
+    liquid's wiring and the readout live in the trained ``LsmModel``, ``model``."""
 
     kind = LSM
 
@@ -123,26 +123,21 @@ class LsmClassifier:
             raise ValueError(f"LSM readout folds must be >= 2, got {self.folds}")
         self.vocab = build_vocabulary(traces)
         topology = reservoir.build_liquid(self.vocab.width, seed=self.seed)
-        lif = reservoir.LifParams()
-        windows = reservoir.LIQUID_WINDOWS
-        states = reservoir.liquid_states(topology, lif, self._inputs(traces), windows)
+        states = reservoir.liquid_states(topology, self._inputs(traces))
         y = np.asarray(labels, dtype=np.int64)
         folds = min(self.folds, int(np.bincount(y, minlength=2).min()))
         if folds < 2:
             raise ValueError("LSM readout needs at least 2 samples of each class")
         readout = reservoir.train_readout(states, y, folds=folds, seed=self.seed)
-        self.model = reservoir.LsmModel(
-            topology=topology, lif=lif, windows=windows, readout=readout
-        )
+        self.model = reservoir.LsmModel(topology=topology, readout=readout)
         return self
 
     def score_inputs(self, matrices) -> np.ndarray:
         """Malware scores of multi-hot matrices (an iterable, consumed one at a
         time) run through the trained liquid and readout."""
         assert self.model is not None, "fit first"
-        m = self.model
-        states = reservoir.liquid_states(m.topology, m.lif, matrices, m.windows)
-        return m.readout.predict_scores(states)
+        states = reservoir.liquid_states(self.model.topology, matrices)
+        return self.model.readout.predict_scores(states)
 
     def predict(self, traces) -> tuple[np.ndarray, np.ndarray]:
         scores = self.score_inputs(self._inputs(traces))

@@ -6,14 +6,14 @@ The liquid is fixed after construction (only the readout trains) and acts
 as a temporal kernel: per-time-step call counts inject current into a
 random subset of neurons, membrane potentials decay exponentially between
 steps, and spikes propagate one step later through sparse signed recurrent
-weights.  The state of a trace is the per-neuron spike count in W
-consecutive windows spanning the occupied part of the input;
-``liquid_states`` flattens the states of many traces into the rows of the
-matrix the readout trains on and scores.
+weights.  The state of a trace is the per-neuron spike count in
+``LIQUID_WINDOWS`` (4) consecutive windows spanning the occupied part of
+the input; ``liquid_states(topology, inputs)`` flattens the states of many
+traces into the rows of the matrix the readout trains on and scores.
 
-The LIF dynamics are module constants, like the wiring (``LifParams``
-records them in model archives and accepts no other value).  Per step of
-``SIMULATION_STEP`` (1 ms, one trace time step):
+The window count and the LIF dynamics are module constants, like the wiring;
+``LsmModel`` records them in archives (``windows``, ``lif``) and refuses any
+other value on load.  Per step of ``SIMULATION_STEP`` (1 ms, one trace step):
 
     v <- v * exp(-SIMULATION_STEP / MEMBRANE_TIME_CONSTANT)
          + input_current + recurrent_current
@@ -127,6 +127,13 @@ class LiquidTopology:
     recurrent_weights: np.ndarray  # (neurons, neurons), 0 diagonal
     seed: int
 
+    def __post_init__(self) -> None:
+        # an archive can hold any arrays; the simulation sizes its state by neuron_count
+        n = self.neuron_count
+        if self.input_weights.shape[1:] != (n,) or self.recurrent_weights.shape != (n, n):
+            raise ValueError(f"a liquid of neuron_count {n} needs (channels, {n}) input and "
+                             f"({n}, {n}) recurrent weights")
+
     @property
     def input_channels(self) -> int:
         return self.input_weights.shape[0]
@@ -161,10 +168,10 @@ def simulate_liquid(
     topology: LiquidTopology,
     lif: LifParams,
     input_matrix: MultiHotMatrix,
-    windows: int = LIQUID_WINDOWS,
+    *,
     record: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Run the LIF dynamics; returns (windowed spike counts, potentials).
+    """Run the LIF dynamics; returns (spike counts per window, potentials).
 
     ``lif`` is the model's ``LifParams``, which only ever holds the module
     constants the simulation reads.  Each input row is one simulation step,
@@ -180,8 +187,7 @@ def simulate_liquid(
             f"input has {input_matrix.width} channels, liquid expects "
             f"{topology.input_channels}"
         )
-    if windows < 1:
-        raise ValueError("windows must be >= 1")
+    windows = LIQUID_WINDOWS
     n = topology.neuron_count
     counts = input_matrix.counts
     time_steps = input_matrix.time_steps
@@ -301,20 +307,15 @@ def _decay_quietly(
             return
 
 
-def liquid_states(
-    topology: LiquidTopology,
-    lif: LifParams,
-    inputs: Iterable[MultiHotMatrix],
-    windows: int = LIQUID_WINDOWS,
-) -> np.ndarray:
-    """The liquid state of each input: its windowed spike counts flattened
-    window-major into one row of an (n_inputs, neurons * windows) matrix.
+def liquid_states(topology: LiquidTopology, inputs: Iterable[MultiHotMatrix]) -> np.ndarray:
+    """The liquid state of each input, its spike counts in ``LIQUID_WINDOWS``
+    windows flattened window-major: one row of an (inputs, neurons * windows) matrix.
 
     Inputs are consumed one at a time, so a generator of multi-hot matrices
     never holds more than one of them in memory.
     """
-    states = [simulate_liquid(topology, lif, m, windows)[0].reshape(-1) for m in inputs]
-    return np.array(states).reshape(len(states), topology.neuron_count * windows)
+    states = [simulate_liquid(topology, LifParams(), m)[0].reshape(-1) for m in inputs]
+    return np.array(states).reshape(len(states), topology.neuron_count * LIQUID_WINDOWS)
 
 
 # --- readout ------------------------------------------------------------------
@@ -418,6 +419,8 @@ def train_readout(
     y = np.asarray(labels, dtype=np.int64)
     if X.shape[0] != y.shape[0]:
         raise ValueError("states and labels length mismatch")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0 (goodware) or 1 (malware)")
     if folds < 2:
         raise ValueError("folds must be >= 2")
     classes, counts = np.unique(y, return_counts=True)
@@ -461,6 +464,12 @@ class LsmModel:
     """Frozen liquid plus trained readout; the full trace classifier."""
 
     topology: LiquidTopology
-    lif: LifParams
-    windows: int
     readout: ReadoutModel
+    lif: LifParams = LifParams()
+    windows: int = LIQUID_WINDOWS
+
+    def __post_init__(self) -> None:
+        if self.windows != LIQUID_WINDOWS:
+            raise ValueError(
+                f"LsmModel.windows is fixed at {LIQUID_WINDOWS}, got {self.windows!r}"
+            )

@@ -220,11 +220,8 @@ def pairwise_significance(bits, model_names: list[str], alpha: float = 0.05) -> 
         for j in range(i + 1, k):
             name_a, name_b = model_names[i], model_names[j]
             stat, p = mcnemar(m[:, i], m[:, j])
-            method = (
-                "exact-binomial"
-                if _discordant_total(m[:, i], m[:, j]) < EXACT_MCNEMAR_THRESHOLD
-                else "chi-square"
-            )
+            discordant = int((m[:, i] != m[:, j]).sum())
+            method = "exact-binomial" if discordant < EXACT_MCNEMAR_THRESHOLD else "chi-square"
             significant = rejected and p < corrected
             pairs.append(PairResult(
                 a=name_a, b=name_b, statistic=stat, p=p,
@@ -238,10 +235,6 @@ def pairwise_significance(bits, model_names: list[str], alpha: float = 0.05) -> 
         omnibus=Omnibus(q=q, p=q_p, rejected=rejected),
         pairs=pairs,
     )
-
-
-def _discordant_total(a: np.ndarray, b: np.ndarray) -> int:
-    return int((a != b).sum())
 
 
 def render_significance_table(matrix: SignificanceMatrix) -> str:

@@ -203,7 +203,7 @@ def test_08_explanation_fidelity():
         assert np.abs(const.weights).max() <= 1e-8
 
 
-def test_09_lsm_structural_and_dynamical():
+def test_09_lsm_structural_and_dynamical(monkeypatch):
     with _Gate(9, "default liquid structure and LIF dynamics", 10):
         topo = rv.build_liquid(25, seed=4)
         assert topo.neuron_count == 135
@@ -223,12 +223,14 @@ def test_09_lsm_structural_and_dynamical():
         )
         pulse = MultiHotMatrix(np.array([[2]], dtype=np.int64),
                                np.array([5], dtype=np.int64))
-        counts, _ = rv.simulate_liquid(one, lif, pulse, windows=1)
-        assert counts.sum() == 1.0
-        weak = MultiHotMatrix(np.array([[1]], dtype=np.int64),
-                              np.array([5], dtype=np.int64))
-        counts, _ = rv.simulate_liquid(one, lif, weak, windows=1)
-        assert counts.sum() == 0.0
+        with monkeypatch.context() as patch:
+            patch.setattr(rv, "LIQUID_WINDOWS", 1)
+            counts, _ = rv.simulate_liquid(one, lif, pulse)
+            assert counts.sum() == 1.0
+            weak = MultiHotMatrix(np.array([[1]], dtype=np.int64),
+                                  np.array([5], dtype=np.int64))
+            counts, _ = rv.simulate_liquid(one, lif, weak)
+            assert counts.sum() == 0.0
 
         rng = np.random.default_rng(0)
         m = MultiHotMatrix(

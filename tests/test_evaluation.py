@@ -1,6 +1,7 @@
 import base64
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from callsift.evaluation import (
     split_sorted,
     sweep_sequence_length,
 )
-from callsift.traces import GOODWARE, MALWARE
+from callsift.traces import GOODWARE, INT_TO_LABEL, LABEL_TO_INT, MALWARE
 from conftest import make_trace
 
 
@@ -175,6 +176,53 @@ def test_split_sorted_explicit_counts_incompatible_arrangement():
         split_sorted(ds, train_counts={GOODWARE: 2, MALWARE: 0})
     with pytest.raises(ValueError, match="not enough"):
         split_sorted(ds, train_counts={GOODWARE: 5, MALWARE: 0})
+
+
+def reference_split_by_counts(dataset, train_counts):
+    """The per-trace quota loop that ``split_sorted`` replaced: the (train,
+    test) indices in temporal order, or its count errors."""
+    order = np.argsort(dataset.observed_at, kind="stable")
+    quota = {LABEL_TO_INT[name]: int(count) for name, count in train_counts.items()}
+    for lab, want in quota.items():
+        if want < 0:
+            raise ValueError(f"{INT_TO_LABEL[lab]} train count must be >= 0, got {want}")
+    taken = {k: 0 for k in quota}
+    train_mask = np.zeros(len(dataset), dtype=bool)
+    for i in order:
+        lab = int(dataset.labels[i])
+        if taken.get(lab, 0) < quota.get(lab, 0):
+            train_mask[i] = True
+            taken[lab] += 1
+    for lab, want in quota.items():
+        if taken[lab] != want:
+            raise ValueError(f"not enough {INT_TO_LABEL[lab]} samples for requested train count")
+    return order[train_mask[order]], order[~train_mask[order]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_split_sorted_counts_match_the_per_trace_loop(data):
+    n = data.draw(st.integers(1, 30))
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    # few distinct times, so ties and interleaved classes are common
+    observed_at = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    names = data.draw(st.permutations([GOODWARE, MALWARE]))[: data.draw(st.integers(1, 2))]
+    counts = {name: data.draw(st.integers(-2, n + 1)) for name in names}
+    ds = toy_dataset(observed_at, labels)
+    try:
+        train_idx, test_idx = reference_split_by_counts(ds, counts)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            split_sorted(ds, train_counts=counts)
+        return
+    if train_idx.size and test_idx.size and (
+            ds.observed_at[train_idx].max() > ds.observed_at[test_idx].min()):
+        with pytest.raises(ValueError, match="incompatible with temporal ordering"):
+            split_sorted(ds, train_counts=counts)
+        return
+    train, test = split_sorted(ds, train_counts=counts)
+    assert train.ids == [ds.ids[i] for i in train_idx]
+    assert test.ids == [ds.ids[i] for i in test_idx]
 
 
 def test_split_kfold_partitions():

@@ -354,7 +354,7 @@ def test_lsm_histogram_scorer_flags_approximation(lsm_clf):
 
 def liquid_row(lsm, matrix):
     """One input's state on the per-row path: simulate, then flatten to a row."""
-    return rv.simulate_liquid(lsm.topology, lsm.lif, matrix, lsm.windows)[0].reshape(1, -1)
+    return rv.simulate_liquid(lsm.topology, lsm.lif, matrix)[0].reshape(1, -1)
 
 
 def spread(hist):

@@ -568,6 +568,13 @@ def test_zero_linear_model_ties_to_malware():
     assert score == 0.5 and label == 1
 
 
+def test_linear_refuses_labels_outside_zero_and_one():
+    X = np.arange(6.0).reshape(3, 2)
+    for y in ([0, 1, 2], [0.0, 0.5, 1.0], [-1, 0, 1]):
+        with pytest.raises(ValueError, match=r"^labels must be 0 \(goodware\) or 1 \(malware\)$"):
+            train_linear(X, np.array(y))
+
+
 def test_linear_seed_determinism():
     rng = np.random.default_rng(37)
     X = rng.normal(size=(50, 4))

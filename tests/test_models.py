@@ -91,9 +91,9 @@ def _histogram_classifier_label(monkeypatch):
 def _lsm_classifier_label(monkeypatch):
     clf = LsmClassifier()
     clf.vocab = SyscallVocabulary(("NtClose",))
-    clf.model = SimpleNamespace(topology=None, lif=None, windows=1, readout=Half())
+    clf.model = SimpleNamespace(topology=None, readout=Half())
     monkeypatch.setattr(reservoir, "liquid_states",
-                        lambda topology, lif, inputs, windows: np.zeros((len(list(inputs)), 1)))
+                        lambda topology, inputs: np.zeros((len(list(inputs)), 1)))
     return clf.predict([make_trace([(0, "NtClose")])])[0][0]
 
 
@@ -108,10 +108,10 @@ def _tied_leaf():
 
 def _forest_vote_label(monkeypatch):
     leaf = _tied_leaf()
-    model = forest.RandomForest([leaf], 1, forest.ForestParams())
+    model = forest.RandomForest([leaf] * forest.FOREST_TREES, 1, forest.ForestParams())
     X = np.zeros((1, 1))
     assert leaf.predict_scores(X)[0] == 0.5
-    # the tree's vote is the forest's whole score
+    # every tree casts the same vote, so one tree's vote is the forest's score
     assert labels_of(model.predict_scores(X))[0] == model.predict_scores(X)[0]
     return model.predict_scores(X)[0]
 

@@ -32,12 +32,9 @@ from callsift.persistence import (
 from callsift.reservoir import (
     LINEAR,
     LifParams,
-    LsmModel,
     ReadoutModel,
-    liquid_states,
-    train_readout,
 )
-from callsift.traces import SyscallVocabulary, encode_multihot
+from callsift.traces import SyscallVocabulary
 
 
 def fitted(kind, small_corpus, small_labels):
@@ -190,28 +187,49 @@ def test_malformed_ensemble_archive_is_rejected(
         load_model(tmp_path / "bad.json")
 
 
-def test_lsm_archive_keeps_the_model_liquid_settings(tmp_path, small_corpus, small_labels,
-                                                     monkeypatch):
-    clf = fitted("lsm", small_corpus, small_labels)
-    assert clf.model.windows != 2
-    inputs = [encode_multihot(t, clf.vocab, clf.encoding.truncation) for t in small_corpus]
-    states = liquid_states(clf.model.topology, LifParams(), inputs, windows=2)
-    monkeypatch.setattr(reservoir, "READOUT_L2_GRID", (1e-3,))
-    readout = train_readout(states, small_labels, folds=3)
-    clf.model = LsmModel(topology=clf.model.topology, lif=LifParams(), windows=2,
-                         readout=readout)
-    doc = save_model(clf, tmp_path / "lsm.json")
-    loaded = load_model(tmp_path / "lsm.json")
-    assert loaded.model.lif == LifParams() and loaded.model.windows == 2
-    want = readout.predict_scores(states)
-    assert np.array_equal(loaded.predict(small_corpus)[1], want)
-    assert np.array_equal(clf.predict(small_corpus)[1], want)
-    # the LIF dynamics are fixed: an archive that records others is refused
-    doc["payload"]["lif"]["refractory_period"] = 1
+def _save_edited(clf, tmp_path, edit):
+    """Save ``clf``, apply ``edit`` to the archive's payload, recompute its
+    checksum and return the edited archive's path."""
+    doc = save_model(clf, tmp_path / "saved.json")
+    edit(doc["payload"])
     doc["payload_sha256"] = persistence.config_hash(doc["payload"])
     (tmp_path / "edited.json").write_text(json.dumps(doc))
+    return tmp_path / "edited.json"
+
+
+def test_lsm_archive_with_another_window_count_is_refused(tmp_path, small_corpus,
+                                                          small_labels):
+    clf = fitted("lsm", small_corpus, small_labels)
+    doc = save_model(clf, tmp_path / "lsm.json")
+    assert doc["payload"]["windows"] == reservoir.LIQUID_WINDOWS == 4
+    assert doc["payload"]["lif"] == encode(LifParams())
+    # the window count and the LIF dynamics are fixed: an archive that
+    # records others is refused by name
+    edited = _save_edited(clf, tmp_path, lambda p: p.update(windows=2))
+    with pytest.raises(ValueError, match=r"^LsmModel\.windows is fixed at 4, got 2$"):
+        load_model(edited)
+    edited = _save_edited(clf, tmp_path, lambda p: p["lif"].update(refractory_period=1))
     with pytest.raises(ValueError, match=r"^LifParams\.refractory_period is fixed at 2, got 1$"):
-        load_model(tmp_path / "edited.json")
+        load_model(edited)
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("hist-rf", lambda p: p.update(trees=[]), r"^a forest of n_trees 100 holds 0 trees$"),
+    ("hist-rf", lambda p: p.update(trees=p["trees"][:3]), r"^a forest of n_trees 100 holds 3 trees$"),
+    ("lsm", lambda p: p["topology"].update(neuron_count=200_000),
+     r"^a liquid of neuron_count 200000 needs \(channels, 200000\) input and "),
+    ("lsm", lambda p: p["topology"].update(neuron_count=10**9), r"^a liquid of neuron_count 10+ "),
+    ("lsm", lambda p: p["topology"].update(recurrent_weights=[[0.0]]),
+     r"^a liquid of neuron_count 135 needs "),
+], ids=["forest-of-no-trees", "forest-of-3-trees", "liquid-of-200000-neurons",
+        "liquid-of-1e9-neurons", "liquid-of-one-recurrent-weight"])
+def test_archive_whose_arrays_disagree_with_its_sizes_is_refused(
+    tmp_path, small_corpus, small_labels, kind, edit, message
+):
+    # each is refused as it is built, before anything is sized by it
+    edited = _save_edited(fitted(kind, small_corpus, small_labels), tmp_path, edit)
+    with pytest.raises(ValueError, match=message):
+        load_model(edited)
 
 
 def test_hist_rf_archive_with_another_forest_recipe_is_refused(tmp_path, small_corpus,

@@ -81,29 +81,31 @@ def test_zero_input_zero_state():
     assert not rv.simulate_liquid(topo, lif, zeros)[0].any()
 
 
-def test_single_pulse_closed_form():
+def test_single_pulse_closed_form(monkeypatch):
     lif = rv.LifParams()  # tau 30, threshold 1.0, reset 0.0, refractory 2, dt 1
+    monkeypatch.setattr(rv, "LIQUID_WINDOWS", 1)
     # injected current = weight * count; spikes iff it reaches threshold - reset
     above = single_neuron_topology(0.6)
-    counts, _ = rv.simulate_liquid(above, lif, multihot([[2]], [5]), windows=1)
+    counts, _ = rv.simulate_liquid(above, lif, multihot([[2]], [5]))
     assert counts.sum() == 1.0  # 1.2 >= 1.0: exactly one spike
     below = single_neuron_topology(0.6)
-    counts, _ = rv.simulate_liquid(below, lif, multihot([[1]], [5]), windows=1)
+    counts, _ = rv.simulate_liquid(below, lif, multihot([[1]], [5]))
     assert counts.sum() == 0.0  # 0.6 < 1.0: no spike
     boundary = single_neuron_topology(0.5)
-    counts, _ = rv.simulate_liquid(boundary, lif, multihot([[2]], [5]), windows=1)
+    counts, _ = rv.simulate_liquid(boundary, lif, multihot([[2]], [5]))
     assert counts.sum() == 1.0  # exactly at threshold spikes
 
 
-def test_subthreshold_decay_matches_exponential():
+def test_subthreshold_decay_matches_exponential(monkeypatch):
     lif = rv.LifParams()
+    monkeypatch.setattr(rv, "LIQUID_WINDOWS", 1)
     topo = single_neuron_topology(0.5)
     m = multihot([[1]], [0])  # 0.5 current at t=0, then free decay
-    _, pots = rv.simulate_liquid(topo, lif, m, windows=1, record=True)
+    _, pots = rv.simulate_liquid(topo, lif, m, record=True)
     assert pots[0, 0] == pytest.approx(0.5)
     # two subthreshold pulses 10 steps apart: the first decays exponentially
     m3 = multihot([[1], [1]], [0, 10])
-    _, pots3 = rv.simulate_liquid(topo, lif, m3, windows=1, record=True)
+    _, pots3 = rv.simulate_liquid(topo, lif, m3, record=True)
     expected = 0.5 * math.exp(-10 / 30) + 0.5
     assert pots3[10, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -136,21 +138,23 @@ def test_zero_padded_input_same_state():
     )
 
 
-def test_membrane_never_at_or_above_threshold_after_step():
+def test_membrane_never_at_or_above_threshold_after_step(monkeypatch):
     topo = rv.build_liquid(6, seed=4)
     lif = rv.LifParams()
+    monkeypatch.setattr(rv, "LIQUID_WINDOWS", 2)
     rng = np.random.default_rng(3)
     m = multihot(rng.integers(0, 4, size=(50, 6)), np.arange(50))
-    _, pots = rv.simulate_liquid(topo, lif, m, windows=2, record=True)
+    _, pots = rv.simulate_liquid(topo, lif, m, record=True)
     assert (pots < lif.threshold).all()
 
 
-def test_spike_count_capped_by_refractory_period():
+def test_spike_count_capped_by_refractory_period(monkeypatch):
     lif = rv.LifParams(refractory_period=2)
+    monkeypatch.setattr(rv, "LIQUID_WINDOWS", 1)
     topo = single_neuron_topology(5.0)  # every input spikes
     steps = np.arange(60)
     m = multihot(np.ones((60, 1)), steps)
-    counts, _ = rv.simulate_liquid(topo, lif, m, windows=1)
+    counts, _ = rv.simulate_liquid(topo, lif, m)
     # spikes at steps 0, 3, 6, ...: one spike, then r silent steps
     assert counts.sum() == math.ceil(60 / (lif.refractory_period + 1))
 
@@ -171,13 +175,15 @@ def test_a_late_event_costs_no_step_per_quiet_millisecond():
         assert far.any() and np.array_equal(far, near)
 
 
-def test_window_partition_sums_match_total():
+def test_window_partition_sums_match_total(monkeypatch):
     topo = rv.build_liquid(4, seed=6)
     lif = rv.LifParams()
     rng = np.random.default_rng(5)
     m = multihot(rng.integers(0, 4, size=(40, 4)), np.arange(40))
-    w1 = rv.simulate_liquid(topo, lif, m, windows=1)[0].reshape(-1)
-    w4 = rv.simulate_liquid(topo, lif, m, windows=4)[0]
+    w4 = rv.simulate_liquid(topo, lif, m)[0]
+    assert w4.shape == (rv.LIQUID_WINDOWS, topo.neuron_count) == (4, 135)
+    monkeypatch.setattr(rv, "LIQUID_WINDOWS", 1)
+    w1 = rv.simulate_liquid(topo, lif, m)[0].reshape(-1)
     assert np.array_equal(w4.sum(axis=0), w1)
 
 
@@ -202,15 +208,44 @@ def test_separation_of_distinct_inputs():
     assert collisions / trials <= 0.01
 
 
-def test_liquid_states_stacks_flattened_spike_counts():
+def test_liquid_states_stacks_flattened_spike_counts(monkeypatch):
     topo = rv.build_liquid(4, seed=3)
-    lif = rv.LifParams()
     rng = np.random.default_rng(4)
     inputs = [multihot(rng.integers(0, 3, size=(n, 4)), np.arange(n)) for n in (0, 5, 20)]
-    states = rv.liquid_states(topo, lif, iter(inputs), windows=3)
+    monkeypatch.setattr(rv, "LIQUID_WINDOWS", 3)
+    states = rv.liquid_states(topo, iter(inputs))
     assert states.shape == (3, topo.neuron_count * 3)
     for row, m in zip(states, inputs):
-        assert np.array_equal(row, rv.simulate_liquid(topo, lif, m, windows=3)[0].reshape(-1))
+        assert np.array_equal(row, rv.simulate_liquid(topo, rv.LifParams(), m)[0].reshape(-1))
+
+
+def test_record_is_keyword_only():
+    # a stale positional window count must fail, not switch recording on
+    topo = rv.build_liquid(2, seed=1)
+    m = multihot([[1, 2]], [6])
+    with pytest.raises(TypeError):
+        rv.simulate_liquid(topo, rv.LifParams(), m, 4)
+    counts, pots = rv.simulate_liquid(topo, rv.LifParams(), m, record=True)
+    assert counts.shape == (4, topo.neuron_count) and pots.shape == (7, topo.neuron_count)
+
+
+def test_liquid_topology_refuses_weights_of_another_neuron_count():
+    topo = rv.build_liquid(3, seed=1)
+    for n in (134, 200_000):
+        with pytest.raises(ValueError, match=rf"^a liquid of neuron_count {n} needs "):
+            rv.LiquidTopology(n, topo.input_weights, topo.recurrent_weights, seed=1)
+    with pytest.raises(ValueError, match="neuron_count 135"):
+        rv.LiquidTopology(135, topo.input_weights[0], topo.recurrent_weights, seed=1)
+    with pytest.raises(ValueError, match="neuron_count 135"):
+        rv.LiquidTopology(135, topo.input_weights, topo.recurrent_weights[:, :3], seed=1)
+
+
+def test_lsm_model_refuses_another_window_count():
+    topo = rv.build_liquid(2, seed=1)
+    assert rv.LsmModel(topo, readout=None).windows == rv.LIQUID_WINDOWS == 4
+    for windows in (1, 5, 100):
+        with pytest.raises(ValueError, match=rf"^LsmModel\.windows is fixed at 4, got {windows}$"):
+            rv.LsmModel(topo, readout=None, windows=windows)
 
 
 def test_channel_mismatch_rejected():
@@ -277,6 +312,13 @@ def test_readout_never_selects_dominated_point(rng):
         (tuple(sorted(p.items())), l) for p, l in readout.search_log
     )[tuple(sorted(readout.hyperparams.items()))]
     assert all(chosen_loss <= l for _, l in readout.search_log)
+
+
+def test_readout_refuses_labels_outside_zero_and_one(rng):
+    X = rng.normal(size=(20, 4))
+    for y in ([0, 2] * 10, [0, 1, -1, 1] * 5):
+        with pytest.raises(ValueError, match=r"^labels must be 0 \(goodware\) or 1 \(malware\)$"):
+            rv.train_readout(X, np.array(y), folds=5)
 
 
 def test_readout_rejects_single_class_and_small_folds(rng):
@@ -357,8 +399,7 @@ def test_readout_search_equals_the_per_fit_reference_on_liquid_states(seed, leng
     corpus = datagen.generate_corpus(config)
     vocab = build_vocabulary(corpus)
     topology = rv.build_liquid(vocab.width, seed=0)
-    states = rv.liquid_states(topology, rv.LifParams(),
-                              (encode_multihot(t, vocab, length) for t in corpus))
+    states = rv.liquid_states(topology, (encode_multihot(t, vocab, length) for t in corpus))
     y = np.array([t.label == "malware" for t in corpus], dtype=np.int64)
     readout = rv.train_readout(states, y, folds=5, seed=1)
     log, best, refit = reference_readout_search(states, y, folds=5, seed=1)
@@ -401,8 +442,7 @@ def _fitted_lsm(readout):
     clf = LsmClassifier()
     clf.vocab = SyscallVocabulary(("A", "B"))
     topo = rv.build_liquid(clf.vocab.width, seed=0)
-    clf.model = rv.LsmModel(topology=topo, lif=rv.LifParams(), windows=rv.LIQUID_WINDOWS,
-                            readout=readout)
+    clf.model = rv.LsmModel(topology=topo, readout=readout)
     return clf
 
 

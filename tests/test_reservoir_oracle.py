@@ -10,7 +10,9 @@ membrane potentials exactly.
 ``reference_build_liquid`` is the knob-driven wiring that ``build_liquid``'s
 constants fixed: at its defaults it must give ``build_liquid``'s liquid bit
 for bit, and the randomized cases draw liquids of other shapes from it.  The
-LIF dynamics are fixed too, so every case runs ``LifParams()``.
+LIF dynamics are fixed too, so every case runs ``LifParams()``.  The window
+count is the constant ``LIQUID_WINDOWS``; a case of another count patches it
+for its ``simulate_liquid`` calls and hands the count to the reference.
 """
 
 import math
@@ -101,10 +103,13 @@ def reference_simulate_liquid(topology, lif, input_matrix, windows=4, record=Fal
 
 def assert_matches_reference(topology, lif, m, windows):
     want, want_pots = reference_simulate_liquid(topology, lif, m, windows, record=True)
-    got, got_pots = rv.simulate_liquid(topology, lif, m, windows=windows, record=True)
-    assert np.array_equal(got, want)
-    assert np.array_equal(got_pots, want_pots)
-    assert np.array_equal(rv.simulate_liquid(topology, lif, m, windows=windows)[0], want)
+    # a context, not the fixture: Hypothesis rejects function-scoped fixtures
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rv, "LIQUID_WINDOWS", windows)
+        got, got_pots = rv.simulate_liquid(topology, lif, m, record=True)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_pots, want_pots)
+        assert np.array_equal(rv.simulate_liquid(topology, lif, m)[0], want)
 
 
 # --- fixed wiring ---------------------------------------------------------------
